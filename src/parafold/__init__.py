@@ -15,6 +15,7 @@ from .model import (
     ds_invariant,
     ds_transition,
     integrate,
+    landing_index,
     is_homoclinic,
     periods,
     rectify,

@@ -13,15 +13,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     IntegratorControls,
     ModelField,
     PeriodGon,
-    Termination,
     bifurcation_angles,
-    integrate,
+    landing_index,
     periods,
     sector_index,
     xi_series,
@@ -288,6 +286,8 @@ def trace_curve(
     seeded by the asymptotic offset ~ C |eps|^{k/(k+1)} calibrated at the
     largest sample.
     """
+    from scipy.optimize import brentq
+
     theta_j = bifurcation_angles(k)[tag.j]
     grid = _log_grid(decades[0], decades[1], per_decade)
     if tag.side == 0:
@@ -388,8 +388,7 @@ def _classify_point(fld: ModelField, r: float, alpha: float, controls) -> str:
     radial = (fld.rhs(z) * complex(z).conjugate()).real
     inward = radial < 0
     z_in = z * (1.0 - 1e-9)
-    traj = integrate(fld, z_in, direction=1 if inward else -1, controls=controls)
-    if traj.termination is Termination.LANDED:
+    if landing_index(fld, z_in, direction=1 if inward else -1, controls=controls) is not None:
         return "incoming" if inward else "outgoing"
     return "separating"
 

@@ -4,6 +4,19 @@ The module computes the exact combinatorial-geometric data (singularities,
 periods, period-gon, homoclinic angles, zig-zag invariant) and provides an
 adaptive complex-plane integrator for trajectories and separatrices, so every
 combinatorial answer can be cross-checked dynamically.
+
+One Dormand-Prince 5(4) kernel does all integration.  It reuses the last
+stage of an accepted step as the first of the next, so a step costs six
+field evaluations, and it counts accepted and rejected steps and the
+smallest accepted step (``Trajectory.n_accepted``, ``n_rejected``,
+``h_min_seen``).  ``integrate`` and ``separatrices`` follow an orbit until
+it is within the capture radius 1e-6 min(1, |eps|^{1/(k+1)}) of a singular
+point.  Callers that need only where an orbit lands (``_attachment``,
+``ds_invariant_integrated`` and ``disk.separating_regions``) call
+``landing_index``, which stops as soon as the orbit enters the certified
+disk |z - z_l| < rho_l of a root z_l attracting in the integration
+direction; ``landing_radii`` gives rho_l and the argument that an orbit
+inside the disk lands at z_l.
 """
 
 from __future__ import annotations
@@ -14,7 +27,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -193,7 +205,7 @@ class Termination(str, Enum):
 class IntegratorControls:
     rtol: float = 1e-10
     atol: float = 1e-13
-    capture_radius: float | None = None  # default 1e-6 * |eps|^{1/(k+1)}
+    capture_radius: float | None = None  # default 1e-6 * min(1, |eps|^{1/(k+1)})
     escape_radius: float | None = None  # default 10 * |eps|^{1/(k+1)} + 10
     boundary_radius: float | None = None  # e.g. the disk radius r, if restricted
     time_cap: float = 1e4
@@ -206,7 +218,7 @@ class IntegratorControls:
         cap = self.capture_radius
         esc = self.escape_radius
         if cap is None:
-            cap = 1e-6 * fld.scale
+            cap = 1e-6 * min(1.0, fld.scale)
         if esc is None:
             esc = 10.0 * fld.scale + 10.0
         return replace(self, capture_radius=cap, escape_radius=esc)
@@ -214,6 +226,12 @@ class IntegratorControls:
 
 @dataclass
 class Trajectory:
+    """An integrated orbit and why it stopped.
+
+    ``n_accepted`` and ``n_rejected`` count the kernel's steps (one point
+    per accepted step) and ``h_min_seen`` is the smallest accepted step.
+    """
+
     points: np.ndarray
     times: np.ndarray
     termination: Termination
@@ -221,6 +239,9 @@ class Trajectory:
     direction: int = 1
     launch_angle: float | None = None
     orientation: str | None = None
+    n_accepted: int = 0
+    n_rejected: int = 0
+    h_min_seen: float = math.inf
 
     def to_dict(self):
         term = self.termination.value
@@ -232,18 +253,104 @@ class Trajectory:
         }
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I, II.5)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# 5th-order weights; they are also the last row of A, so the 7th stage is the
+# field at the new point and opens the next step (first same as last)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# embedded 4th-order weights
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dopri(fld, z0, direction, ctl, disks, path=None):
+    """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires.
+
+    ``disks`` lists ``(index, centre, radius)``: an accepted point within
+    ``radius`` of a centre lands at the nearest such centre.  The field is
+    direction-free and the step is ``h * direction``; negation is exact, and
+    z4 and z5 are formed as in the plain tableau loop (not from the weight
+    differences), so the steps equal that loop's bit for bit.  Accepted
+    points and times are appended to ``path = (points, times)`` when given.
+    Returns ``(termination, landed_index, n_accepted, n_rejected,
+    h_min_seen)``.
+    """
+    k1 = fld.k + 1
+    eps = fld.epsilon
+    z_big = 1e120 ** (1.0 / k1)
+    big = complex(1e120)
+
+    def f(z):
+        # overflow guard: absurd trial stages force a step rejection
+        if abs(z) > z_big:
+            return big
+        return z**k1 - eps
+
+    rtol, atol, h_min, h_max = ctl.rtol, ctl.atol, ctl.h_min, ctl.h_max
+    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, ctl.escape_radius
+    z = complex(z0)
+    t = 0.0
+    p1 = f(z)
+    h = min(ctl.h_init, 1e-2 / (1.0 + abs(p1)))
+    n_acc = n_rej = 0
+    h_seen = math.inf
+    for _ in range(ctl.max_steps):
+        if h < h_min:
+            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
+        h = min(h, h_max, time_cap - t)
+        hd = h * direction
+        p2 = f(z + hd * (_A21 * p1))
+        p3 = f(z + hd * (_A31 * p1 + _A32 * p2))
+        p4 = f(z + hd * (_A41 * p1 + _A42 * p2 + _A43 * p3))
+        p5 = f(z + hd * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+        p6 = f(z + hd * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5))
+        z5 = z + hd * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+        p7 = f(z5)
+        z4 = z + hd * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+        err = abs(z5 - z4) / (atol + rtol * max(abs(z), abs(z5)))
+        if err <= 1.0:
+            t += h
+            z = z5
+            p1 = p7
+            n_acc += 1
+            h_seen = min(h_seen, h)
+            if path is not None:
+                path[0].append(z)
+                path[1].append(t)
+            landed = None
+            for idx, centre, radius in disks:
+                d = abs(z - centre)
+                if d <= radius and (landed is None or d < best):
+                    landed, best = idx, d
+            if landed is not None:
+                return Termination.LANDED, landed, n_acc, n_rej, h_seen
+            if boundary is not None and abs(z) >= boundary:
+                return Termination.HIT_BOUNDARY, None, n_acc, n_rej, h_seen
+            if abs(z) >= escape:
+                return Termination.ESCAPED, None, n_acc, n_rej, h_seen
+            if t >= time_cap:
+                break
+        else:
+            n_rej += 1
+        factor = 0.9 * (err + 1e-300) ** -0.2
+        h *= min(5.0, max(0.2, factor))
+    return Termination.TIME_CAP, None, n_acc, n_rej, h_seen
+
+
+def _prepare(fld, z0, direction, controls):
+    """Resolved controls and singular points, after checking the start point."""
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    ctl = (controls or IntegratorControls()).resolved(fld)
+    sing = singularities(fld)
+    if np.abs(sing - z0).min() < ctl.capture_radius:
+        raise ValueError("z0 lies within the capture radius of a singularity")
+    return ctl, sing
 
 
 def integrate(
@@ -255,74 +362,65 @@ def integrate(
     """Adaptive RK5(4) integration of z' = z^{k+1} - eps until a stop fires.
 
     ``direction = -1`` integrates in reversed time.  Times are the
-    (positive, increasing) integration parameter.
+    (positive, increasing) integration parameter.  The trajectory lands
+    once it comes within the capture radius of a singular point.
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    ctl = (controls or IntegratorControls()).resolved(fld)
-    sing = singularities(fld)
-    if np.abs(sing - z0).min() < ctl.capture_radius:
-        raise ValueError("z0 lies within the capture radius of a singularity")
-
-    z_big = 1e120 ** (1.0 / (fld.k + 1))
-
-    def f(z):
-        # overflow guard: absurd trial stages force a step rejection
-        if abs(z) > z_big:
-            return direction * complex(1e120)
-        return direction * fld.rhs(z)
-
+    ctl, sing = _prepare(fld, z0, direction, controls)
+    disks = [(i, s, ctl.capture_radius) for i, s in enumerate(sing.tolist())]
     zs = [complex(z0)]
     ts = [0.0]
-    z = complex(z0)
-    t = 0.0
-    h = min(ctl.h_init, 1e-2 / (1.0 + abs(f(z0))))
-    termination = None
-    landed = None
-    ks = [0j] * 7
-    for _ in range(ctl.max_steps):
-        if h < ctl.h_min:
-            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
-        h = min(h, ctl.h_max, ctl.time_cap - t)
-        ks[0] = f(z)
-        for i in range(1, 7):
-            acc = 0j
-            for j, a in enumerate(_DP_A[i]):
-                acc += a * ks[j]
-            ks[i] = f(z + h * acc)
-        z5 = z + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
-        z4 = z + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-        err = abs(z5 - z4) / (ctl.atol + ctl.rtol * max(abs(z), abs(z5)))
-        if err <= 1.0:
-            t += h
-            z = z5
-            zs.append(z)
-            ts.append(t)
-            dist = np.abs(sing - z)
-            if dist.min() <= ctl.capture_radius:
-                termination = Termination.LANDED
-                landed = int(dist.argmin())
-                break
-            if ctl.boundary_radius is not None and abs(z) >= ctl.boundary_radius:
-                termination = Termination.HIT_BOUNDARY
-                break
-            if abs(z) >= ctl.escape_radius:
-                termination = Termination.ESCAPED
-                break
-            if t >= ctl.time_cap:
-                termination = Termination.TIME_CAP
-                break
-        factor = 0.9 * (err + 1e-300) ** -0.2
-        h *= min(5.0, max(0.2, factor))
-    if termination is None:
-        termination = Termination.TIME_CAP
+    termination, landed, n_acc, n_rej, h_seen = _dopri(fld, z0, direction, ctl, disks, (zs, ts))
     return Trajectory(
         points=np.array(zs),
         times=np.array(ts),
         termination=termination,
         landed_index=landed,
         direction=direction,
+        n_accepted=n_acc,
+        n_rejected=n_rej,
+        h_min_seen=h_seen,
     )
+
+
+def landing_radii(fld: ModelField) -> np.ndarray:
+    """Radii rho_l of the certified landing disks around the singular points.
+
+    With lambda_l = (k+1) z_l^k and s = |eps|^{1/(k+1)},
+    rho_l = 0.99 (s/k) min(1, (2/e) |Re lambda_l| / |lambda_l|).  Writing
+    f(z_l + w) = lambda_l w + R(w), the bound C(k+1, j) <= C(k+1, 2) C(k-1, j-2)
+    gives |R(w)| <= C(k+1, 2) s^{k-1} |w|^2 (1 + |w|/s)^{k-1}, which is below
+    |Re lambda_l| |w| for 0 < |w| <= rho_l.  So d|w|^2/dt = 2 Re(conj(w) f)
+    has the sign of Re lambda_l on the punctured disk: an orbit that enters
+    the disk of a root attracting in its direction stays in it and lands.
+    """
+    sing = singularities(fld)
+    lam = fld.d_rhs(sing)
+    ratio = np.minimum(1.0, (2.0 / math.e) * np.abs(lam.real) / np.abs(lam))
+    return 0.99 * (fld.scale / fld.k) * ratio
+
+
+def landing_index(
+    fld: ModelField,
+    z0: complex,
+    direction: int = 1,
+    controls: IntegratorControls | None = None,
+) -> int | None:
+    """Index of the singular point the orbit of z0 lands at, or None.
+
+    Runs the step kernel of ``integrate`` but stops as soon as the orbit
+    enters the certified disk (``landing_radii``) of a root that attracts in
+    the integration direction, i.e. direction * Re lambda_l < 0.  A disk
+    that reaches past ``boundary_radius`` is cut back to it, and no disk is
+    smaller than the capture radius.  None means the orbit escaped, hit the
+    boundary or ran out of time or steps.
+    """
+    ctl, sing = _prepare(fld, z0, direction, controls)
+    rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
+    if ctl.boundary_radius is not None:
+        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
+    radii = np.maximum(rho, ctl.capture_radius)
+    disks = list(zip(range(len(sing)), sing.tolist(), radii.tolist()))
+    return _dopri(fld, z0, direction, ctl, disks)[1]
 
 
 def separatrix_directions(k: int) -> np.ndarray:
@@ -397,16 +495,6 @@ class DSInvariant:
         }
 
 
-def _side_intervals(gon: PeriodGon):
-    """Per-side imaginary-axis projection [lo, hi] and interpolation data."""
-    k1 = gon.k + 1
-    sides = []
-    for ell in range(k1):
-        a, b = gon.side(ell)
-        sides.append((ell, a, b))
-    return sides
-
-
 def _band_edges(gon: PeriodGon, tol: float):
     """Edges of the trunk from overlapping side projections, via a band sweep."""
     v = gon.vertices
@@ -414,7 +502,7 @@ def _band_edges(gon: PeriodGon, tol: float):
     heights = np.sort(v.imag)
     if np.diff(heights).min() <= tol * scale:
         raise AtBifurcation("two period-gon vertices share a height")
-    sides = _side_intervals(gon)
+    sides = [(ell, *gon.side(ell)) for ell in range(gon.k + 1)]
     edges = []
     for lo, hi in zip(heights[:-1], heights[1:]):
         y = 0.5 * (lo + hi)
@@ -456,10 +544,10 @@ def _attachment(fld: ModelField, controls=None) -> int:
     """Landing index of the separatrix with asymptotic direction arg z = 0."""
     ctl = (controls or IntegratorControls()).resolved(fld)
     launch = 0.995 * ctl.escape_radius
-    traj = integrate(fld, launch + 0j, direction=-1, controls=ctl)
-    if traj.termination is not Termination.LANDED:
+    landed = landing_index(fld, launch + 0j, direction=-1, controls=ctl)
+    if landed is None:
         raise AtBifurcation("distinguished separatrix failed to land")
-    return traj.landed_index
+    return landed
 
 
 def ds_invariant(
@@ -512,14 +600,10 @@ def ds_invariant_integrated(
     for ell in range(k1):
         for m in range(n_angles):
             seed = sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-            fwd = integrate(fld, seed, 1, controls)
-            bwd = integrate(fld, seed, -1, controls)
-            if (
-                fwd.termination is Termination.LANDED
-                and bwd.termination is Termination.LANDED
-                and fwd.landed_index != bwd.landed_index
-            ):
-                edges.add(frozenset((fwd.landed_index, bwd.landed_index)))
+            fwd = landing_index(fld, seed, 1, controls)
+            bwd = landing_index(fld, seed, -1, controls)
+            if fwd is not None and bwd is not None and fwd != bwd:
+                edges.add(frozenset((fwd, bwd)))
     order = _walk_path([tuple(sorted(e)) for e in edges], k1)
     return DSInvariant(
         k=fld.k, epsilon=fld.epsilon, order=order, attachment=_attachment(fld, controls)
@@ -657,6 +741,8 @@ def rectify(
         t_proj = min(1.0, max(0.0, t_proj))
         if abs(s - t_proj * z) < cap:
             raise PathThroughSingularity(f"segment passes near singularity {s:.6g}")
+
+    from scipy.integrate import quad
 
     def integrand(s):
         return z / fld.rhs(s * z)

@@ -53,6 +53,17 @@ def family_files(tmp_path_factory):
     return files
 
 
+def test_import_leaves_scipy_unloaded():
+    # quad and brentq are imported by the one function that needs each
+    code = (
+        "import sys, parafold.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run_cli(["portrait", "--k", "2"]).returncode == 2

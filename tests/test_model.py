@@ -7,10 +7,12 @@ import pytest
 from parafold.model import (
     AtBifurcation,
     DegenerateParameter,
+    IntegratorControls,
     ModelField,
     PathThroughSingularity,
     RadiusTooSmall,
     SeriesOutOfDomain,
+    StepSizeUnderflow,
     Termination,
     apply_transition,
     bifurcation_angles,
@@ -22,6 +24,8 @@ from parafold.model import (
     integrate,
     is_homoclinic,
     is_zigzag,
+    landing_index,
+    landing_radii,
     periods,
     rectify,
     sector_index,
@@ -33,6 +37,83 @@ from parafold.model import (
 )
 
 TWO_PI = 2 * math.pi
+
+# Dormand-Prince 5(4) tableau, as rows, for the reference loop below
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _integrate_reference(fld, z0, direction=1, controls=None):
+    """The plain tableau loop (seven field evaluations a step, the field
+    negated for reversed time); the fast kernel must reproduce it bit for
+    bit.  Returns (points, times, termination, landed, n_rejected, h_min)."""
+    ctl = (controls or IntegratorControls()).resolved(fld)
+    sing = singularities(fld)
+    z_big = 1e120 ** (1.0 / (fld.k + 1))
+
+    def f(z):
+        if abs(z) > z_big:
+            return direction * complex(1e120)
+        return direction * fld.rhs(z)
+
+    zs, ts = [complex(z0)], [0.0]
+    z, t = complex(z0), 0.0
+    h = min(ctl.h_init, 1e-2 / (1.0 + abs(f(z0))))
+    termination, landed = Termination.TIME_CAP, None
+    n_rej, h_min = 0, math.inf
+    ks = [0j] * 7
+    for _ in range(ctl.max_steps):
+        if h < ctl.h_min:
+            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
+        h = min(h, ctl.h_max, ctl.time_cap - t)
+        ks[0] = f(z)
+        for i in range(1, 7):
+            acc = 0j
+            for j, a in enumerate(_DP_A[i]):
+                acc += a * ks[j]
+            ks[i] = f(z + h * acc)
+        z5 = z + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
+        z4 = z + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
+        err = abs(z5 - z4) / (ctl.atol + ctl.rtol * max(abs(z), abs(z5)))
+        if err <= 1.0:
+            t += h
+            z = z5
+            h_min = min(h_min, h)
+            zs.append(z)
+            ts.append(t)
+            dist = np.abs(sing - z)
+            if dist.min() <= ctl.capture_radius:
+                termination, landed = Termination.LANDED, int(dist.argmin())
+                break
+            if ctl.boundary_radius is not None and abs(z) >= ctl.boundary_radius:
+                termination = Termination.HIT_BOUNDARY
+                break
+            if abs(z) >= ctl.escape_radius:
+                termination = Termination.ESCAPED
+                break
+            if t >= ctl.time_cap:
+                break
+        else:
+            n_rej += 1
+        h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+    return np.array(zs), np.array(ts), termination, landed, n_rej, h_min
+
+
+def _generic_field(rng, k, log_eps=(-1.0, 0.0), margin=1e-2):
+    while True:
+        eps = 10 ** rng.uniform(*log_eps) * cmath.exp(2j * math.pi * rng.random())
+        fld = ModelField(k, eps)
+        if homoclinic_defect(fld)[0] > margin:
+            return fld
 
 
 class TestSingularities:
@@ -186,6 +267,107 @@ class TestIntegrate:
         traj = integrate(ModelField(2, 0.01), 1.5)
         assert traj.termination is Termination.ESCAPED
 
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        n = 0
+        for k in range(1, 7):
+            for direction in (1, -1):
+                for rtol in (1e-8, 1e-10):
+                    for stop in ("free", "boundary", "time_cap", "separatrix"):
+                        fld = _generic_field(rng, k)
+                        extra = {}
+                        if stop == "boundary":
+                            extra["boundary_radius"] = 1.3 * fld.scale
+                        elif stop == "time_cap":
+                            extra["time_cap"] = float(rng.uniform(0.05, 0.5))
+                        if stop == "separatrix":
+                            ctl = IntegratorControls(rtol=rtol).resolved(fld)
+                            ang = float(rng.integers(2 * k)) * math.pi / k
+                            z0 = 0.995 * ctl.escape_radius * cmath.exp(1j * ang)
+                        else:
+                            z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
+                        ctl = IntegratorControls(rtol=rtol, **extra)
+                        got = integrate(fld, z0, direction, ctl)
+                        pts, ts, term, landed, n_rej, h_min = _integrate_reference(
+                            fld, z0, direction, ctl
+                        )
+                        assert np.array_equal(got.points, pts)
+                        assert np.array_equal(got.times, ts)
+                        assert got.termination is term
+                        assert got.landed_index == landed
+                        assert got.n_accepted == len(got.points) - 1
+                        assert got.n_rejected == n_rej
+                        assert got.h_min_seen == h_min
+                        seen.add(term)
+                        n += 1
+        assert n == 96
+        assert seen == set(Termination)
+
+    def test_underflow_at_same_step(self):
+        # the step needed near t = 6.2 is below this floor; the message
+        # carries the step size and the time of the failing step
+        fld = ModelField(3, cmath.exp(-2.1j))
+        ctl = IntegratorControls(h_min=9.5e-4)
+        with pytest.raises(StepSizeUnderflow) as ref:
+            _integrate_reference(fld, -1.68 + 0.46j, 1, ctl)
+        with pytest.raises(StepSizeUnderflow) as got:
+            integrate(fld, -1.68 + 0.46j, 1, ctl)
+        assert str(got.value) == str(ref.value)
+        assert "t=0 " not in str(got.value)
+
+    def test_counters(self):
+        traj = integrate(ModelField(2, cmath.exp(0.3j)), 0.5 + 0.5j, -1)
+        assert traj.n_accepted == len(traj.points) - 1 > 0
+        assert traj.n_rejected >= 0
+        assert 0.0 < traj.h_min_seen <= np.diff(traj.times).min() * (1 + 1e-9)
+        # the JSON form carries no counters
+        assert set(traj.to_dict()) == {"points", "termination"}
+
+
+class TestLandingIndex:
+    def test_agrees_with_integrate(self):
+        rng = np.random.default_rng(99)
+        n = landed = 0
+        while n < 240:
+            k = int(rng.integers(1, 7))
+            fld = _generic_field(rng, k, log_eps=(-1.0, 0.5))
+            ctl = None
+            if n % 4 == 0:  # as separating_regions runs it, inside a boundary circle
+                ctl = IntegratorControls(boundary_radius=fld.scale * rng.uniform(1.2, 2.0))
+            z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
+            direction = int(rng.choice([1, -1]))
+            expect = integrate(fld, z0, direction, ctl).landed_index
+            assert landing_index(fld, z0, direction, ctl) == expect
+            landed += expect is not None
+            n += 1
+        assert landed > 150
+
+    def test_certified_disk_sampled(self):
+        # on |w| = rho_l the radial speed Re(conj(w) f) has the sign of Re lambda_l
+        rng = np.random.default_rng(7)
+        w_dir = np.exp(1j * np.linspace(0.0, TWO_PI, 257)[:-1])
+        for k in range(1, 8):
+            for abs_eps in (1e-3, 1.0, 1e3):
+                for _ in range(4):
+                    fld = ModelField(k, abs_eps * cmath.exp(2j * math.pi * rng.random()))
+                    sing = singularities(fld)
+                    re_lam = fld.d_rhs(sing).real
+                    for z_l, rho, sign in zip(sing, landing_radii(fld), np.sign(re_lam)):
+                        w = rho * w_dir
+                        radial = (np.conj(w) * fld.rhs(z_l + w)).real
+                        assert np.all(sign * radial > 0)
+
+    def test_disks_are_disjoint(self):
+        for k in range(1, 8):
+            fld = ModelField(k, cmath.exp(0.1j))
+            gap = 2 * fld.scale * math.sin(math.pi / (k + 1))
+            assert 2 * landing_radii(fld).max() < gap
+
+    def test_rejects_bad_direction(self):
+        with pytest.raises(ValueError):
+            landing_index(ModelField(2, 1.0), 0.3, direction=0)
+
 
 class TestSeparatrices:
     def test_k5_example_all_land(self):
@@ -204,6 +386,14 @@ class TestSeparatrices:
     def test_homoclinic_failure(self):
         seps = separatrices(ModelField(2, cmath.exp(1j * math.pi / 4)))
         assert any(t.termination is not Termination.LANDED for t in seps)
+
+    def test_large_eps_lands_within_absolute_tolerance(self):
+        for k in (2, 3, 4):
+            fld = ModelField(k, 8.0 * cmath.exp(0.3j))
+            sing = singularities(fld)
+            for t in separatrices(fld):
+                assert t.termination is Termination.LANDED
+                assert np.abs(sing - t.points[-1]).min() < 1e-6
 
     def test_k1_distinct_landings(self):
         seps = separatrices(ModelField(1, 1.0))
