@@ -8,6 +8,7 @@ All file input/output is JSON (UTF-8) or SVG 1.1.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -21,6 +22,7 @@ from .model import (
     SeriesOutOfDomain,
     StepSizeUnderflow,
     ds_invariant,
+    separatrices,
     singularities,
 )
 from .normal_forms import NotCanonical, polynomial_nf, rational_nf
@@ -54,9 +56,12 @@ SEMANTIC_ERRORS = (NotGeneric, NotCanonical, DegenerateParameter)
 def parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _complex_dict(z: complex):
@@ -72,21 +77,15 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read JSON from {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _load_eigenvalue(path, truncation):
     """Read an eigenvalue function from a lambda file or a family file."""
     data = _load_json(path)
-    try:
-        if "omega" in data:
-            spec = FamilySpec.from_dict(data)
-            return eigenvalue_function(spec, order=truncation)
-        return EigenvalueFunction.from_dict(data)
-    except KeyError as exc:
-        print(f"error: malformed input {path}: missing {exc}", file=sys.stderr)
-        sys.exit(2)
+    if isinstance(data, dict) and "omega" in data:
+        return eigenvalue_function(FamilySpec.from_dict(data), order=truncation)
+    return EigenvalueFunction.from_dict(data)
 
 
 def _write_text(path, text):
@@ -100,8 +99,6 @@ def cmd_portrait(args):
     )
     _write_text(args.out, svg)
     if args.json_out:
-        from .model import separatrices
-
         fld = ModelField(args.k, args.eps)
         data = {
             "singularities": [_complex_dict(z) for z in singularities(fld)],
@@ -118,12 +115,8 @@ def cmd_star(args):
 
 
 def cmd_bifdiagram(args):
-    lo, hi = args.decades
-    if not (0 < lo < hi):
-        print("error: empty decade range", file=sys.stderr)
-        return 2
     svg = render.bifdiagram_svg(
-        k=args.k, r=args.r, decades=(lo, hi), per_decade=args.per_decade
+        k=args.k, r=args.r, decades=args.decades, per_decade=args.per_decade
     )
     _write_text(args.out, svg)
     return 0
@@ -169,11 +162,7 @@ def cmd_canon(args):
 
 
 def cmd_nf(args):
-    data = _load_json(args.family)
-    if "omega" not in data:
-        print("error: nf expects a family file with an 'omega' entry", file=sys.stderr)
-        return 2
-    spec = factor_family(FamilySpec.from_dict(data), z_order=args.truncation)
+    spec = factor_family(FamilySpec.from_dict(_load_json(args.family)), z_order=args.truncation)
     maker = polynomial_nf if args.kind == "polynomial" else rational_nf
     nf = maker(spec, eps_order=args.eps_order)
     print(_dump(nf.to_dict()))
@@ -190,39 +179,41 @@ def cmd_dsinv(args):
     return 0
 
 
+EPS_HELP = "complex parameter, e.g. 0.3+0.2i; write a value with a leading minus as --eps=-0.7i"
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--truncation", type=int, default=40, help="series truncation order")
-    common.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled artwork")
     parser = argparse.ArgumentParser(
         prog="parafold",
         description="Phase portraits, bifurcation diagrams and normal forms "
         "for z' = z^{k+1} - eps and its generic unfoldings.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_truncation(p):
+        p.add_argument("--truncation", type=int, default=40, help="series truncation order")
 
-    p = add_parser("portrait", help="phase portrait of z' = z^{k+1} - eps")
+    def add_tol(p):
+        p.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
+
+    p = sub.add_parser("portrait", help="phase portrait of z' = z^{k+1} - eps")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=parse_complex, required=True)
+    p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
     p.add_argument("--radius", type=float, default=1.5)
     p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled orbits")
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None, help="also export trajectories as JSON")
     p.set_defaults(func=cmd_portrait)
 
-    p = add_parser("star", help="rectified t-space figure with eyelets")
+    p = sub.add_parser("star", help="rectified t-space figure with eyelets")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=parse_complex, required=True)
+    p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
     p.add_argument("--r", type=float, default=1.0, help="disk radius")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_star)
 
-    p = add_parser("bifdiagram", help="bifurcation curves in the eps-plane")
+    p = sub.add_parser("bifdiagram", help="bifurcation curves in the eps-plane")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--decades", type=float, nargs=2, default=(1e-6, 1e-2),
@@ -231,25 +222,30 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bifdiagram)
 
-    p = add_parser("classify", help="decide conjugacy of two families")
+    p = sub.add_parser("classify", help="decide conjugacy of two families")
     p.add_argument("family_a")
     p.add_argument("family_b")
+    add_truncation(p)
+    add_tol(p)
     p.set_defaults(func=cmd_classify)
 
-    p = add_parser("canon", help="canonicalize an eigenvalue function or family")
+    p = sub.add_parser("canon", help="canonicalize an eigenvalue function or family")
     p.add_argument("input")
+    add_truncation(p)
     p.set_defaults(func=cmd_canon)
 
-    p = add_parser("nf", help="polynomial or rational normal form coefficients")
+    p = sub.add_parser("nf", help="polynomial or rational normal form coefficients")
     p.add_argument("kind", choices=("polynomial", "rational"))
     p.add_argument("family")
     p.add_argument("--eps-order", type=int, default=6)
+    add_truncation(p)
     p.set_defaults(func=cmd_nf)
 
-    p = add_parser("dsinv", help="print the combinatorial invariant")
+    p = sub.add_parser("dsinv", help="print the combinatorial invariant")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=parse_complex, required=True)
+    p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
     p.add_argument("--validate", action="store_true")
+    add_tol(p)
     p.set_defaults(func=cmd_dsinv)
 
     return parser

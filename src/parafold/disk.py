@@ -15,17 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    TWO_PI,
     IntegratorControls,
     ModelField,
     PeriodGon,
     bifurcation_angles,
+    is_homoclinic,
     landing_index,
     periods,
     sector_index,
     xi_series,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 class NewtonDivergence(RuntimeError):
@@ -196,15 +196,7 @@ def double_tangency_residual(
 def symmetric_pairs(k: int, j: int, abs_eps: float = 1e-3, tol: float = 1e-9):
     """Vertex index pairs at equal height at the homoclinic angle theta_j."""
     theta = bifurcation_angles(k)[j]
-    gon = periods(ModelField(k, abs_eps * cmath.exp(1j * theta)))
-    v = gon.vertices
-    scale = gon.scale
-    pairs = []
-    for a in range(k + 1):
-        for b in range(a + 1, k + 1):
-            if abs(v[a].imag - v[b].imag) <= tol * scale:
-                pairs.append((a, b))
-    return pairs
+    return is_homoclinic(ModelField(k, abs_eps * cmath.exp(1j * theta)), tol)[1]
 
 
 @dataclass
@@ -222,11 +214,6 @@ class BifurcationCurve:
     tag: CurveTag
     samples: np.ndarray  # rows (|eps|, theta)
     fitted_exponent: float | None = None
-
-    def xy(self, theta_ref):
-        """Coordinates eps e^{-i theta_j} = x + i y of the samples."""
-        ae, th = self.samples[:, 0], self.samples[:, 1]
-        return ae * np.cos(th - theta_ref), ae * np.sin(th - theta_ref)
 
     def to_dict(self):
         return {

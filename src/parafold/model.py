@@ -810,6 +810,13 @@ class TauModel:
         return abs(side_sum)
 
 
+def outward_normal(a: complex, b: complex, centre: complex = 0j) -> complex:
+    """Unit normal of the segment [a, b], on the side away from ``centre``."""
+    n_hat = -1j * (b - a) / abs(b - a)
+    mid = 0.5 * (a + b) - centre
+    return -n_hat if (n_hat * mid.conjugate()).real < 0 else n_hat
+
+
 def build_tau_model(gon: PeriodGon, eyelet_radius: float) -> TauModel:
     """Assemble the 2(k+1)-gon with strips and eyelets from period data.
 
@@ -839,14 +846,9 @@ def build_tau_model(gon: PeriodGon, eyelet_radius: float) -> TauModel:
     verts -= verts.mean()
     axes = np.empty(k1, dtype=complex)
     centers = np.empty(k1, dtype=complex)
-    centroid = verts.mean()  # 0 after centring
+    centroid = verts.mean()  # 0 after centring, up to rounding
     for i in range(k1):
-        e = verts[2 * i + 1] - verts[2 * i]
-        n_hat = -1j * e / abs(e)
-        mid = 0.5 * (verts[2 * i] + verts[2 * i + 1])
-        if (n_hat.real * (mid - centroid).real + n_hat.imag * (mid - centroid).imag) < 0:
-            n_hat = -n_hat
-        axes[i] = n_hat
+        axes[i] = outward_normal(verts[2 * i], verts[2 * i + 1], centroid)
         s0, s1 = verts[(2 * i + 1) % (2 * k1)], verts[(2 * i + 2) % (2 * k1)]
         centers[i] = 0.5 * (s0 + s1)
     return TauModel(

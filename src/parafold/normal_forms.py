@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import NotAUnit, TruncatedSeries, UNIT_TOL
+from .model import ModelField, singularities
+from .series import NotAUnit, TruncatedSeries, UNIT_TOL, roots_of_unity, series_distance
 from .unfolding import EigenvalueFunction, eigenvalue_function
 
 
@@ -85,9 +86,7 @@ def lagrange_Q(
         if eps == 0:
             nodes = np.zeros(k + 1, dtype=complex)
         else:
-            rad = abs(eps) ** (1.0 / (k + 1))
-            ang = (cmath.phase(eps) % (2 * math.pi) + 2 * math.pi * np.arange(k + 1)) / (k + 1)
-            nodes = rad * np.exp(1j * ang)
+            nodes = singularities(ModelField(k, eps))
     if len(nodes) != k + 1:
         raise ValueError("need exactly k+1 interpolation nodes")
 
@@ -127,14 +126,12 @@ def lagrange_Q(
 
 
 def lagrange_Q_determinant(sigma, k, eps, nodes=None) -> np.ndarray:
-    """Same interpolant via the Vandermonde determinant identity (oracle)."""
-    if nodes is None:
-        if eps == 0:
-            raise ValueError("determinant formula needs distinct nodes")
-        rad = abs(eps) ** (1.0 / (k + 1))
-        ang = (cmath.phase(eps) % (2 * math.pi) + 2 * math.pi * np.arange(k + 1)) / (k + 1)
-        nodes = rad * np.exp(1j * ang)
-    nodes = np.asarray(nodes, dtype=complex)
+    """Same interpolant via the Vandermonde determinant identity (oracle).
+
+    The default nodes are the roots of delta^{k+1} = eps, so eps = 0 raises
+    ``DegenerateParameter``.
+    """
+    nodes = singularities(ModelField(k, eps)) if nodes is None else np.asarray(nodes, dtype=complex)
     vander = np.vander(nodes, k + 1, increasing=True)
     values = np.array([sigma(x) for x in nodes])
     return np.linalg.solve(vander, values)
@@ -192,7 +189,7 @@ class PolynomialNF:
         )
 
 
-def _sigma_of(spec_or_sigma, k=None, sigma_order=32):
+def _sigma_of(spec_or_sigma, sigma_order=32):
     if isinstance(spec_or_sigma, TruncatedSeries):
         return spec_or_sigma
     if isinstance(spec_or_sigma, EigenvalueFunction):
@@ -244,16 +241,7 @@ def polynomial_nf(
     Q_eps exactly (``split``); ``sampled`` reconstructs the series from
     Lagrange data on parameter circles instead and cross-checks two radii.
     """
-    if k is None:
-        k = spec_or_sigma.k
-    sigma = _sigma_of(spec_or_sigma, k)
-    if method == "split":
-        coeffs = _split_coefficients(sigma, k, eps_order)
-    elif method == "sampled":
-        coeffs, _ = _sampled_coefficients(sigma, k, 4 if eps_order is None else eps_order)
-    else:
-        raise ValueError("method must be 'split' or 'sampled'")
-    return PolynomialNF(k=k, coefficients=coeffs, kind="polynomial")
+    return _normal_form(spec_or_sigma, k, eps_order, method, "polynomial")
 
 
 def rational_nf(
@@ -266,19 +254,25 @@ def rational_nf(
 
     Identical pipeline with target values 1/sigma(delta_i).
     """
+    return _normal_form(spec_or_sigma, k, eps_order, method, "rational")
+
+
+def _normal_form(spec_or_sigma, k, eps_order, method, kind) -> PolynomialNF:
+    """The pipeline of both forms: the rational one interpolates 1/sigma."""
     if k is None:
         k = spec_or_sigma.k
-    sigma = _sigma_of(spec_or_sigma, k)
-    if not sigma.is_unit():
-        raise NotAUnit("sigma must not vanish at the origin")
-    recip = sigma.reciprocal()
+    target = _sigma_of(spec_or_sigma)
+    if kind == "rational":
+        if not target.is_unit():
+            raise NotAUnit("sigma must not vanish at the origin")
+        target = target.reciprocal()
     if method == "split":
-        coeffs = _split_coefficients(recip, k, eps_order)
+        coeffs = _split_coefficients(target, k, eps_order)
     elif method == "sampled":
-        coeffs, _ = _sampled_coefficients(recip, k, 4 if eps_order is None else eps_order)
+        coeffs, _ = _sampled_coefficients(target, k, 4 if eps_order is None else eps_order)
     else:
         raise ValueError("method must be 'split' or 'sampled'")
-    return PolynomialNF(k=k, coefficients=coeffs, kind="rational")
+    return PolynomialNF(k=k, coefficients=coeffs, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -388,22 +382,11 @@ def kostov_check(nf1: KostovNF, nf2: KostovNF, tol: float = 1e-9):
     for nf in (nf1, nf2):
         if not nf.is_canonical():
             raise NotCanonical("b_0(eps) must equal -eps")
-    k = nf1.k
-    for m in range(k):
-        nu = cmath.exp(2j * math.pi * m / k)
-        ok = _series_close(nf1.A, nf2.A.scale_argument(nu), tol)
-        for j in range(k):
-            if not ok:
-                break
-            target = nf2.b[j].scale_argument(nu) * nu ** (j - 1)
-            ok = _series_close(nf1.b[j], target, tol)
-        if ok:
+    for m, nu in enumerate(roots_of_unity(nf1.k)):
+        pairs = [(nf1.A, nf2.A.scale_argument(nu))] + [
+            (b1, b2.scale_argument(nu) * nu ** (j - 1))
+            for j, (b1, b2) in enumerate(zip(nf1.b, nf2.b))
+        ]
+        if all(series_distance(s1, s2) <= tol for s1, s2 in pairs):
             return m
     return None
-
-
-def _series_close(s1: TruncatedSeries, s2: TruncatedSeries, tol: float) -> bool:
-    n = min(s1.order, s2.order)
-    a, b = s1.coefficients[: n + 1], s2.coefficients[: n + 1]
-    weight = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return bool((np.abs(a - b) / weight).max() <= tol)

@@ -18,6 +18,7 @@ from .model import (
     ModelField,
     bifurcation_angles,
     integrate,
+    outward_normal,
     periods,
     separatrices,
     singularities,
@@ -32,9 +33,9 @@ def portrait_svg(k: int, eps: complex, radius: float = 1.5, seed: int = 0, sampl
     canvas = SvgCanvas(size=size, window=(-radius, radius, -radius, radius))
     rng = np.random.default_rng(seed)
     ctl = IntegratorControls(rtol=1e-8, time_cap=2e3, max_steps=40_000)
+    sing = singularities(fld)
     for _ in range(samples):
         z0 = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        sing = singularities(fld)
         if np.abs(sing - z0).min() < 1e-3:
             continue
         for direction in (1, -1):
@@ -45,7 +46,7 @@ def portrait_svg(k: int, eps: complex, radius: float = 1.5, seed: int = 0, sampl
         canvas.polyline(
             traj.points, stroke=color, width=1.6, cls=f"separatrix-{traj.orientation[:3]}"
         )
-    for z in singularities(fld):
+    for z in sing:
         canvas.dot(z, radius_px=5.0, cls="singularity")
     return canvas.tostring()
 
@@ -64,11 +65,7 @@ def star_svg(k: int, eps: complex, r: float, size: int = 800, strip_length: floa
     # strips: two half-lines orthogonal to each side, from its endpoints
     for ell in range(k1):
         a, b = gon.side(ell)
-        edge = b - a
-        n_hat = -1j * edge / abs(edge)
-        mid = 0.5 * (a + b)
-        if (n_hat * mid.conjugate()).real < 0:
-            n_hat = -n_hat
+        n_hat = outward_normal(a, b)
         for end in (a, b):
             canvas.polyline(
                 [end, end + strip_length * n_hat],

@@ -15,11 +15,15 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 
 #: threshold below which a leading coefficient counts as zero
 UNIT_TOL = 1e-12
+
+#: largest truncation order, and codimension, that a JSON document may declare
+MAX_JSON_ORDER = 1000
 
 
 class SeriesError(ValueError):
@@ -40,6 +44,42 @@ class NotInvertible(SeriesError):
 
 class BadConstantTerm(SeriesError):
     """k-th root requires constant term 1."""
+
+
+def json_field(data, name):
+    """``data[name]`` of a JSON object; ValueError naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with field {name!r}, got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"missing field {name!r}")
+    return data[name]
+
+
+def json_int(data, name, lo, hi):
+    """``data[name]`` checked to be an integer in [lo, hi]."""
+    value = json_field(data, name)
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(f"field {name!r} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _json_entries(data):
+    entries = json_field(data, "coefficients")
+    if not isinstance(entries, list):
+        raise ValueError(f"field 'coefficients' must be a list, got {type(entries).__name__}")
+    return entries
+
+
+def _json_complex(entry):
+    """complex(re, im) of a coefficient entry; both parts optional.  The bound
+    refuses nan, inf and integers too large for a float."""
+    parts = []
+    for name in ("re", "im"):
+        x = entry.get(name, 0.0)
+        if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            raise ValueError(f"field {name!r} must be a finite number, got {x!r}")
+        parts.append(x)
+    return complex(*parts)
 
 
 def _mul_raw(a, b):
@@ -341,10 +381,12 @@ class TruncatedSeries:
 
     @classmethod
     def from_dict(cls, data):
-        order = int(data["truncation"])
+        """Inverse of ``to_dict``; ValueError names the first malformed field."""
+        order = json_int(data, "truncation", 0, MAX_JSON_ORDER)
         c = np.zeros(order + 1, dtype=complex)
-        for entry in data["coefficients"]:
-            c[int(entry["deg"])] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+        for entry in _json_entries(data):
+            deg = json_int(entry, "deg", 0, order)
+            c[deg] = _json_complex(entry)
         return cls(c)
 
     def dumps(self):
@@ -452,14 +494,6 @@ class BivariateSeries:
 
     __rmul__ = __mul__
 
-    def eps_slice(self, n):
-        """The z-series coefficient of eps^n."""
-        return TruncatedSeries(self._c[:, n])
-
-    def z_slice(self, m):
-        """The eps-series coefficient of z^m."""
-        return TruncatedSeries(self._c[m, :])
-
     def __call__(self, z, eps):
         """Numerical evaluation (Horner in both variables)."""
         acc = 0.0 + 0.0j
@@ -469,12 +503,6 @@ class BivariateSeries:
                 row = row * eps + self._c[m, n]
             acc = acc * z + row
         return acc
-
-    def dz(self):
-        """Partial derivative in z."""
-        if self.z_order == 0:
-            return BivariateSeries.zero(0, self.eps_order)
-        return BivariateSeries(self._c[1:, :] * np.arange(1, self.z_order + 1)[:, None])
 
     def deps(self):
         """Partial derivative in eps."""
@@ -540,12 +568,29 @@ class BivariateSeries:
 
     @classmethod
     def from_dict(cls, data):
-        c = np.zeros((int(data["Nz"]) + 1, int(data["Neps"]) + 1), dtype=complex)
-        for entry in data["coefficients"]:
-            c[int(entry["m"]), int(entry["n"])] = complex(
-                entry.get("re", 0.0), entry.get("im", 0.0)
-            )
+        """Inverse of ``to_dict``; ValueError names the first malformed field."""
+        nz = json_int(data, "Nz", 0, MAX_JSON_ORDER)
+        ne = json_int(data, "Neps", 0, MAX_JSON_ORDER)
+        c = np.zeros((nz + 1, ne + 1), dtype=complex)
+        for entry in _json_entries(data):
+            m, n = json_int(entry, "m", 0, nz), json_int(entry, "n", 0, ne)
+            c[m, n] = _json_complex(entry)
         return cls(c)
+
+
+def series_distance(s1: TruncatedSeries, s2: TruncatedSeries) -> float:
+    """Largest coefficient difference over their common order, each relative
+    to max(1, |a_n|, |b_n|)."""
+    n = min(s1.order, s2.order)
+    a, b = s1.coefficients[: n + 1], s2.coefficients[: n + 1]
+    weight = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return float((np.abs(a - b) / weight).max())
+
+
+def roots_of_unity(n):
+    """e^{2 pi i m/n} for m = 0..n-1, each from the scalar ``cmath.exp`` so
+    that the last bit does not depend on an array kernel."""
+    return [cmath.exp(2j * math.pi * m / n) for m in range(n)]
 
 
 def principal_root(value, k):

@@ -81,7 +81,3 @@ class SvgCanvas:
             f'<rect width="{self.size}" height="{self.size}" fill="white" />\n'
         )
         return header + "\n".join(self._elements) + "\n</svg>\n"
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.tostring())

@@ -20,10 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .series import (
+    MAX_JSON_ORDER,
     UNIT_TOL,
     BivariateSeries,
     TruncatedSeries,
+    json_field,
+    json_int,
     principal_root,
+    roots_of_unity,
+    series_distance,
 )
 
 
@@ -61,7 +66,9 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(k=int(data["k"]), omega=BivariateSeries.from_dict(data["omega"]))
+        """Inverse of ``to_dict``; ValueError names the first malformed field."""
+        k = json_int(data, "k", 1, MAX_JSON_ORDER)
+        return cls(k=k, omega=BivariateSeries.from_dict(json_field(data, "omega")))
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,12 @@ class AxesReport:
     repelling: np.ndarray
     attracting: np.ndarray
     explosion: np.ndarray
+
+
+def _k_class(k: int) -> slice:
+    """The degrees k, 2k+1, 3k+2, ... congruent to k mod k+1.  Past the first
+    they are the degrees k + m(k+1), m >= 1, that canonicalisation removes."""
+    return slice(k, None, k + 1)
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,7 @@ class EigenvalueFunction:
         scale = max(np.abs(c).max(), 1.0)
         if abs(c[self.k] - (self.k + 1)) > tol * scale:
             return False
-        deg = np.arange(len(c))
-        offender = (deg % (self.k + 1) == self.k % (self.k + 1)) & (deg > self.k)
-        return bool(np.abs(c[offender]).max(initial=0.0) <= tol * scale)
+        return bool(np.abs(c[_k_class(self.k)][1:]).max(initial=0.0) <= tol * scale)
 
     def precompose_root(self, zeta: complex) -> "EigenvalueFunction":
         """lambda(zeta * delta)."""
@@ -130,7 +141,10 @@ class EigenvalueFunction:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(k=int(data["k"]), lam=TruncatedSeries.from_dict(data))
+        """Inverse of ``to_dict`` (which adds ``k`` and ``canonical`` to the
+        series fields); ValueError names the first malformed field."""
+        lam = TruncatedSeries.from_dict(data)
+        return cls(k=json_int(data, "k", 1, lam.order), lam=lam)
 
 
 def model_eigenvalue_function(k: int, order: int = 32) -> EigenvalueFunction:
@@ -390,29 +404,21 @@ def canonicalize(ef: EigenvalueFunction) -> CanonicalForm:
     # truncation depends only on lambda-coefficients below it
     ell = a0.kth_root(k).upsample(k + 1, order).shift_up(1)
     h = ell.reversion()
-    lam_can = _clean_canonical(lam1.compose(h), k)
+    lam_can = lam1.compose(h).coefficients.copy()
+    lam_can[_k_class(k)][1:] = 0.0  # the eliminated classes are O(roundoff)
     return CanonicalForm(
         h=h * a,
-        lam=EigenvalueFunction(k, lam_can),
+        lam=EigenvalueFunction(k, TruncatedSeries(lam_can)),
         linear_choices=linear_choices,
     )
 
 
-def _clean_canonical(lam: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Zero out the eliminated coefficient classes (they are O(roundoff))."""
-    c = lam.coefficients.copy()
-    deg = np.arange(len(c))
-    offender = (deg % (k + 1) == k % (k + 1)) & (deg > k)
-    c[offender] = 0.0
-    return TruncatedSeries(c)
-
-
-def _series_mismatch(s1: TruncatedSeries, s2: TruncatedSeries) -> float:
-    """Degree-weighted relative coefficient distance."""
-    n = min(s1.order, s2.order)
-    a, b = s1.coefficients[: n + 1], s2.coefficients[: n + 1]
-    weight = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float((np.abs(a - b) / weight).max())
+def _unique_witness(roots, matches):
+    """The one root for which ``matches`` holds, or None if there is none."""
+    witnesses = [w for w in roots if matches(w)]
+    if len(witnesses) > 1:
+        raise AmbiguousMatch(witnesses)
+    return witnesses[0] if witnesses else None
 
 
 def equivalent_fixed_parameter(
@@ -421,17 +427,10 @@ def equivalent_fixed_parameter(
     """Witness zeta with zeta^{k+1} = 1 and l2(delta) = l1(zeta delta), or None."""
     if l1.k != l2.k:
         raise ValueError("eigenvalue functions have different codimension")
-    k1 = l1.k + 1
-    witnesses = []
-    for i in range(k1):
-        zeta = cmath.exp(2j * math.pi * i / k1)
-        if _series_mismatch(l1.lam.scale_argument(zeta), l2.lam) <= tol:
-            witnesses.append(zeta)
-    if not witnesses:
-        return None
-    if len(witnesses) > 1:
-        raise AmbiguousMatch(witnesses)
-    return witnesses[0]
+    return _unique_witness(
+        roots_of_unity(l1.k + 1),
+        lambda zeta: series_distance(l1.lam.scale_argument(zeta), l2.lam) <= tol,
+    )
 
 
 def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float = 1e-9):
@@ -444,19 +443,14 @@ def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float =
     """
     if l1.k != l2.k:
         raise ValueError("eigenvalue functions have different codimension")
-    k = l1.k
     c1 = canonicalize(l1)
     c2 = canonicalize(l2)
-    witnesses = []
-    for i in range(k):
-        nu = cmath.exp(2j * math.pi * i / k)
-        if _series_mismatch(c1.lam.lam.scale_argument(nu), c2.lam.lam) <= tol:
-            witnesses.append(nu)
-    if not witnesses:
+    nu = _unique_witness(
+        roots_of_unity(l1.k),
+        lambda nu: series_distance(c1.lam.lam.scale_argument(nu), c2.lam.lam) <= tol,
+    )
+    if nu is None:
         return None
-    if len(witnesses) > 1:
-        raise AmbiguousMatch(witnesses)
-    nu = witnesses[0]
     # l1 o h1 = c1, l2 o h2 = c2 and c2 = c1 o (nu .): xi = h2 o (nu^{-1} .) o h1^{-1}
     h1_inv = c1.h.reversion()
     xi = c2.h.scale_argument(1 / nu).compose(h1_inv)
@@ -469,9 +463,7 @@ def is_model_equivalent(ef: EigenvalueFunction, tol: float = 1e-9) -> bool:
     True iff lambda(delta) = delta^k sigma(delta^{k+1}), i.e. every
     coefficient at a degree not congruent to k mod k+1 vanishes.
     """
-    k = ef.k
     c = ef.lam.coefficients
     scale = max(np.abs(c).max(), 1.0)
-    deg = np.arange(len(c))
-    foreign = deg % (k + 1) != k % (k + 1)
-    return bool(np.abs(c[foreign]).max(initial=0.0) <= tol * scale)
+    foreign = np.delete(c, _k_class(ef.k))
+    return bool(np.abs(foreign).max(initial=0.0) <= tol * scale)

@@ -1,3 +1,8 @@
+import contextlib
+import io
+
+from parafold import cli
+
 _ACCEPTANCE_LINES = []
 
 
@@ -10,3 +15,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_main(argv):
+    """``(exit code, stdout, stderr)`` of an in-process ``cli.main``.
+
+    Any exception other than SystemExit propagates, so a traceback fails
+    the calling test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError("cli.main returned without exiting")

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import run_main
 from parafold.series import BivariateSeries, TruncatedSeries
 from parafold.unfolding import EigenvalueFunction, FamilySpec, realize
 
@@ -98,6 +99,70 @@ class TestExitCodes:
              "--out", str(tmp_path / "b.svg")]
         )
         assert res.returncode == 2
+
+    def test_option_before_subcommand_is_rejected(self):
+        # options belong to the subcommand that reads them
+        res = run_cli(["--tol", "1e-3", "dsinv", "--k", "2", "--eps", "1"])
+        assert res.returncode == 2
+
+
+LAMBDA_DOC = {"k": 2, "truncation": 20, "coefficients": [{"deg": 2, "re": 3.0, "im": 0.0},
+                                                         {"deg": 3, "re": 0.5, "im": 0.1}]}
+FAMILY_DOC = {"k": 2, "omega": {"Nz": 10, "Neps": 1, "coefficients": [
+    {"m": 3, "n": 0, "re": 1.0}, {"m": 0, "n": 1, "re": -1.0}, {"m": 4, "n": 0, "re": 0.2}]}}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` replaced (or appended)."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if last == "+":
+        target.append(value)
+    else:
+        target[last] = value
+    return doc
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2, 3],
+            _with(LAMBDA_DOC, ["coefficients", "+"], {"deg": 25, "re": 1.0}),
+            _with(LAMBDA_DOC, ["coefficients", "+"], {"deg": -1, "re": 1.0}),
+            _with(FAMILY_DOC, ["omega", "coefficients", "+"], {"m": -1, "n": 0, "re": 1.0}),
+            _with(LAMBDA_DOC, ["k"], 0),
+            _with(LAMBDA_DOC, ["k"], 2.5),
+            _with(LAMBDA_DOC, ["coefficients", 0, "re"], 1e999),
+            _with(LAMBDA_DOC, ["coefficients"], 5),
+        ],
+        ids=["top-level-list", "deg-above-truncation", "negative-deg", "negative-m", "k-zero",
+             "k-not-integer", "re-overflow", "coefficients-not-list"],
+    )
+    def test_canon_exits_2(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_main(["canon", str(path)])
+        assert code == 2 and err.startswith("error: ")
+
+    def test_valid_documents_exit_0(self, tmp_path):
+        for name, doc in (("lam", LAMBDA_DOC), ("family", FAMILY_DOC)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            assert run_main(["canon", str(path)])[0] == 0
+        assert run_main(["nf", "polynomial", str(tmp_path / "family.json")])[0] == 0
+
+    def test_non_finite_eps(self):
+        for value in ("nan", "inf", "nan+1i"):
+            assert run_main(["dsinv", "--k", "2", "--eps", value])[0] == 2
+
+    def test_negative_eps_takes_equals_form(self):
+        code, out, _ = run_main(["dsinv", "--k", "3", "--eps=-0.7i"])
+        assert code == 0
+        assert json.loads(out)["epsilon"] == {"re": 0.0, "im": -0.7}
 
 
 class TestPortrait:
