@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import re
 import sys
 
 from . import render
@@ -54,7 +55,10 @@ SEMANTIC_ERRORS = (NotGeneric, NotCanonical, DegenerateParameter)
 
 
 def parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    """``a+bi`` as a complex number.  Only the ``i`` that ends the number (or
+    stands before its closing parenthesis) is the imaginary unit, so ``inf``
+    and ``infinity`` reach the finiteness check."""
+    cleaned = re.sub(r"i(\)?)$", r"j\1", text.strip().replace(" ", ""))
     try:
         value = complex(cleaned)
     except ValueError as exc:

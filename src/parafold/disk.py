@@ -9,6 +9,7 @@ eps-plane.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .model import (
     TWO_PI,
+    DegenerateParameter,
     IntegratorControls,
     ModelField,
     PeriodGon,
@@ -23,7 +25,8 @@ from .model import (
     is_homoclinic,
     landing_index,
     periods,
-    sector_index,
+    sector_array,
+    xi_array,
     xi_series,
 )
 
@@ -36,21 +39,25 @@ class RootLoss(RuntimeError):
     """Curve continuation failed to bracket the next root."""
 
 
-def tangency_equation(k: int, r: float, eps: complex, alpha):
+def _polar(k: int, r: float, eps):
+    """(rho, phi) with eps / r^{k+1} = rho e^{i phi}."""
+    return np.abs(eps) / r ** (k + 1), np.angle(eps)
+
+
+def _tangency_terms(k: int, rho, phi, alpha):
+    """E = cos(k alpha) - rho cos(alpha - phi) and its alpha-derivative."""
+    ka = k * alpha
+    d = alpha - phi
+    return np.cos(ka) - rho * np.cos(d), rho * np.sin(d) - k * np.sin(ka)
+
+
+def tangency_equation(k: int, r: float, eps, alpha):
     """E(x, y, alpha) = cos(k*alpha) - (x cos alpha + y sin alpha)/r^{k+1}.
 
     Zeroes are the boundary angles where the field is tangent to the circle
     |z| = r.
     """
-    x, y = eps.real, eps.imag
-    return np.cos(k * np.asarray(alpha)) - (x * np.cos(alpha) + y * np.sin(alpha)) / r ** (k + 1)
-
-
-def tangency_equation_dalpha(k: int, r: float, eps: complex, alpha):
-    x, y = eps.real, eps.imag
-    return -k * np.sin(k * np.asarray(alpha)) - (-x * np.sin(alpha) + y * np.cos(alpha)) / r ** (
-        k + 1
-    )
+    return _tangency_terms(k, *_polar(k, r, eps), np.asarray(alpha))[0]
 
 
 def tangency_seeds(k: int) -> np.ndarray:
@@ -60,60 +67,102 @@ def tangency_seeds(k: int) -> np.ndarray:
 
 @dataclass
 class TangencySet:
-    """Tangency angles on |z| = r with rectified positions and sector data."""
+    """Tangency angles on |z| = r with rectified positions and sector data.
+
+    For an array of eps every array field has one row per eps.
+    ``newton_iterations`` counts the Newton steps over all seeds and rows.
+    """
 
     k: int
     r: float
-    epsilon: complex
+    epsilon: complex | np.ndarray
     angles: np.ndarray
     t_values: np.ndarray | None = None
     vertex_index: np.ndarray | None = None
     on_slit: np.ndarray | None = None
+    newton_iterations: int = 0
 
     def residuals(self):
-        return tangency_equation(self.k, self.r, self.epsilon, self.angles)
+        rho, phi = _polar(self.k, self.r, np.asarray(self.epsilon)[..., None])
+        return _tangency_terms(self.k, rho, phi, self.angles)[0]
 
 
-def tangency_angles(k: int, eps: complex, r: float, max_iter: int = 60) -> TangencySet:
-    """The 2k tangency angles, by Newton from the eps = 0 seeds."""
+def tangency_angles(k: int, eps, r: float, max_iter: int = 60) -> TangencySet:
+    """The 2k tangency angles, by Newton from the eps = 0 seeds.
+
+    All seeds, and all rows when ``eps`` is a 1-D array, run as one masked
+    Newton iteration; each seed stops on its own once its step is below
+    1e-15.  A seed whose derivative vanishes, which leaves its basin or
+    whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported for
+    the first such seed in row order.
+    """
     seeds = tangency_seeds(k)
     basin = math.pi / (2 * k)
-    out = np.empty(2 * k)
-    for j, seed in enumerate(seeds):
-        a = seed
+    rho, phi = _polar(k, r, np.asarray(eps)[..., None])
+    a = np.empty(rho.shape[:-1] + seeds.shape)
+    a[...] = seeds
+    active = np.ones(a.shape, dtype=bool)
+    stalled = np.zeros(a.shape, dtype=bool)
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            e = float(tangency_equation(k, r, eps, a))
-            de = float(tangency_equation_dalpha(k, r, eps, a))
-            if de == 0.0:
-                raise NewtonDivergence(f"vanishing derivative at seed {j}")
-            step = e / de
-            a -= step
-            if abs(step) < 1e-15:
+            n_active = np.count_nonzero(active)
+            if not n_active:
                 break
-        if abs(a - seed) > basin or abs(tangency_equation(k, r, eps, a)) > 1e-11:
-            raise NewtonDivergence(f"no tangency root in the basin of seed {j}")
-        out[j] = a % TWO_PI
-    order = np.argsort(out)
-    return TangencySet(k=k, r=r, epsilon=eps, angles=out[order])
+            iterations += n_active
+            e, de = _tangency_terms(k, rho, phi, a)
+            # a stalled seed steps to inf or nan and stops at the next
+            # sweep; only stalled seeds (never converged ones) have de == 0
+            stalled |= de == 0.0
+            step = e / de
+            step *= active
+            a -= step
+            active &= np.abs(step) >= 1e-15
+    failed = stalled | (np.abs(a - seeds) > basin)
+    failed |= np.abs(_tangency_terms(k, rho, phi, a)[0]) > 1e-11
+    if np.count_nonzero(failed):
+        first = int(np.argmax(failed.ravel()))
+        j = first % (2 * k)
+        if stalled.ravel()[first]:
+            raise NewtonDivergence(f"vanishing derivative at seed {j}")
+        raise NewtonDivergence(f"no tangency root in the basin of seed {j}")
+    angles = np.sort(a % TWO_PI, axis=-1)
+    return TangencySet(k=k, r=r, epsilon=eps, angles=angles, newton_iterations=iterations)
+
+
+@functools.cache
+def _unit_gon(k: int) -> np.ndarray:
+    """Vertices of the |eps| = 1 period-gon (read-only)."""
+    vertices = periods(ModelField(k, 1.0)).vertices
+    vertices.flags.writeable = False
+    return vertices
 
 
 def tangency_times(tset: TangencySet, gon: PeriodGon | None = None) -> TangencySet:
-    """Rectified positions t_m = v(sector) + xi(r e^{i alpha_m}) of the tangencies."""
-    fld = ModelField(tset.k, tset.epsilon)
-    if tset.r <= fld.scale:
+    """Rectified positions t_m = v(sector) + xi(r e^{i alpha_m}) of the tangencies.
+
+    A tangency on a slit is evaluated 1e-12 rad counterclockwise of it.
+    ``gon`` may be given for a single eps.
+    """
+    k, k1 = tset.k, tset.k + 1
+    col = np.asarray(tset.epsilon)[..., None]
+    abs_eps = np.abs(col)
+    if tset.r <= abs_eps.max() ** (1.0 / k1):
         raise ValueError("disk radius must exceed |eps|^{1/(k+1)}")
-    gon = periods(fld) if gon is None else gon
-    ts = np.empty(len(tset.angles), dtype=complex)
-    sectors = np.empty(len(tset.angles), dtype=int)
-    slit = np.zeros(len(tset.angles), dtype=bool)
-    for i, a in enumerate(tset.angles):
-        z = tset.r * cmath.exp(1j * a)
-        ell, on_slit = sector_index(fld, z)
-        if on_slit:
-            z = tset.r * cmath.exp(1j * (a + 1e-12))
-        ts[i] = gon.vertices[ell] + xi_series(fld, z)
-        sectors[i] = ell
-        slit[i] = on_slit
+    z = tset.r * np.exp(1j * tset.angles)
+    sectors, slit = sector_array(k, col, z)
+    if np.count_nonzero(slit):
+        z = np.where(slit, tset.r * np.exp(1j * (tset.angles + 1e-12)), z)
+    if gon is not None:
+        vertices = gon.vertices[sectors]
+    elif np.count_nonzero(abs_eps == 0):
+        raise DegenerateParameter("eps = 0")
+    else:
+        # the gon at eps is the |eps| = 1 gon scaled by |eps|^{-k/(k+1)} and
+        # turned by -k arg(eps)/(k+1), arg(eps) in [0, 2*pi)
+        turn = abs_eps ** (-k / k1) * np.exp(-1j * k / k1 * (np.angle(col) % TWO_PI))
+        vertices = _unit_gon(k)[sectors] * turn
+    ts = vertices + xi_array(k, col, z)
     return replace(tset, t_values=ts, vertex_index=sectors, on_slit=slit)
 
 
@@ -125,8 +174,7 @@ def eyelet_points(fld: ModelField, r: float, ell: int, n: int = 256, margin: flo
     a0 = (theta + TWO_PI * ell) / k1
     a1 = (theta + TWO_PI * (ell + 1)) / k1
     alphas = np.linspace(a0 + margin, a1 - margin, n)
-    zs = r * np.exp(1j * alphas)
-    return gon.vertices[ell] + np.array([xi_series(fld, z) for z in zs])
+    return gon.vertices[ell] + xi_series(fld, r * np.exp(1j * alphas))
 
 
 def eyelet_diameter(fld: ModelField, r: float, ell: int, n: int = 256) -> float:
@@ -139,24 +187,17 @@ def eyelet_reference_radius(k: int, r: float) -> float:
     return 1.0 / (k * r**k)
 
 
-def _eyelet_extremes(tset: TangencySet, m: int):
-    """Top- and bottom-most tangency t-values on eyelet m."""
-    if tset.t_values is None:
-        raise ValueError("tangency times not computed")
-    sel = tset.t_values[tset.vertex_index == m]
-    if len(sel) == 0:
-        raise RootLoss(f"eyelet {m} carries no tangency point")
-    return sel[np.argmax(sel.imag)], sel[np.argmin(sel.imag)]
+SELECTIONS = ("top-top", "bottom-bottom", "top-bottom", "bottom-top")
 
 
 def double_tangency_residual(
     k: int,
     r: float,
     abs_eps: float,
-    theta: float,
+    theta,
     pair,
     selection: str = "top-bottom",
-) -> float:
+):
     """Height mismatch Im(t_m - t_{m'}) of selected tangency points.
 
     ``selection`` picks which extreme tangency point of each eyelet is
@@ -168,29 +209,47 @@ def double_tangency_residual(
     ``theta`` may leave [0, 2*pi): vertex labels index by the normalised
     argument, so a pair defined near theta = 0 is translated across the
     seam to keep its geometric identity.
+
+    ``theta`` may be an array; the result is then an array, computed in one
+    pass, and an error is raised for the first theta that fails, as a loop
+    over theta would raise it.
     """
-    shift = 0
-    while theta < 0.0:
-        theta += TWO_PI
-        shift -= 1
-    while theta >= TWO_PI:
-        theta -= TWO_PI
-        shift += 1
-    m, mp = ((idx + shift) % (k + 1) for idx in pair)
-    eps = abs_eps * cmath.exp(1j * theta)
-    tset = tangency_times(tangency_angles(k, eps, r))
-    top_m, bot_m = _eyelet_extremes(tset, m)
-    top_p, bot_p = _eyelet_extremes(tset, mp)
-    pick = {
-        "top-top": (top_m, top_p),
-        "bottom-bottom": (bot_m, bot_p),
-        "top-bottom": (top_m, bot_p),
-        "bottom-top": (bot_m, top_p),
-    }
-    if selection not in pick:
+    if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    a, b = pick[selection]
-    return float(a.imag - b.imag)
+    th = np.array(theta, dtype=float, ndmin=1)
+    if np.count_nonzero(np.isinf(th)):
+        raise ValueError("theta must be finite")
+    shift = np.zeros(th.shape, dtype=int)
+    while np.count_nonzero(low := th < 0.0):
+        th[low] += TWO_PI
+        shift[low] -= 1
+    while np.count_nonzero(high := th >= TWO_PI):
+        th[high] -= TWO_PI
+        shift[high] += 1
+    try:
+        res = _residuals(k, r, abs_eps, th, shift, pair, selection)
+    except (NewtonDivergence, RootLoss, ValueError):
+        if th.size > 1:  # raise what the first failing theta raises alone
+            for i in range(th.size):
+                _residuals(k, r, abs_eps, th[i : i + 1], shift[i : i + 1], pair, selection)
+        raise
+    return float(res[0]) if np.ndim(theta) == 0 else res
+
+
+def _residuals(k, r, abs_eps, th, shift, pair, selection):
+    """``double_tangency_residual`` at angles ``th`` in [0, 2*pi), the pair
+    labels moved by ``shift`` turns."""
+    tset = tangency_times(tangency_angles(k, abs_eps * np.exp(1j * th), r))
+    heights = tset.t_values.imag
+    ends = []
+    for extreme, label in zip(selection.split("-"), np.add.outer(pair, shift) % (k + 1)):
+        pick, empty = (np.maximum, -np.inf) if extreme == "top" else (np.minimum, np.inf)
+        on = tset.vertex_index == label[:, None]
+        height = pick.reduce(heights, axis=-1, where=on, initial=empty)
+        if np.count_nonzero(height == empty):
+            raise RootLoss(f"eyelet {label[np.argmax(height == empty)]} carries no tangency point")
+        ends.append(height)
+    return ends[0] - ends[1]
 
 
 def symmetric_pairs(k: int, j: int, abs_eps: float = 1e-3, tol: float = 1e-9):
@@ -214,6 +273,8 @@ class BifurcationCurve:
     tag: CurveTag
     samples: np.ndarray  # rows (|eps|, theta)
     fitted_exponent: float | None = None
+    residual_evaluations: int = 0  # theta points at which the residual was evaluated
+    bracket_widenings: int = 0  # bracket scans repeated on a wider window
 
     def to_dict(self):
         return {
@@ -229,14 +290,56 @@ def _log_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
 
 
 def _bracket_root(fun, lo, hi, n=80):
+    """First sign change of ``fun`` on an n-point grid from ``lo`` to ``hi``,
+    the grid evaluated in one call: ``(x0, x1, f0, f1)``, with x0 = x1 at
+    an exact zero, or None."""
     xs = np.linspace(lo, hi, n)
-    vals = [fun(x) for x in xs]
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            return xs[i], xs[i]
-        if vals[i] * vals[i + 1] < 0:
-            return xs[i], xs[i + 1]
-    return None
+    vals = fun(xs)
+    hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)
+    if not hits.any():
+        return None
+    i = int(np.argmax(hits))
+    if vals[i] == 0.0:
+        return xs[i], xs[i], 0.0, 0.0
+    return xs[i], xs[i + 1], vals[i], vals[i + 1]
+
+
+def _brent(f, xpre, xcur, fpre, fcur):
+    """Root of ``f`` in the bracket [xpre, xcur] with f values fpre, fcur of
+    opposite sign, by Brent's method, step for step as scipy's ``brentq``
+    with xtol = rtol = 1e-15 and at most 100 steps."""
+    if fpre == 0:
+        return xpre
+    xtol = rtol = 1e-15
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RootLoss("Brent iteration did not converge in 100 steps")
 
 
 def fit_exponent(samples, theta_ref, drop_decades_above: float | None = None):
@@ -273,8 +376,6 @@ def trace_curve(
     seeded by the asymptotic offset ~ C |eps|^{k/(k+1)} calibrated at the
     largest sample.
     """
-    from scipy.optimize import brentq
-
     theta_j = bifurcation_angles(k)[tag.j]
     grid = _log_grid(decades[0], decades[1], per_decade)
     if tag.side == 0:
@@ -282,24 +383,26 @@ def trace_curve(
         return BifurcationCurve(tag=tag, samples=samples, fitted_exponent=None)
 
     pair = tuple(tag.pair)
-    selections = ("top-bottom", "bottom-top")
     rows = []
     c_est = None
     selection = None
     window0 = 0.45 * math.pi / k
+    evaluations = widenings = 0
     for abs_eps in grid[::-1]:
         def residual(theta, sel):
+            nonlocal evaluations
+            evaluations += np.size(theta)
             return double_tangency_residual(k, r, abs_eps, theta, pair, selection=sel)
 
         if c_est is None:
             found = None
-            for sel in selections:
-                fun = lambda th: residual(th, sel)
+            for sel in ("top-bottom", "bottom-top"):
                 span = window0
-                for _ in range(2):
+                for attempt in range(2):
+                    widenings += attempt
                     lo = theta_j + (1e-7 if tag.side > 0 else -span)
                     hi = theta_j + (span if tag.side > 0 else -1e-7)
-                    br = _bracket_root(fun, lo, hi)
+                    br = _bracket_root(lambda th: residual(th, sel), lo, hi)
                     if br is not None:
                         found = (sel, br)
                         break
@@ -308,30 +411,32 @@ def trace_curve(
                     break
             if found is None:
                 raise RootLoss(f"no initial bracket for tag {tag}")
-            selection, (lo, hi) = found
+            selection, br = found
         else:
             offset = c_est * abs_eps ** (k / (k + 1.0))
-            fun = lambda th: residual(th, selection)
-            br = None
             for widen in (1.0, 2.0, 5.0):
+                widenings += widen > 1.0
                 lo = theta_j + tag.side * offset / (3.0 * widen)
                 hi = theta_j + tag.side * offset * 3.0 * widen
                 lo, hi = min(lo, hi), max(lo, hi)
-                br = _bracket_root(fun, lo, hi, n=40)
+                br = _bracket_root(lambda th: residual(th, selection), lo, hi, n=40)
                 if br is not None:
                     break
             if br is None:
                 raise RootLoss(f"continuation lost the root of tag {tag} at |eps|={abs_eps:g}")
-            lo, hi = br
-        if lo == hi:
-            theta = lo
-        else:
-            theta = brentq(lambda th: residual(th, selection), lo, hi, xtol=1e-15, rtol=1e-15)
+        lo, hi, f_lo, f_hi = br
+        theta = lo if lo == hi else _brent(lambda th: residual(th, selection), lo, hi, f_lo, f_hi)
         rows.append((abs_eps, theta))
         c_est = abs(theta - theta_j) / abs_eps ** (k / (k + 1.0))
     samples = np.array(rows[::-1])
     exponent = fit_exponent(samples, theta_j, drop_decades_above=decades[1] / 10.0)
-    return BifurcationCurve(tag=tag, samples=samples, fitted_exponent=exponent)
+    return BifurcationCurve(
+        tag=tag,
+        samples=samples,
+        fitted_exponent=exponent,
+        residual_evaluations=evaluations,
+        bracket_widenings=widenings,
+    )
 
 
 def group_tags(k: int, j: int) -> list[CurveTag]:

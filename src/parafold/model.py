@@ -692,26 +692,42 @@ def is_zigzag(order, points, strict_margin: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def xi_series(fld: ModelField, z: complex, tol: float = 1e-18, max_terms: int = 20000):
+def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
+    """xi on arrays: ``eps`` broadcasts against ``z``.
+
+    One term count serves every point: the first n with
+    q^n a_0/a_n < ``tol``, plus one, for q the largest |eps/z^{k+1}|
+    (capped at ``max_terms``); the sum is evaluated by Horner.
+    """
+    k1 = k + 1
+    z = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.abs(z) ** k1 <= np.abs(eps)):
+        raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")
+    zk = z**k
+    ratio = eps / (zk * z)
+    q = float(np.maximum.reduce(np.abs(ratio), axis=None, initial=0.0))
+    inv_a = [1.0 / k]  # 1/a_n of the terms kept
+    power = 1.0  # q^n of the last term kept
+    while len(inv_a) < max_terms and power * k * inv_a[-1] >= tol:
+        power *= q
+        inv_a.append(1.0 / (len(inv_a) * k1 + k))
+    acc = np.full(ratio.shape, inv_a[-1], dtype=complex)
+    for c in inv_a[-2::-1]:
+        acc *= ratio
+        acc += c
+    return -acc / zk
+
+
+def xi_series(fld: ModelField, z, tol: float = 1e-18, max_terms: int = 20000):
     """Monodromy-free branch of int dz/(z^{k+1}-eps) outside the root disk.
 
-    xi(z) = -sum_n eps^n / (a_n z^{a_n}) with a_n = (n+1)(k+1) - 1.
+    xi(z) = -sum_n eps^n / (a_n z^{a_n}) with a_n = (n+1)(k+1) - 1.  ``z``
+    may be a scalar (the result is a complex) or an array (see
+    ``xi_array``); any point with |z|^{k+1} <= |eps| raises
+    ``SeriesOutOfDomain``.
     """
-    k1 = fld.k + 1
-    if abs(z) ** k1 <= abs(fld.epsilon):
-        raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")
-    ratio = fld.epsilon / z**k1
-    zk = z**fld.k
-    acc = 0j
-    power = 1.0 + 0.0j  # eps^n / z^{n(k+1)}
-    for n in range(max_terms):
-        a_n = (n + 1) * k1 - 1
-        term = power / (a_n * zk)
-        acc -= term
-        if abs(term) < tol * max(abs(acc), 1e-300):
-            break
-        power *= ratio
-    return acc
+    xi = xi_array(fld.k, fld.epsilon, z, tol, max_terms)
+    return complex(xi) if np.ndim(xi) == 0 else xi
 
 
 def rectify(
@@ -751,22 +767,34 @@ def rectify(
     return val
 
 
-def sector_index(fld: ModelField, z: complex, slit_tol: float = 1e-12):
+def sector_array(k: int, eps, z, slit_tol: float = 1e-12):
+    """Sector indices and slit flags of the points ``z``; ``eps`` broadcasts
+    against ``z``.  Each point on a slit is nudged counterclockwise on its
+    own, as ``sector_index`` describes."""
+    k1 = k + 1
+    theta = np.angle(eps) % TWO_PI
+    ang = (np.arctan2(z.imag, z.real) - theta / k1) % TWO_PI
+    if np.count_nonzero(np.isnan(ang)):
+        raise ValueError("no sector for a non-finite point or eps")
+    ell = (ang / (TWO_PI / k1)).astype(int) % k1
+    rel = ang - ell * TWO_PI / k1
+    on_slit = np.minimum(rel, TWO_PI / k1 - rel) < slit_tol
+    if np.count_nonzero(on_slit):
+        nudged = (ang + 2 * slit_tol) % TWO_PI
+        ell = np.where(on_slit, (nudged / (TWO_PI / k1)).astype(int) % k1, ell)
+    return ell, on_slit
+
+
+def sector_index(fld: ModelField, z, slit_tol: float = 1e-12):
     """Index of the radial-slit sector containing z.
 
     Sector l spans the angles between the slits through singularities l and
     l+1.  On a slit the point is nudged counterclockwise; the flag reports
-    it.
+    it.  A scalar z gives ``(int, bool)``, an array z two arrays.
     """
-    theta = fld.theta()
-    k1 = fld.k + 1
-    ang = (cmath.phase(z) - theta / k1) % TWO_PI
-    ell = int(ang / (TWO_PI / k1)) % k1
-    rel = ang - ell * TWO_PI / k1
-    on_slit = min(rel, TWO_PI / k1 - rel) < slit_tol
-    if on_slit:
-        ang = (ang + 2 * slit_tol) % TWO_PI
-        ell = int(ang / (TWO_PI / k1)) % k1
+    ell, on_slit = sector_array(fld.k, fld.epsilon, z, slit_tol)
+    if np.ndim(z) == 0:
+        return int(ell), bool(on_slit)
     return ell, on_slit
 
 

@@ -18,7 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelField, singularities
-from .series import NotAUnit, TruncatedSeries, UNIT_TOL, roots_of_unity, series_distance
+from .series import (
+    MAX_JSON_ORDER,
+    UNIT_TOL,
+    NotAUnit,
+    TruncatedSeries,
+    json_field,
+    json_int,
+    json_list,
+    roots_of_unity,
+    series_distance,
+)
 from .unfolding import EigenvalueFunction, eigenvalue_function
 
 
@@ -182,11 +192,13 @@ class PolynomialNF:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            k=int(data["k"]),
-            coefficients=tuple(TruncatedSeries.from_dict(c) for c in data["coefficients"]),
-            kind=data.get("kind", "polynomial"),
-        )
+        """Inverse of ``to_dict``; ValueError names the first malformed field."""
+        k = json_int(data, "k", 1, MAX_JSON_ORDER)
+        series = json_list(data, "coefficients", k + 1)
+        kind = data.get("kind", "polynomial")
+        if kind not in ("polynomial", "rational"):
+            raise ValueError(f"field 'kind' must be 'polynomial' or 'rational', got {kind!r}")
+        return cls(k=k, coefficients=tuple(TruncatedSeries.from_dict(c) for c in series), kind=kind)
 
 
 def _sigma_of(spec_or_sigma, sigma_order=32):
@@ -362,11 +374,10 @@ class KostovNF:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            k=int(data["k"]),
-            b=tuple(TruncatedSeries.from_dict(s) for s in data["b"]),
-            A=TruncatedSeries.from_dict(data["A"]),
-        )
+        """Inverse of ``to_dict``; ValueError names the first malformed field."""
+        k = json_int(data, "k", 1, MAX_JSON_ORDER)
+        b = tuple(TruncatedSeries.from_dict(s) for s in json_list(data, "b", k))
+        return cls(k=k, b=b, A=TruncatedSeries.from_dict(json_field(data, "A")))
 
 
 def kostov_check(nf1: KostovNF, nf2: KostovNF, tol: float = 1e-9):

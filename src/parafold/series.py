@@ -63,10 +63,13 @@ def json_int(data, name, lo, hi):
     return value
 
 
-def _json_entries(data):
-    entries = json_field(data, "coefficients")
+def json_list(data, name, length=None):
+    """``data[name]`` checked to be a list, of ``length`` entries if given."""
+    entries = json_field(data, name)
     if not isinstance(entries, list):
-        raise ValueError(f"field 'coefficients' must be a list, got {type(entries).__name__}")
+        raise ValueError(f"field {name!r} must be a list, got {type(entries).__name__}")
+    if length is not None and len(entries) != length:
+        raise ValueError(f"field {name!r} must hold {length} entries, got {len(entries)}")
     return entries
 
 
@@ -384,7 +387,7 @@ class TruncatedSeries:
         """Inverse of ``to_dict``; ValueError names the first malformed field."""
         order = json_int(data, "truncation", 0, MAX_JSON_ORDER)
         c = np.zeros(order + 1, dtype=complex)
-        for entry in _json_entries(data):
+        for entry in json_list(data, "coefficients"):
             deg = json_int(entry, "deg", 0, order)
             c[deg] = _json_complex(entry)
         return cls(c)
@@ -572,7 +575,7 @@ class BivariateSeries:
         nz = json_int(data, "Nz", 0, MAX_JSON_ORDER)
         ne = json_int(data, "Neps", 0, MAX_JSON_ORDER)
         c = np.zeros((nz + 1, ne + 1), dtype=complex)
-        for entry in _json_entries(data):
+        for entry in json_list(data, "coefficients"):
             m, n = json_int(entry, "m", 0, nz), json_int(entry, "n", 0, ne)
             c[m, n] = _json_complex(entry)
         return cls(c)

@@ -55,14 +55,19 @@ def family_files(tmp_path_factory):
 
 
 def test_import_leaves_scipy_unloaded():
-    # quad and brentq are imported by the one function that needs each
+    # quad is imported by the quadrature oracle alone, and trace_curve finds
+    # its roots without scipy
     code = (
         "import sys, parafold.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        "from parafold.disk import group_tags, trace_curve; "
+        "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]; "
+        "print(loaded()); "
+        "trace_curve(2, 1.0, group_tags(2, 0)[1], decades=(1e-3, 1e-2), per_decade=3); "
+        "print(loaded())"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 class TestExitCodes:
@@ -158,6 +163,13 @@ class TestMalformedInput:
     def test_non_finite_eps(self):
         for value in ("nan", "inf", "nan+1i"):
             assert run_main(["dsinv", "--k", "2", "--eps", value])[0] == 2
+
+    def test_infinite_eps_reported_as_not_finite(self):
+        # only the trailing i is the imaginary unit, so inf and infinity parse
+        for argv in (["--eps", "inf"], ["--eps", "infinity"], ["--eps", "inf+1i"], ["--eps=-inf"]):
+            code, _, err = run_main(["dsinv", "--k", "2", *argv])
+            assert code == 2
+            assert "is not finite" in err
 
     def test_negative_eps_takes_equals_form(self):
         code, out, _ = run_main(["dsinv", "--k", "3", "--eps=-0.7i"])

@@ -1,14 +1,19 @@
 import cmath
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from parafold import disk
 from parafold.disk import (
     CurveTag,
     NewtonDivergence,
+    RootLoss,
     double_tangency_residual,
     eyelet_diameter,
+    eyelet_points,
     eyelet_reference_radius,
     group_tags,
     separating_regions,
@@ -20,8 +25,152 @@ from parafold.disk import (
     trace_curve,
 )
 from parafold.model import ModelField, bifurcation_angles, periods
+from test_model import _sector_reference, _xi_reference
 
 TWO_PI = 2 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# the scalar disk layer that the array kernel replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+
+def _equation_reference(k, r, eps, alpha):
+    x, y = eps.real, eps.imag
+    return np.cos(k * alpha) - (x * np.cos(alpha) + y * np.sin(alpha)) / r ** (k + 1)
+
+
+def _slope_reference(k, r, eps, alpha):
+    x, y = eps.real, eps.imag
+    return -k * np.sin(k * alpha) - (-x * np.sin(alpha) + y * np.cos(alpha)) / r ** (k + 1)
+
+
+def _tangency_angles_reference(k, eps, r, max_iter=60):
+    """One scalar Newton loop per seed; returns (sorted angles, iterations)."""
+    basin = math.pi / (2 * k)
+    out = np.empty(2 * k)
+    iterations = 0
+    for j, seed in enumerate(tangency_seeds(k)):
+        a = seed
+        for _ in range(max_iter):
+            iterations += 1
+            e = float(_equation_reference(k, r, eps, a))
+            de = float(_slope_reference(k, r, eps, a))
+            if de == 0.0:
+                raise NewtonDivergence(f"vanishing derivative at seed {j}")
+            step = e / de
+            a -= step
+            if abs(step) < 1e-15:
+                break
+        if abs(a - seed) > basin or abs(_equation_reference(k, r, eps, a)) > 1e-11:
+            raise NewtonDivergence(f"no tangency root in the basin of seed {j}")
+        out[j] = a % TWO_PI
+    return np.sort(out), iterations
+
+
+def _tangency_times_reference(k, r, eps, angles):
+    """(t values, sectors) point by point, with the gon from ``periods``."""
+    fld = ModelField(k, eps)
+    if r <= fld.scale:
+        raise ValueError("disk radius must exceed |eps|^{1/(k+1)}")
+    gon = periods(fld)
+    ts, sectors = [], []
+    for a in angles:
+        z = r * cmath.exp(1j * a)
+        ell, on_slit = _sector_reference(fld, z)
+        if on_slit:
+            z = r * cmath.exp(1j * (a + 1e-12))
+        ts.append(gon.vertices[ell] + _xi_reference(fld, z))
+        sectors.append(ell)
+    return np.array(ts), np.array(sectors)
+
+
+def _residual_reference(k, r, abs_eps, theta, pair, selection="top-bottom"):
+    shift = 0
+    while theta < 0.0:
+        theta += TWO_PI
+        shift -= 1
+    while theta >= TWO_PI:
+        theta -= TWO_PI
+        shift += 1
+    m, mp = ((idx + shift) % (k + 1) for idx in pair)
+    eps = abs_eps * cmath.exp(1j * theta)
+    ts, sectors = _tangency_times_reference(k, r, eps, _tangency_angles_reference(k, eps, r)[0])
+
+    def extremes(m):
+        sel = ts[sectors == m]
+        if len(sel) == 0:
+            raise RootLoss(f"eyelet {m} carries no tangency point")
+        return sel[np.argmax(sel.imag)], sel[np.argmin(sel.imag)]
+
+    (top_m, bot_m), (top_p, bot_p) = extremes(m), extremes(mp)
+    a, b = {
+        "top-top": (top_m, top_p),
+        "bottom-bottom": (bot_m, bot_p),
+        "top-bottom": (top_m, bot_p),
+        "bottom-top": (bot_m, top_p),
+    }[selection]
+    return float(a.imag - b.imag)
+
+
+def _trace_curve_reference(k, r, tag, decades, per_decade):
+    """Curve samples with the grid scanned point by point and scipy's brentq."""
+    from scipy.optimize import brentq
+
+    def bracket(fun, lo, hi, n=80):
+        xs = np.linspace(lo, hi, n)
+        vals = [fun(x) for x in xs]
+        for i in range(n - 1):
+            if vals[i] == 0.0:
+                return xs[i], xs[i]
+            if vals[i] * vals[i + 1] < 0:
+                return xs[i], xs[i + 1]
+        return None
+
+    theta_j = bifurcation_angles(k)[tag.j]
+    rows, c_est, selection = [], None, None
+    for abs_eps in disk._log_grid(decades[0], decades[1], per_decade)[::-1]:
+        def residual(theta, sel):
+            return _residual_reference(k, r, abs_eps, theta, tuple(tag.pair), sel)
+
+        if c_est is None:
+            found = None
+            for sel in ("top-bottom", "bottom-top"):
+                span = 0.45 * math.pi / k
+                for _ in range(2):
+                    lo = theta_j + (1e-7 if tag.side > 0 else -span)
+                    hi = theta_j + (span if tag.side > 0 else -1e-7)
+                    br = bracket(lambda th: residual(th, sel), lo, hi)
+                    if br is not None:
+                        found = (sel, br)
+                        break
+                    span *= 2.0
+                if found:
+                    break
+            selection, (lo, hi) = found
+        else:
+            offset = c_est * abs_eps ** (k / (k + 1.0))
+            for widen in (1.0, 2.0, 5.0):
+                lo = theta_j + tag.side * offset / (3.0 * widen)
+                hi = theta_j + tag.side * offset * 3.0 * widen
+                br = bracket(lambda th: residual(th, selection), min(lo, hi), max(lo, hi), n=40)
+                if br is not None:
+                    break
+            lo, hi = br
+        theta = lo if lo == hi else brentq(
+            lambda th: residual(th, selection), lo, hi, xtol=1e-15, rtol=1e-15
+        )
+        rows.append((abs_eps, theta))
+        c_est = abs(theta - theta_j) / abs_eps ** (k / (k + 1.0))
+    return np.array(rows[::-1])
+
+
+def _outcome(fun, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fun(*args)
+    except (NewtonDivergence, RootLoss, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestTangencyAngles:
@@ -266,3 +415,238 @@ class TestSeparatingRegions:
             assert _classify_point(fld, 1.0, alpha, ctl) == _classify_point(
                 fld, 1.0, -alpha, ctl
             )
+
+
+class TestArrayKernel:
+    """The array kernel against the scalar loops it replaced (1e-13)."""
+
+    def test_tangency_angles_match_reference(self):
+        rng = np.random.default_rng(51)
+        for k in range(1, 8):
+            for _ in range(8):
+                eps = 10 ** rng.uniform(-8, -1) * cmath.exp(2j * math.pi * rng.random())
+                r = rng.uniform(0.8, 1.25)
+                got = tangency_angles(k, eps, r)
+                want, iterations = _tangency_angles_reference(k, eps, r)
+                assert np.abs(got.angles - want).max() <= 1e-13
+                assert abs(got.newton_iterations - iterations) <= 2 * k
+
+    def test_eps_rows_match_single_solves(self):
+        rng = np.random.default_rng(52)
+        for k in (1, 3, 6):
+            eps = 10 ** rng.uniform(-6, -1, 9) * np.exp(2j * math.pi * rng.random(9))
+            rows = tangency_angles(k, eps, 1.1)
+            singles = [tangency_angles(k, e, 1.1) for e in eps]
+            assert rows.angles.shape == (9, 2 * k)
+            assert np.abs(rows.angles - [s.angles for s in singles]).max() <= 1e-13
+            assert rows.newton_iterations == sum(s.newton_iterations for s in singles)
+            assert np.abs(rows.residuals()).max() < 1e-12
+
+    def test_newton_divergence_on_the_same_inputs(self):
+        # |eps| against r^{k+1} from 0.1 to 30: some seeds leave their basin
+        rng = np.random.default_rng(53)
+        raised = 0
+        for k in range(1, 8):
+            for _ in range(12):
+                r = rng.uniform(0.5, 1.25)
+                eps = 10 ** rng.uniform(-1, 1.5) * r ** (k + 1) * cmath.exp(2j * math.pi * rng.random())
+                want = _outcome(lambda: _tangency_angles_reference(k, eps, r)[0])
+                got = _outcome(lambda: tangency_angles(k, eps, r).angles)
+                if isinstance(want, tuple):
+                    assert got == want
+                    raised += 1
+                else:
+                    assert np.abs(got - want).max() <= 1e-13
+        assert 10 < raised < 84
+        # over a vector of eps the first failing row names its seed
+        eps = np.array([1e-3, 100j, 1e-2])
+        with pytest.raises(NewtonDivergence) as exc:
+            tangency_angles(2, eps, 1.0)
+        with pytest.raises(NewtonDivergence) as ref:
+            _tangency_angles_reference(2, 100j, 1.0)
+        assert str(exc.value) == str(ref.value)
+
+    def test_tangency_times_match_reference(self):
+        # real eps with k = 3 puts tangencies exactly on slits
+        rng = np.random.default_rng(54)
+        cases = [(3, 1e-4 + 0j, 1.0), (3, -2e-3 + 0j, 0.9)]
+        for k in range(1, 8):
+            for _ in range(4):
+                eps = 10 ** rng.uniform(-8, -1) * cmath.exp(2j * math.pi * rng.random())
+                cases.append((k, eps, rng.uniform(0.8, 1.25)))
+        slits = 0
+        for k, eps, r in cases:
+            got = tangency_times(tangency_angles(k, eps, r))
+            want, sectors = _tangency_times_reference(k, r, eps, got.angles)
+            assert np.array_equal(got.vertex_index, sectors)
+            assert np.abs(got.t_values - want).max() <= 1e-13 * np.abs(want).max()
+            slits += int(got.on_slit.sum())
+        assert slits >= 2
+
+    def test_eyelet_points_match_reference(self):
+        fld = ModelField(4, 3e-3 * cmath.exp(0.8j))
+        gon = periods(fld)
+        for ell in range(5):
+            pts = eyelet_points(fld, 0.95, ell, n=64)
+            a0 = (fld.theta() + TWO_PI * ell) / 5
+            a1 = (fld.theta() + TWO_PI * (ell + 1)) / 5
+            alphas = np.linspace(a0 + 1e-6, a1 - 1e-6, 64)
+            want = np.array([gon.vertices[ell] + _xi_reference(fld, 0.95 * cmath.exp(1j * a)) for a in alphas])
+            assert np.abs(pts - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_residual_grid_across_the_seam(self):
+        # theta grids that cross 0 and 2*pi, all four selections
+        rng = np.random.default_rng(55)
+        for k in (1, 2, 3, 4, 5):
+            pairs = [(0, 1), (0, k)] if k > 1 else [(0, 1)]
+            for pair in pairs:
+                abs_eps = 10 ** rng.uniform(-6, -1)
+                r = rng.uniform(0.8, 1.25)
+                grid = np.concatenate([np.linspace(-0.4, 0.4, 9), TWO_PI + np.linspace(-0.4, 0.4, 9)])
+                scale = 2 * np.abs(periods(ModelField(k, abs_eps)).vertices).max()
+                for selection in disk.SELECTIONS:
+                    got = double_tangency_residual(k, r, abs_eps, grid, pair, selection=selection)
+                    want = [_residual_reference(k, r, abs_eps, th, pair, selection) for th in grid]
+                    assert got.shape == grid.shape
+                    assert np.abs(got - want).max() <= 1e-13 * scale
+                    one = double_tangency_residual(k, r, abs_eps, grid[3], pair, selection=selection)
+                    assert type(one) is float and one == got[3]
+
+    def test_first_failing_theta_raises(self):
+        # k = 1, r = 0.8, |eps| = 0.8: every theta fails, some in the Newton
+        # solve and the others at the radius check; a grid raises what a loop
+        # over it raises first
+        grid = np.linspace(-1.0, 7.0, 33)
+        kinds = set()
+        for start in range(0, 33, 4):
+            part = grid[start:]
+            want = None
+            for th in part:
+                want = _outcome(_residual_reference, 1, 0.8, 0.8, th, (0, 1))
+                if isinstance(want, tuple):
+                    break
+            kinds.add(want[0])
+            assert _outcome(double_tangency_residual, 1, 0.8, 0.8, part, (0, 1)) == want
+        assert kinds == {NewtonDivergence, ValueError}
+
+    def test_non_finite_theta_refused(self):
+        # an infinite theta used to spin in the seam loop for ever
+        for bad in (math.inf, -math.inf, math.nan, [0.3, math.inf]):
+            with pytest.raises(ValueError):
+                double_tangency_residual(2, 1.0, 1e-3, bad, (0, 1))
+
+    def test_root_loss_rule_per_theta(self, monkeypatch):
+        # no eyelet goes empty on valid input, so relabel eyelet 1 as 2 for
+        # theta > 1 and check the rule and the first-failing-theta order
+        real = disk.tangency_times
+
+        def relabel(tset, gon=None):
+            out = real(tset, gon)
+            far = np.angle(np.asarray(tset.epsilon)[..., None]) % TWO_PI > 1.0
+            return replace(out, vertex_index=np.where(far & (out.vertex_index == 1), 2, out.vertex_index))
+
+        monkeypatch.setattr(disk, "tangency_times", relabel)
+        ok = double_tangency_residual(2, 1.0, 1e-3, np.linspace(0.2, 0.9, 5), (0, 1))
+        assert np.isfinite(ok).all()
+        with pytest.raises(RootLoss, match="eyelet 1 carries no tangency point"):
+            double_tangency_residual(2, 1.0, 1e-3, np.linspace(0.2, 2.0, 7), (0, 1))
+        # across the seam the pair (2, 0) is relabelled to (0, 1) at theta - 2 pi
+        with pytest.raises(RootLoss, match="eyelet 1 carries no tangency point"):
+            double_tangency_residual(2, 1.0, 1e-3, 1.5 - TWO_PI, (2, 0))
+        assert math.isfinite(double_tangency_residual(2, 1.0, 1e-3, 0.5 - TWO_PI, (2, 0)))
+
+    def test_bracket_root_grid(self):
+        calls = []
+
+        def fun(xs):
+            calls.append(len(xs))
+            return np.cos(xs)
+
+        lo, hi, f_lo, f_hi = disk._bracket_root(fun, 0.0, 3.0, n=31)
+        assert calls == [31]
+        assert lo < math.pi / 2 < hi and f_lo > 0 > f_hi
+        assert disk._bracket_root(fun, 0.0, 0.5, n=8) is None
+        # an exact zero returns (x, x); a sign change before it comes first
+        assert disk._bracket_root(lambda xs: xs - 1.0, 0.0, 2.0, n=5)[:2] == (1.0, 1.0)
+        assert disk._bracket_root(lambda xs: np.cos(4 * xs), 0.0, 2.0, n=5)[:2] == (0.0, 0.5)
+
+    def test_brent_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(56)
+        funcs = [
+            (lambda x: np.cos(x) - 0.3, 0.0, 3.0),
+            (lambda x: x**3 - 2 * x - 5, 0.0, 3.0),
+            (lambda x: np.exp(x) - 3.0, -3.0, 3.0),
+            (lambda x: np.tanh(20 * (x - 0.7)), -3.0, 3.0),
+            (lambda x: x * np.exp(-x) - 0.1, 0.0, 1.0),
+        ]
+        compared = 0
+        for f, a, b in funcs:
+            root = brentq(f, a, b, xtol=1e-15, rtol=1e-15)
+            for _ in range(8):
+                lo = root - rng.uniform(1e-6, 1.0)
+                hi = root + rng.uniform(1e-6, 1.0)
+                if f(lo) * f(hi) >= 0:
+                    continue
+                want = brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
+                got = disk._brent(f, lo, hi, f(lo), f(hi))
+                assert abs(got - want) <= 4e-15 * max(1.0, abs(want))
+                compared += 1
+        assert compared >= 30
+
+    def test_trace_curve_matches_reference(self):
+        # theta_0 = 0 for k = 3, so its minus side runs across the seam
+        for k in (2, 3, 4):
+            for tag in group_tags(k, 0)[1:3]:
+                got = trace_curve(k, 1.0, tag, decades=(1e-4, 1e-2), per_decade=3)
+                want = _trace_curve_reference(k, 1.0, tag, (1e-4, 1e-2), 3)
+                assert np.array_equal(got.samples[:, 0], want[:, 0])
+                assert np.abs(got.samples[:, 1] - want[:, 1]).max() <= 1e-13
+
+
+class TestCounters:
+    def test_residual_evaluations_counted(self, monkeypatch):
+        seen = []
+        real = disk.double_tangency_residual
+
+        def counted(k, r, abs_eps, theta, pair, selection="top-bottom"):
+            seen.append(np.size(theta))
+            return real(k, r, abs_eps, theta, pair, selection=selection)
+
+        monkeypatch.setattr(disk, "double_tangency_residual", counted)
+        tag = group_tags(2, 1)[1]
+        curve = trace_curve(2, 1.0, tag, decades=(1e-4, 1e-2), per_decade=4)
+        assert curve.residual_evaluations == sum(seen)
+        assert curve.residual_evaluations >= 80 + 40 * (len(curve.samples) - 1)
+        assert curve.bracket_widenings == 0
+
+    def test_bracket_widenings_counted(self, monkeypatch):
+        # refuse the second and third scans: the first continuation window
+        # and its doubled one both come back empty
+        real = disk._bracket_root
+        calls = []
+
+        def refusing(fun, lo, hi, n=80):
+            calls.append(n)
+            return None if len(calls) in (2, 3) else real(fun, lo, hi, n)
+
+        monkeypatch.setattr(disk, "_bracket_root", refusing)
+        tag = group_tags(3, 1)[1]
+        curve = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
+        assert curve.bracket_widenings == 2
+        monkeypatch.setattr(disk, "_bracket_root", real)
+        plain = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
+        assert np.abs(plain.samples - curve.samples).max() <= 1e-13
+
+    def test_to_dict_unchanged_by_counters(self):
+        tag = group_tags(2, 0)[1]
+        curve = trace_curve(2, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
+        assert curve.residual_evaluations > 0
+        bare = replace(curve, residual_evaluations=0, bracket_widenings=0)
+        assert json.dumps(curve.to_dict()) == json.dumps(bare.to_dict())
+        assert set(curve.to_dict()) == {"tag", "samples", "exponent"}
+
+    def test_newton_iterations(self):
+        assert tangency_angles(3, 0.0, 1.0).newton_iterations == 6
+        assert tangency_angles(3, 1e-2j, 1.0).newton_iterations > 6

@@ -108,6 +108,38 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
     return np.array(zs), np.array(ts), termination, landed, n_rej, h_min
 
 
+def _xi_reference(fld, z, tol=1e-18, max_terms=20000):
+    """The scalar loop that ``xi_series`` replaced: terms are summed until
+    one falls below ``tol`` times the sum."""
+    k1 = fld.k + 1
+    if abs(z) ** k1 <= abs(fld.epsilon):
+        raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")
+    ratio = fld.epsilon / z**k1
+    zk = z**fld.k
+    acc = 0j
+    power = 1.0 + 0.0j
+    for n in range(max_terms):
+        term = power / (((n + 1) * k1 - 1) * zk)
+        acc -= term
+        if abs(term) < tol * max(abs(acc), 1e-300):
+            break
+        power *= ratio
+    return acc
+
+
+def _sector_reference(fld, z, slit_tol=1e-12):
+    """The scalar sector rule that ``sector_array`` replaced."""
+    k1 = fld.k + 1
+    ang = (cmath.phase(z) - fld.theta() / k1) % TWO_PI
+    ell = int(ang / (TWO_PI / k1)) % k1
+    rel = ang - ell * TWO_PI / k1
+    on_slit = min(rel, TWO_PI / k1 - rel) < slit_tol
+    if on_slit:
+        ang = (ang + 2 * slit_tol) % TWO_PI
+        ell = int(ang / (TWO_PI / k1)) % k1
+    return ell, on_slit
+
+
 def _generic_field(rng, k, log_eps=(-1.0, 0.0), margin=1e-2):
     while True:
         eps = 10 ** rng.uniform(*log_eps) * cmath.exp(2j * math.pi * rng.random())
@@ -508,6 +540,71 @@ class TestRectify:
     def test_path_through_singularity(self):
         with pytest.raises(PathThroughSingularity):
             rectify(ModelField(1, 0.25), 1.0, mode="quadrature")
+
+
+class TestXiArray:
+    def test_matches_scalar_loop(self):
+        # points near the domain edge (|eps/z^{k+1}| in [0.5, 0.9]) mixed with
+        # far ones; one term count serves the whole array
+        rng = np.random.default_rng(41)
+        for k in range(1, 8):
+            for _ in range(5):
+                eps = 10 ** rng.uniform(-8, -1) * cmath.exp(2j * math.pi * rng.random())
+                fld = ModelField(k, eps)
+                q = np.concatenate([rng.uniform(0.5, 0.9, 6), 10 ** rng.uniform(-6, -1, 10)])
+                z = (abs(eps) / q) ** (1 / (k + 1)) * np.exp(2j * math.pi * rng.random(16))
+                got = xi_series(fld, z)
+                want = np.array([_xi_reference(fld, complex(w)) for w in z])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                far = z[6:]
+                want_far = want[6:]
+                assert np.abs(xi_series(fld, far) - want_far).max() <= 1e-13 * np.abs(want_far).max()
+
+    def test_scalar_returns_complex(self):
+        fld = ModelField(3, 1e-3 * cmath.exp(0.4j))
+        for z in (1.2, 0.9 + 0.3j, np.complex128(-1.1j)):
+            got = xi_series(fld, z)
+            assert type(got) is complex
+            assert abs(got - _xi_reference(fld, complex(z))) <= 1e-13 * abs(got)
+        assert type(rectify(fld, 1.2, mode="series")) is complex
+
+    def test_out_of_domain_same_points(self):
+        rng = np.random.default_rng(42)
+        for k in range(1, 6):
+            fld = ModelField(k, 0.3 * cmath.exp(2j * math.pi * rng.random()))
+            z = 10 ** rng.uniform(-0.6, 0.3, 12) * np.exp(2j * math.pi * rng.random(12))
+            outside = []
+            for w in z:
+                try:
+                    _xi_reference(fld, complex(w))
+                except SeriesOutOfDomain:
+                    outside.append(True)
+                    with pytest.raises(SeriesOutOfDomain):
+                        xi_series(fld, complex(w))
+                else:
+                    outside.append(False)
+                    xi_series(fld, complex(w))
+            assert any(outside) and not all(outside)
+            with pytest.raises(SeriesOutOfDomain):
+                xi_series(fld, z)
+            xi_series(fld, z[~np.array(outside)])
+
+    def test_sector_array_matches_scalar_rule(self):
+        rng = np.random.default_rng(43)
+        for k in range(1, 7):
+            fld = ModelField(k, 1e-2 * cmath.exp(2j * math.pi * rng.random()))
+            slits = np.exp(1j * (fld.theta() + TWO_PI * np.arange(k + 1)) / (k + 1))
+            z = np.concatenate([np.exp(2j * math.pi * rng.random(20)), slits])
+            ell, on_slit = sector_index(fld, z)
+            for w, e, s in zip(z, ell, on_slit):
+                assert (e, s) == _sector_reference(fld, complex(w))
+                assert sector_index(fld, complex(w)) == (e, s)
+            assert on_slit[20:].all()
+        # a nan point has no sector, as int(nan) refuses in the scalar rule
+        with pytest.raises(ValueError):
+            _sector_reference(fld, complex("nan"))
+        with pytest.raises(ValueError, match="non-finite"):
+            sector_index(fld, np.array([1.0, complex("nan")]))
 
 
 class TestTauModel:

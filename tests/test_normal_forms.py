@@ -288,3 +288,63 @@ class TestKostov:
         assert back.kind == "polynomial"
         for a, b in zip(nf.coefficients, back.coefficients):
             assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def _with(doc, **changes):
+    """A copy of ``doc`` with fields replaced; a value of ``...`` drops the field."""
+    out = dict(doc)
+    for name, value in changes.items():
+        if value is ...:
+            del out[name]
+        else:
+            out[name] = value
+    return out
+
+
+class TestFromDictValidation:
+    """Each malformed field gives a plain ValueError that names it."""
+
+    def _raises(self, cls, doc, field):
+        with pytest.raises(ValueError, match=field) as exc:
+            cls.from_dict(doc)
+        assert type(exc.value) is ValueError
+
+    def test_polynomial_nf(self):
+        doc = polynomial_nf(random_series(np.random.default_rng(15), 16), k=2, eps_order=3).to_dict()
+        series = doc["coefficients"][0]
+        rows = [
+            ([doc], "'k'"),
+            (_with(doc, k=...), "missing field 'k'"),
+            (_with(doc, k=0), "'k'"),
+            (_with(doc, k="2"), "'k'"),
+            (_with(doc, k=2.0), "'k'"),
+            (_with(doc, coefficients=...), "missing field 'coefficients'"),
+            (_with(doc, coefficients=series), "'coefficients' must be a list"),
+            (_with(doc, coefficients=doc["coefficients"][:2]), "'coefficients' must hold 3 entries"),
+            (_with(doc, coefficients=[series, series, 7]), "'truncation'"),
+            (_with(doc, coefficients=[series, series, _with(series, truncation=-1)]), "'truncation'"),
+            (_with(doc, kind="cubic"), "'kind'"),
+            (_with(doc, kind=None), "'kind'"),
+        ]
+        for bad, field in rows:
+            self._raises(PolynomialNF, bad, field)
+        assert PolynomialNF.from_dict(_with(doc, kind=...)).kind == "polynomial"
+        assert PolynomialNF.from_dict(_with(doc, kind="rational")).kind == "rational"
+
+    def test_kostov_nf(self):
+        doc = make_kostov(np.random.default_rng(16), 2).to_dict()
+        rows = [
+            ("kostov", "'k'"),
+            (_with(doc, k=...), "missing field 'k'"),
+            (_with(doc, k=-1), "'k'"),
+            (_with(doc, k=True), "'k'"),
+            (_with(doc, b=...), "missing field 'b'"),
+            (_with(doc, b=doc["A"]), "'b' must be a list"),
+            (_with(doc, b=doc["b"] * 2), "'b' must hold 2 entries"),
+            (_with(doc, b=[doc["b"][0], _with(doc["b"][1], coefficients=...)]), "'coefficients'"),
+            (_with(doc, A=...), "missing field 'A'"),
+            (_with(doc, A=[1, 2]), "'truncation'"),
+            (_with(doc, A=_with(doc["A"], coefficients=[{"deg": 0, "re": float("nan")}])), "'re'"),
+        ]
+        for bad, field in rows:
+            self._raises(KostovNF, bad, field)
