@@ -27,7 +27,7 @@ from .model import (
     singularities,
 )
 from .normal_forms import NotCanonical, polynomial_nf, rational_nf
-from .series import NotAUnit, NotInvertible, SeriesError
+from .series import SeriesError
 from .unfolding import (
     AmbiguousMatch,
     EigenvalueFunction,
@@ -47,8 +47,6 @@ NUMERICAL_ERRORS = (
     PathThroughSingularity,
     SeriesOutOfDomain,
     AtBifurcation,
-    NotInvertible,
-    NotAUnit,
     SeriesError,
 )
 SEMANTIC_ERRORS = (NotGeneric, NotCanonical, DegenerateParameter)

@@ -20,7 +20,6 @@ from .model import (
     DegenerateParameter,
     IntegratorControls,
     ModelField,
-    PeriodGon,
     bifurcation_angles,
     is_homoclinic,
     landing_index,
@@ -138,11 +137,10 @@ def _unit_gon(k: int) -> np.ndarray:
     return vertices
 
 
-def tangency_times(tset: TangencySet, gon: PeriodGon | None = None) -> TangencySet:
+def tangency_times(tset: TangencySet) -> TangencySet:
     """Rectified positions t_m = v(sector) + xi(r e^{i alpha_m}) of the tangencies.
 
     A tangency on a slit is evaluated 1e-12 rad counterclockwise of it.
-    ``gon`` may be given for a single eps.
     """
     k, k1 = tset.k, tset.k + 1
     col = np.asarray(tset.epsilon)[..., None]
@@ -153,16 +151,12 @@ def tangency_times(tset: TangencySet, gon: PeriodGon | None = None) -> TangencyS
     sectors, slit = sector_array(k, col, z)
     if np.count_nonzero(slit):
         z = np.where(slit, tset.r * np.exp(1j * (tset.angles + 1e-12)), z)
-    if gon is not None:
-        vertices = gon.vertices[sectors]
-    elif np.count_nonzero(abs_eps == 0):
+    if np.count_nonzero(abs_eps == 0):
         raise DegenerateParameter("eps = 0")
-    else:
-        # the gon at eps is the |eps| = 1 gon scaled by |eps|^{-k/(k+1)} and
-        # turned by -k arg(eps)/(k+1), arg(eps) in [0, 2*pi)
-        turn = abs_eps ** (-k / k1) * np.exp(-1j * k / k1 * (np.angle(col) % TWO_PI))
-        vertices = _unit_gon(k)[sectors] * turn
-    ts = vertices + xi_array(k, col, z)
+    # the gon at eps is the |eps| = 1 gon scaled by |eps|^{-k/(k+1)} and
+    # turned by -k arg(eps)/(k+1), arg(eps) in [0, 2*pi)
+    turn = abs_eps ** (-k / k1) * np.exp(-1j * k / k1 * (np.angle(col) % TWO_PI))
+    ts = _unit_gon(k)[sectors] * turn + xi_array(k, col, z)
     return replace(tset, t_values=ts, vertex_index=sectors, on_slit=slit)
 
 

@@ -618,24 +618,9 @@ def apply_transition(order, parity: int):
     vertices keep their place in the chain.
     """
     chain = list(order)
-    n_seg = len(chain) - 1
-    kept = [(chain[i], chain[i + 1]) for i in range(parity, n_seg, 2)]
-    groups = []
-    covered = set()
-    for a, b in kept:
-        covered.add(a)
-        covered.add(b)
-    i = 0
-    while i < len(chain):
-        if i + 1 < len(chain) and (chain[i], chain[i + 1]) in kept:
-            groups.append([chain[i + 1], chain[i]])
-            i += 2
-        elif chain[i] not in covered:
-            groups.append([chain[i]])
-            i += 1
-        else:
-            i += 1
-    return tuple(x for g in groups for x in g)
+    for i in range(parity, len(chain) - 1, 2):
+        chain[i], chain[i + 1] = chain[i + 1], chain[i]
+    return tuple(chain)
 
 
 def ds_transition(k: int, j: int, probe_offset: float = 1e-3, abs_eps: float = 1.0):

@@ -78,7 +78,7 @@ def star_svg(k: int, eps: complex, r: float, size: int = 800, strip_length: floa
     for ell in range(k1):
         pts = eyelet_points(fld, r, ell, n=200)
         canvas.polyline(pts, stroke=svgfig.COLOR_MARKER, width=1.0, cls="eyelet")
-    tset = tangency_times(tangency_angles(k, eps, r), gon)
+    tset = tangency_times(tangency_angles(k, eps, r))
     for t in tset.t_values:
         canvas.dot(t, radius_px=3.5, cls="tangency")
     return canvas.tostring()

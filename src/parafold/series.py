@@ -25,6 +25,9 @@ UNIT_TOL = 1e-12
 #: largest truncation order, and codimension, that a JSON document may declare
 MAX_JSON_ORDER = 1000
 
+#: the scalar types that series arithmetic accepts as constants
+SCALAR_TYPES = (int, float, complex, np.integer, np.floating, np.complexfloating)
+
 
 class SeriesError(ValueError):
     """Base class for series precondition failures."""
@@ -205,7 +208,7 @@ class TruncatedSeries:
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
             return other
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, SCALAR_TYPES):
             return TruncatedSeries.constant(complex(other), self.order)
         return NotImplemented
 
@@ -232,10 +235,8 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            prod = np.convolve(self._c[: n + 1], other._c[: n + 1])[: n + 1]
-            return TruncatedSeries(prod)
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+            return TruncatedSeries(_mul_raw(self._c, other._c))
+        if isinstance(other, SCALAR_TYPES):
             return TruncatedSeries(self._c * complex(other))
         return NotImplemented
 
@@ -304,7 +305,7 @@ class TruncatedSeries:
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             return self * other.reciprocal()
-        if isinstance(other, (int, float, complex, np.integer, np.floating, np.complexfloating)):
+        if isinstance(other, SCALAR_TYPES):
             return TruncatedSeries(self._c / complex(other))
         return NotImplemented
 
@@ -485,14 +486,14 @@ class BivariateSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, SCALAR_TYPES):
             return BivariateSeries(self._c * complex(other))
         nz = min(self.z_order, other.z_order)
         ne = min(self.eps_order, other.eps_order)
         out = np.zeros((nz + 1, ne + 1), dtype=complex)
         for p in range(ne + 1):
             for q in range(ne + 1 - p):
-                out[:, p + q] += np.convolve(self._c[: nz + 1, p], other._c[: nz + 1, q])[: nz + 1]
+                out[:, p + q] += _mul_raw(self._c[:, p], other._c[:, q])
         return BivariateSeries(out)
 
     __rmul__ = __mul__
@@ -533,7 +534,7 @@ class BivariateSeries:
         nz = min(self.z_order, inner.order)
         out = np.zeros((nz + 1, self.eps_order + 1), dtype=complex)
         for n in range(self.eps_order + 1):
-            out[:, n] = TruncatedSeries(self._c[: nz + 1, n]).compose(inner).coefficients
+            out[:, n] = _compose_raw(self._c[:, n], inner.coefficients)
         return BivariateSeries(out)
 
     def mul_z(self, factor):
@@ -541,7 +542,7 @@ class BivariateSeries:
         nz = min(self.z_order, factor.order)
         out = np.zeros((nz + 1, self.eps_order + 1), dtype=complex)
         for n in range(self.eps_order + 1):
-            out[:, n] = np.convolve(self._c[: nz + 1, n], factor.coefficients[: nz + 1])[: nz + 1]
+            out[:, n] = _mul_raw(self._c[:, n], factor.coefficients)
         return BivariateSeries(out)
 
     def weighted_diagonal(self, weight, order):

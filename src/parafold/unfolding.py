@@ -248,22 +248,15 @@ def _divide_by_model(omega_t: BivariateSeries, k: int) -> BivariateSeries:
 
     Matching coefficients gives v_{m,n} = -sum_j omega~_{m-j(k+1), n+1+j};
     entries beyond the stored eps-order count as zero, which is exact for
-    families polynomial in eps.
+    families polynomial in eps.  Every entry sums its terms in the order
+    j = 0, 1, 2, ... from zero.
     """
     nz, ne = omega_t.z_order, omega_t.eps_order
     c = omega_t.coefficients
-    v = np.zeros((nz + 1, ne + 1), dtype=complex)
-    for m in range(nz + 1):
-        for n in range(ne + 1):
-            acc = 0j
-            j = 0
-            while m - j * (k + 1) >= 0:
-                nn = n + 1 + j
-                if nn <= ne:
-                    acc += c[m - j * (k + 1), nn]
-                j += 1
-            v[m, n] = -acc
-    return BivariateSeries(v)
+    acc = np.zeros((nz + 1, ne + 1), dtype=complex)
+    for j in range(min(nz // (k + 1) + 1, ne)):
+        acc[j * (k + 1) :, : ne - j] += c[: nz + 1 - j * (k + 1), 1 + j :]
+    return BivariateSeries(-acc)
 
 
 def straightened_family(spec: FamilySpec) -> BivariateSeries:

@@ -234,7 +234,7 @@ class TestTangencyTimes:
         for k in (2, 4):
             fld = ModelField(k, 1e-4 + 0j)
             gon = periods(fld)
-            ts = tangency_times(tangency_angles(k, fld.epsilon, 1.0), gon)
+            ts = tangency_times(tangency_angles(k, fld.epsilon, 1.0))
             r0 = eyelet_reference_radius(k, 1.0)
             offsets = np.abs(ts.t_values - gon.vertices[ts.vertex_index])
             assert np.all(offsets > 0.9 * r0)
@@ -252,7 +252,7 @@ class TestTangencyTimes:
         # mirror images differ by the sector convention, i.e. by one period
         fld = ModelField(3, 1e-4 + 0j)
         gon = periods(fld)
-        ts = tangency_times(tangency_angles(3, fld.epsilon, 1.0), gon)
+        ts = tangency_times(tangency_angles(3, fld.epsilon, 1.0))
         tv, scale = ts.t_values, np.abs(ts.t_values).max()
         for t, on_slit in zip(np.conj(tv), ts.on_slit):
             plain = np.abs(tv - t).min()
@@ -540,8 +540,8 @@ class TestArrayKernel:
         # theta > 1 and check the rule and the first-failing-theta order
         real = disk.tangency_times
 
-        def relabel(tset, gon=None):
-            out = real(tset, gon)
+        def relabel(tset):
+            out = real(tset)
             far = np.angle(np.asarray(tset.epsilon)[..., None]) % TWO_PI > 1.0
             return replace(out, vertex_index=np.where(far & (out.vertex_index == 1), 2, out.vertex_index))
 

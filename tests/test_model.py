@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,29 @@ def _sector_reference(fld, z, slit_tol=1e-12):
         ang = (ang + 2 * slit_tol) % TWO_PI
         ell = int(ang / (TWO_PI / k1)) % k1
     return ell, on_slit
+
+
+def _apply_transition_reference(order, parity):
+    """The group walk that the swap of adjacent entries replaced."""
+    chain = list(order)
+    n_seg = len(chain) - 1
+    kept = [(chain[i], chain[i + 1]) for i in range(parity, n_seg, 2)]
+    groups = []
+    covered = set()
+    for a, b in kept:
+        covered.add(a)
+        covered.add(b)
+    i = 0
+    while i < len(chain):
+        if i + 1 < len(chain) and (chain[i], chain[i + 1]) in kept:
+            groups.append([chain[i + 1], chain[i]])
+            i += 2
+        elif chain[i] not in covered:
+            groups.append([chain[i]])
+            i += 1
+        else:
+            i += 1
+    return tuple(x for g in groups for x in g)
 
 
 def _generic_field(rng, k, log_eps=(-1.0, 0.0), margin=1e-2):
@@ -495,6 +519,12 @@ class TestDSTransition:
         assert apply_transition((0, 1, 2, 3, 4, 5), 0) == (1, 0, 3, 2, 5, 4)
         # keep even segments (parity 1): a (cb) (ed) f
         assert apply_transition((0, 1, 2, 3, 4, 5), 1) == (0, 2, 1, 4, 3, 5)
+
+    def test_matches_reference_on_all_short_permutations(self):
+        for n in range(1, 8):
+            for order in itertools.permutations(range(n)):
+                for parity in (0, 1):
+                    assert apply_transition(order, parity) == _apply_transition_reference(order, parity)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_rule_across_all_angles(self, k):

@@ -6,6 +6,7 @@ import pytest
 
 from parafold.series import BivariateSeries, TruncatedSeries
 from parafold.unfolding import (
+    _divide_by_model,
     AmbiguousMatch,
     EigenvalueFunction,
     FamilySpec,
@@ -31,6 +32,25 @@ def model_family(k, nz=20):
     c[k + 1, 0] = 1.0
     c[0, 1] = -1.0
     return FamilySpec(k=k, omega=BivariateSeries(c))
+
+
+def _divide_by_model_reference(omega_t, k):
+    """The entry-by-entry loop that the shifted-block sum replaced; the array
+    form must reproduce it bit for bit, signed zeros included."""
+    nz, ne = omega_t.z_order, omega_t.eps_order
+    c = omega_t.coefficients
+    v = np.zeros((nz + 1, ne + 1), dtype=complex)
+    for m in range(nz + 1):
+        for n in range(ne + 1):
+            acc = 0j
+            j = 0
+            while m - j * (k + 1) >= 0:
+                nn = n + 1 + j
+                if nn <= ne:
+                    acc += c[m - j * (k + 1), nn]
+                j += 1
+            v[m, n] = -acc
+    return BivariateSeries(v)
 
 
 def random_sigma(rng, order, decay=0.6):
@@ -143,6 +163,26 @@ class TestFactorFamily:
             eps = 0.005 * cmath.exp(2j * math.pi * rng.random())
             zt = eps ** (1.0 / (k + 1))
             assert abs(om_t(zt, eps)) < 1e-10
+
+
+class TestDivideByModel:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        cases = [(k, nz, ne) for k in range(1, 6) for nz in (0, k, k + 1, 170) for ne in (0, 1)]
+        cases += [(k, 170, 90) for k in (1, 5)]
+        cases += [
+            (int(rng.integers(1, 6)), int(rng.integers(0, 171)), int(rng.integers(0, 91)))
+            for _ in range(40)
+        ]
+        for k, nz, ne in cases:
+            shape = (nz + 1, ne + 1)
+            c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            c.real[rng.random(shape) < 0.2] = -0.0
+            c.imag[rng.random(shape) < 0.2] = -0.0
+            omega_t = BivariateSeries(c)
+            got = _divide_by_model(omega_t, k).coefficients
+            want = _divide_by_model_reference(omega_t, k).coefficients
+            assert got.tobytes() == want.tobytes(), (k, nz, ne)
 
 
 class TestEigenvalueFunction:
