@@ -44,7 +44,8 @@ class StepSizeUnderflow(RuntimeError):
 
 
 class PathThroughSingularity(ValueError):
-    """A quadrature path passes within the capture radius of a singularity."""
+    """The segment [0, z] of ``rectify`` passes within 1e-6 |eps|^{1/(k+1)}
+    of a singularity."""
 
 
 class SeriesOutOfDomain(ValueError):
@@ -715,41 +716,26 @@ def xi_series(fld: ModelField, z, tol: float = 1e-18, max_terms: int = 20000):
     return complex(xi) if np.ndim(xi) == 0 else xi
 
 
-def rectify(
-    fld: ModelField,
-    z: complex,
-    mode: str = "quadrature",
-    capture_radius: float | None = None,
-) -> complex:
-    """Complex time t = int_0^z dz/(z^{k+1}-eps).
+def rectify(fld: ModelField, z: complex) -> complex:
+    """Complex time t = int_0^z dz/(z^{k+1}-eps) along the segment [0, z].
 
-    ``quadrature`` integrates along the straight segment from the origin and
-    refuses paths passing through a capture neighbourhood of a singularity;
-    ``series`` evaluates the monodromy-free branch xi valid outside the
-    singular-gon (offset by a period-gon vertex it equals the quadrature
-    branch on each sector).
+    By partial fractions over the roots z_l, with lambda_l = (k+1) z_l^k,
+    t = sum_l Log(1 - z/z_l) / lambda_l with the principal Log.  This is
+    exact because the angle the segment subtends at each root lies in
+    (-pi, pi); a segment within 1e-6 |eps|^{1/(k+1)} of a root raises
+    ``PathThroughSingularity``.  ``xi_series`` is the monodromy-free branch
+    outside the singular-gon; offset by a period-gon vertex it equals t on
+    each sector.
     """
-    if mode == "series":
-        return xi_series(fld, z)
-    if mode != "quadrature":
-        raise ValueError("mode must be 'quadrature' or 'series'")
-    if fld.epsilon == 0:
-        raise DegenerateParameter("eps = 0")
-    cap = 1e-6 * fld.scale if capture_radius is None else capture_radius
-    for s in singularities(fld):
-        # distance from segment [0, z] to s
-        t_proj = (s.real * z.real + s.imag * z.imag) / (abs(z) ** 2)
-        t_proj = min(1.0, max(0.0, t_proj))
-        if abs(s - t_proj * z) < cap:
-            raise PathThroughSingularity(f"segment passes near singularity {s:.6g}")
-
-    from scipy.integrate import quad
-
-    def integrand(s):
-        return z / fld.rhs(s * z)
-
-    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, limit=200, epsabs=1e-13, epsrel=1e-12)
-    return val
+    sing = singularities(fld)
+    # distance from the segment [0, z] to each root, multiplied through by
+    # |z|^2 so that the point segment z = 0 needs no division
+    zz = abs(z) ** 2
+    along = np.clip((sing * np.conj(z)).real, 0.0, zz)
+    near = np.abs(sing * zz - along * z) < 1e-6 * fld.scale * zz
+    if np.count_nonzero(near):
+        raise PathThroughSingularity(f"segment passes near singularity {sing[near][0]:.6g}")
+    return complex(np.sum(np.log(1 - z / sing) / fld.d_rhs(sing)))
 
 
 def sector_array(k: int, eps, z, slit_tol: float = 1e-12):
@@ -793,9 +779,11 @@ class TauModel:
     """Polygon-with-strips model of the rectified surface.
 
     2(k+1) vertices alternate long sides (the negated periods, by increasing
-    argument) and short gap sides; half-infinite strips sit orthogonally on
-    the long sides; eyelet disks of radius R are removed at the short-side
-    midpoints.
+    argument, so the polygon runs counterclockwise) and short gap sides;
+    half-infinite strips sit orthogonally on the long sides; eyelet disks of
+    radius R are removed at the short-side midpoints.  The strip on the side
+    -mu points along its right-hand normal i mu/|mu| (``strip_axes``), also
+    at k = 1, where both long sides pass through the centre.
     """
 
     k: int
@@ -803,7 +791,7 @@ class TauModel:
     periods: np.ndarray  # the periods in construction order
     gap: complex
     eyelet_radius: float
-    strip_axes: np.ndarray  # outward unit normal of each long side
+    strip_axes: np.ndarray  # i mu/|mu|, the outward unit normal of each long side
     eyelet_centers: np.ndarray
 
     @property
@@ -823,11 +811,10 @@ class TauModel:
         return abs(side_sum)
 
 
-def outward_normal(a: complex, b: complex, centre: complex = 0j) -> complex:
-    """Unit normal of the segment [a, b], on the side away from ``centre``."""
-    n_hat = -1j * (b - a) / abs(b - a)
-    mid = 0.5 * (a + b) - centre
-    return -n_hat if (n_hat * mid.conjugate()).real < 0 else n_hat
+def outward_normal(a: complex, b: complex) -> complex:
+    """Right-hand unit normal of the directed side a -> b: outward for a
+    counterclockwise polygon."""
+    return -1j * (b - a) / abs(b - a)
 
 
 def build_tau_model(gon: PeriodGon, eyelet_radius: float) -> TauModel:
@@ -859,9 +846,8 @@ def build_tau_model(gon: PeriodGon, eyelet_radius: float) -> TauModel:
     verts -= verts.mean()
     axes = np.empty(k1, dtype=complex)
     centers = np.empty(k1, dtype=complex)
-    centroid = verts.mean()  # 0 after centring, up to rounding
     for i in range(k1):
-        axes[i] = outward_normal(verts[2 * i], verts[2 * i + 1], centroid)
+        axes[i] = outward_normal(verts[2 * i], verts[2 * i + 1])
         s0, s1 = verts[(2 * i + 1) % (2 * k1)], verts[(2 * i + 2) % (2 * k1)]
         centers[i] = 0.5 * (s0 + s1)
     return TauModel(

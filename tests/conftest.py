@@ -17,6 +17,18 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def quad_rectify(fld, z):
+    """int_0^z dz/(z^{k+1}-eps) by adaptive quadrature along the segment
+    [0, z]: the independent oracle of ``model.rectify``."""
+    from scipy.integrate import quad
+
+    def integrand(s):
+        return z / fld.rhs(s * z)
+
+    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, limit=200, epsabs=1e-13, epsrel=1e-12)
+    return val
+
+
 def run_main(argv):
     """``(exit code, stdout, stderr)`` of an in-process ``cli.main``.
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import quad_rectify, record_acceptance
 from parafold.disk import (
     eyelet_diameter,
     eyelet_reference_radius,
@@ -33,11 +33,11 @@ from parafold.model import (
     ds_transition,
     is_zigzag,
     periods,
-    rectify,
     sector_index,
     separatrices,
     singularities,
     transition_rule_holds,
+    xi_series,
 )
 from parafold.normal_forms import (
     poly_to_canonical_parameter,
@@ -306,15 +306,13 @@ def test_criterion_10_rectify_consistency():
         h = 1e-5
         for _ in range(12):
             z = r * cmath.exp(2j * math.pi * rng.random())
-            fd = (
-                rectify(fld, z + h, mode="series") - rectify(fld, z - h, mode="series")
-            ) / (2 * h)
+            fd = (xi_series(fld, z + h) - xi_series(fld, z - h)) / (2 * h)
             assert abs(fd - 1.0 / (z ** (k + 1) - fld.epsilon)) < 1e-8
         gon = periods(fld)
         for _ in range(8):
             z = (1.1 + rng.random()) * cmath.exp(2j * math.pi * rng.random())
-            tq = rectify(fld, z, mode="quadrature")
-            ts = rectify(fld, z, mode="series")
+            tq = quad_rectify(fld, z)
+            ts = xi_series(fld, z)
             ell, _ = sector_index(fld, z)
             base = abs(tq - (gon.vertices[ell] + ts))
             shifted = min(

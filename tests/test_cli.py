@@ -55,14 +55,15 @@ def family_files(tmp_path_factory):
 
 
 def test_import_leaves_scipy_unloaded():
-    # quad is imported by the quadrature oracle alone, and trace_curve finds
-    # its roots without scipy
+    # rectify is a closed form, and trace_curve finds its roots without scipy
     code = (
         "import sys, parafold.cli; "
         "from parafold.disk import group_tags, trace_curve; "
+        "from parafold.model import ModelField, rectify; "
         "loaded = lambda: [m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules]; "
         "print(loaded()); "
         "trace_curve(2, 1.0, group_tags(2, 0)[1], decades=(1e-3, 1e-2), per_decade=3); "
+        "rectify(ModelField(2, 0.3), 1.1 + 0.2j); "
         "print(loaded())"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import quad_rectify
 from parafold.model import (
     AtBifurcation,
     DegenerateParameter,
@@ -542,7 +543,7 @@ class TestDSTransition:
 
 class TestRectify:
     def test_series_leading_term(self):
-        val = rectify(ModelField(1, 1e-12), 2.0, mode="series")
+        val = xi_series(ModelField(1, 1e-12), 2.0)
         assert abs(val + 0.5) < 1e-10
 
     def test_series_derivative_oracle(self):
@@ -558,18 +559,40 @@ class TestRectify:
         rng = np.random.default_rng(12)
         for _ in range(6):
             z = (1.1 + rng.random()) * cmath.exp(2j * math.pi * rng.random())
-            tq = rectify(fld, z, mode="quadrature")
+            tq = quad_rectify(fld, z)
             ell, _ = sector_index(fld, z)
-            ts = gon.vertices[ell] + rectify(fld, z, mode="series")
+            ts = gon.vertices[ell] + xi_series(fld, z)
             assert abs(tq - ts) < 1e-8
+
+    def test_closed_form_matches_quadrature(self):
+        rng = np.random.default_rng(44)
+        checked = 0
+        while checked < 400:
+            k = int(rng.integers(1, 8))
+            eps = 10 ** rng.uniform(-3, math.log10(3)) * cmath.exp(2j * math.pi * rng.random())
+            r = 10 ** rng.uniform(math.log10(0.05), math.log10(3))
+            z = r * cmath.exp(2j * math.pi * rng.random())
+            fld = ModelField(k, eps)
+            try:
+                t = rectify(fld, z)
+            except PathThroughSingularity:
+                continue
+            tq = quad_rectify(fld, z)
+            assert abs(t - tq) <= 1e-12 * abs(tq)
+            checked += 1
 
     def test_out_of_domain(self):
         with pytest.raises(SeriesOutOfDomain):
-            rectify(ModelField(2, 1.0), 0.5, mode="series")
+            xi_series(ModelField(2, 1.0), 0.5)
 
+    @pytest.mark.filterwarnings("error")
     def test_path_through_singularity(self):
         with pytest.raises(PathThroughSingularity):
-            rectify(ModelField(1, 0.25), 1.0, mode="quadrature")
+            rectify(ModelField(1, 0.25), 1.0)
+        with pytest.raises(DegenerateParameter):
+            rectify(ModelField(1, 0.0), 1.0)
+        # the point segment z = 0 misses every root
+        assert rectify(ModelField(1, 0.25), 0j) == 0
 
 
 class TestXiArray:
@@ -596,7 +619,7 @@ class TestXiArray:
             got = xi_series(fld, z)
             assert type(got) is complex
             assert abs(got - _xi_reference(fld, complex(z))) <= 1e-13 * abs(got)
-        assert type(rectify(fld, 1.2, mode="series")) is complex
+        assert type(xi_series(fld, 1.2)) is complex
 
     def test_out_of_domain_same_points(self):
         rng = np.random.default_rng(42)
@@ -669,6 +692,26 @@ class TestTauModel:
         assert tm.closure_residual() < 1e-10
         with pytest.raises(RadiusTooSmall):
             build_tau_model(gon, 1e-6)
+
+    def test_strip_axes_fixed_by_orientation(self):
+        # at k = 1 both long sides of a gap gon pass through its centre, so
+        # only the direction of each side can fix its strip axis
+        from parafold.series import TruncatedSeries
+        from parafold.unfolding import EigenvalueFunction, unfolding_periods
+
+        rng = np.random.default_rng(46)
+        for k in range(1, 6):
+            for _ in range(12):
+                c = np.zeros(30, dtype=complex)
+                c[k] = k + 1.0
+                n = 29 - k
+                c[k + 1 :] = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) * 0.6 ** np.arange(1, n + 1)
+                eps = 10 ** rng.uniform(-3, -1) * cmath.exp(2j * math.pi * rng.random())
+                gon = unfolding_periods(EigenvalueFunction(k, TruncatedSeries(c)), eps)
+                assert abs(gon.gap) > 1e-6
+                tm = build_tau_model(gon, 1.0 + abs(gon.gap) / math.tan(math.pi / (2 * k + 2)))
+                want = 1j * tm.periods / np.abs(tm.periods)
+                assert np.abs(tm.strip_axes - want).max() <= 1e-12
 
     def test_strips_point_outward(self):
         gon = periods(ModelField(4, cmath.exp(1.7j)))
