@@ -3,7 +3,9 @@
 The module computes the exact combinatorial-geometric data (singularities,
 periods, period-gon, homoclinic angles, zig-zag invariant) and provides an
 adaptive complex-plane integrator for trajectories and separatrices, so every
-combinatorial answer can be cross-checked dynamically.
+combinatorial answer can be cross-checked dynamically.  The Douady-Sentenac
+invariant, trunk and attachment, is read off the period-gon alone; its
+integrated counterpart ``ds_invariant_integrated`` is the oracle.
 
 One Dormand-Prince 5(4) kernel does all integration.  It reuses the last
 stage of an accepted step as the first of the next, so a step costs six
@@ -11,8 +13,8 @@ field evaluations, and it counts accepted and rejected steps and the
 smallest accepted step (``Trajectory.n_accepted``, ``n_rejected``,
 ``h_min_seen``).  ``integrate`` and ``separatrices`` follow an orbit until
 it is within the capture radius 1e-6 min(1, |eps|^{1/(k+1)}) of a singular
-point.  Callers that need only where an orbit lands (``_attachment``,
-``ds_invariant_integrated`` and ``disk.separating_regions``) call
+point.  Callers that need only where an orbit lands
+(``ds_invariant_integrated`` and ``disk.separating_regions``) call
 ``landing_index``, which stops as soon as the orbit enters the certified
 disk |z - z_l| < rho_l of a root z_l attracting in the integration
 direction; ``landing_radii`` gives rho_l and the argument that an orbit
@@ -205,15 +207,12 @@ class Termination(str, Enum):
 @dataclass(frozen=True)
 class IntegratorControls:
     rtol: float = 1e-10
-    atol: float = 1e-13
     capture_radius: float | None = None  # default 1e-6 * min(1, |eps|^{1/(k+1)})
     escape_radius: float | None = None  # default 10 * |eps|^{1/(k+1)} + 10
     boundary_radius: float | None = None  # e.g. the disk radius r, if restricted
     time_cap: float = 1e4
     max_steps: int = 200_000
-    h_init: float = 1e-3
     h_min: float = 1e-14
-    h_max: float = 1.0
 
     def resolved(self, fld: ModelField):
         cap = self.capture_radius
@@ -267,6 +266,8 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
 )
+# absolute error tolerance, largest first step and largest step of the kernel
+ATOL, H_INIT, H_MAX = 1e-13, 1e-3, 1.0
 
 
 def _dopri(fld, z0, direction, ctl, disks, path=None):
@@ -292,18 +293,18 @@ def _dopri(fld, z0, direction, ctl, disks, path=None):
             return big
         return z**k1 - eps
 
-    rtol, atol, h_min, h_max = ctl.rtol, ctl.atol, ctl.h_min, ctl.h_max
+    rtol, h_min = ctl.rtol, ctl.h_min
     time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, ctl.escape_radius
     z = complex(z0)
     t = 0.0
     p1 = f(z)
-    h = min(ctl.h_init, 1e-2 / (1.0 + abs(p1)))
+    h = min(H_INIT, 1e-2 / (1.0 + abs(p1)))
     n_acc = n_rej = 0
     h_seen = math.inf
     for _ in range(ctl.max_steps):
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
-        h = min(h, h_max, time_cap - t)
+        h = min(h, H_MAX, time_cap - t)
         hd = h * direction
         p2 = f(z + hd * (_A21 * p1))
         p3 = f(z + hd * (_A31 * p1 + _A32 * p2))
@@ -313,7 +314,7 @@ def _dopri(fld, z0, direction, ctl, disks, path=None):
         z5 = z + hd * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
         p7 = f(z5)
         z4 = z + hd * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-        err = abs(z5 - z4) / (atol + rtol * max(abs(z), abs(z5)))
+        err = abs(z5 - z4) / (ATOL + rtol * max(abs(z), abs(z5)))
         if err <= 1.0:
             t += h
             z = z5
@@ -496,30 +497,6 @@ class DSInvariant:
         }
 
 
-def _band_edges(gon: PeriodGon, tol: float):
-    """Edges of the trunk from overlapping side projections, via a band sweep."""
-    v = gon.vertices
-    scale = gon.scale
-    heights = np.sort(v.imag)
-    if np.diff(heights).min() <= tol * scale:
-        raise AtBifurcation("two period-gon vertices share a height")
-    sides = [(ell, *gon.side(ell)) for ell in range(gon.k + 1)]
-    edges = []
-    for lo, hi in zip(heights[:-1], heights[1:]):
-        y = 0.5 * (lo + hi)
-        cover = []
-        for ell, a, b in sides:
-            ia, ib = a.imag, b.imag
-            if min(ia, ib) < y < max(ia, ib):
-                x = a.real + (b.real - a.real) * (y - ia) / (ib - ia)
-                cover.append((x, ell))
-        if len(cover) != 2:
-            raise AtBifurcation(f"band at height {y:g} covered by {len(cover)} sides")
-        cover.sort()
-        edges.append((cover[0][1], cover[1][1]))
-    return edges
-
-
 def _walk_path(edges, n_vertices):
     adj = {i: [] for i in range(n_vertices)}
     for a, b in edges:
@@ -527,7 +504,7 @@ def _walk_path(edges, n_vertices):
         adj[b].append(a)
     ends = [i for i, nbrs in adj.items() if len(nbrs) == 1]
     if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in adj.values()):
-        raise AtBifurcation("projection overlaps do not form a trunk")
+        raise AtBifurcation("integrated connections do not form a trunk")
     start = min(ends)
     order = [start]
     prev = None
@@ -535,80 +512,95 @@ def _walk_path(edges, n_vertices):
     while len(order) < n_vertices:
         nxt = [w for w in adj[cur] if w != prev]
         if len(nxt) != 1:
-            raise AtBifurcation("projection overlaps do not form a trunk")
+            raise AtBifurcation("integrated connections do not form a trunk")
         prev, cur = cur, nxt[0]
         order.append(cur)
     return tuple(order)
 
 
-def _attachment(fld: ModelField, controls=None) -> int:
-    """Landing index of the separatrix with asymptotic direction arg z = 0."""
-    ctl = (controls or IntegratorControls()).resolved(fld)
-    launch = 0.995 * ctl.escape_radius
-    landed = landing_index(fld, launch + 0j, direction=-1, controls=ctl)
-    if landed is None:
-        raise AtBifurcation("distinguished separatrix failed to land")
-    return landed
+def _gon_attachment(fld: ModelField, gon: PeriodGon) -> int:
+    """Landing index of the separatrix with asymptotic direction arg z = 0.
 
-
-def ds_invariant(
-    fld: ModelField,
-    tol: float = 1e-9,
-    validate: bool = False,
-    controls: IntegratorControls | None = None,
-) -> DSInvariant:
-    """The combinatorial invariant, from side-projection overlaps.
-
-    The trunk ordering comes from the band sweep of the period-gon; the
-    attachment comes from integrating the distinguished separatrix
-    (asymptotic direction nearest arg z = 0).  With ``validate=True`` the
-    trunk is recomputed from integrated trajectories and must agree.
+    In t = int dz/(z^{k+1} - eps) infinity in the sector s of z = 1 is the
+    vertex p = v_s, and the separatrix in reversed time is the ray from p
+    towards -infinity.  It lands at the side not ending at p that it
+    crosses (the gon is convex, so there is at most one), else in the strip
+    of side s or s+1 whose corner cone at p, spanned by the unit vector u
+    along the side away from p and the outward normal n, contains
+    -1 = -Re(u) u - Re(n) n.  The side with the larger min(-Re u, -Re n) is
+    taken, which also decides eps > 0 at even k, where -1 = n on side s,
+    without a tolerance.
     """
-    flagged, _ = is_homoclinic(fld, tol)
-    if flagged:
-        raise AtBifurcation("arg eps lies on a homoclinic ray")
+    k1 = fld.k + 1
+    s = sector_index(fld, 1 + 0j)[0]
+    p = gon.vertices[s]
+    at_p = (s, (s + 1) % k1)
+    for ell in range(k1):
+        a, b = gon.side(ell)
+        if ell not in at_p and min(a.imag, b.imag) < p.imag < max(a.imag, b.imag):
+            if a.real + (b.real - a.real) * (p.imag - a.imag) / (b.imag - a.imag) < p.real:
+                return ell
+
+    def depth(ell):
+        a, b = gon.side(ell)
+        u = (a - b if ell == s else b - a) / abs(b - a)
+        return min(-u.real, -outward_normal(a, b).real)
+
+    return max(at_p, key=depth)
+
+
+def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> DSInvariant:
+    """The combinatorial invariant, read off the period-gon.
+
+    The trunk sorts the sides by the heights of their (lower, upper) ends:
+    the vertices of the regular gon alternate between its left and right
+    chains when their heights are distinct, so an upward sweep meets each
+    side at its lower end.  The attachment is ``_gon_attachment``.  Both
+    need only the distinct heights that ``is_homoclinic`` checks.  With
+    ``validate=True`` both must agree with ``ds_invariant_integrated``.
+    """
     gon = periods(fld)
-    order = _walk_path(_band_edges(gon, tol), fld.k + 1)
-    inv = DSInvariant(
-        k=fld.k, epsilon=fld.epsilon, order=order, attachment=_attachment(fld, controls)
-    ).normalised()
+    if homoclinic_defect(fld, gon)[0] <= tol:
+        raise AtBifurcation("arg eps lies on a homoclinic ray")
+    spans = [sorted((a.imag, b.imag)) for a, b in map(gon.side, range(fld.k + 1))]
+    order = tuple(sorted(range(fld.k + 1), key=spans.__getitem__))
+    inv = DSInvariant(fld.k, fld.epsilon, order, _gon_attachment(fld, gon)).normalised()
     if validate:
-        other = ds_invariant_integrated(fld, controls=controls)
-        if other.order != inv.order:
+        other = ds_invariant_integrated(fld)
+        if (other.order, other.attachment) != (inv.order, inv.attachment):
             raise AtBifurcation(
-                f"projection trunk {inv.order} != integrated trunk {other.order}"
+                f"gon trunk {inv.order}, attachment {inv.attachment} != "
+                f"integrated trunk {other.order}, attachment {other.attachment}"
             )
     return inv
 
 
-def ds_invariant_integrated(
-    fld: ModelField,
-    n_angles: int = 24,
-    seed_scale: float = 0.2,
-    controls: IntegratorControls | None = None,
-) -> DSInvariant:
+def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
     """The invariant recovered purely dynamically.
 
     Orbits seeded on circles around each singularity are integrated both
     ways; each generic orbit joins two singular points, and the collected
-    connections must assemble into the trunk.
+    connections must assemble into the trunk.  The attachment is where the
+    separatrix with asymptotic direction arg z = 0 lands in reversed time.
     """
     sing = singularities(fld)
     k1 = fld.k + 1
     gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
-    rho = seed_scale * min(gaps)
+    rho = 0.2 * min(gaps)  # seed circles of a fifth of the closest root spacing
     edges = set()
     for ell in range(k1):
         for m in range(n_angles):
             seed = sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-            fwd = landing_index(fld, seed, 1, controls)
-            bwd = landing_index(fld, seed, -1, controls)
+            fwd = landing_index(fld, seed, 1)
+            bwd = landing_index(fld, seed, -1)
             if fwd is not None and bwd is not None and fwd != bwd:
                 edges.add(frozenset((fwd, bwd)))
     order = _walk_path([tuple(sorted(e)) for e in edges], k1)
-    return DSInvariant(
-        k=fld.k, epsilon=fld.epsilon, order=order, attachment=_attachment(fld, controls)
-    ).normalised()
+    launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
+    attachment = landing_index(fld, launch + 0j, direction=-1)
+    if attachment is None:
+        raise AtBifurcation("distinguished separatrix failed to land")
+    return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
 
 
 def apply_transition(order, parity: int):

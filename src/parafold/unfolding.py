@@ -236,10 +236,11 @@ def factor_family(spec: FamilySpec, z_order: int | None = None, choice: int = 0)
     g = (root.extended(z_order) * gamma).shift_up(1)
     ginv = g.reversion()
     jac = g.derivative().extended(z_order).compose(ginv)
+    omega = BivariateSeries(spec.omega.coefficients, z_order, spec.omega.eps_order)
+    omega_t = omega.compose_z(ginv.extended(z_order)).mul_z(jac)
+    # the eps columns past the stored ones are zero: pad them only for the division
     eps_work = spec.omega.eps_order + 1 + math.ceil((z_order + 1) / (k + 1))
-    omega_pad = BivariateSeries(spec.omega.coefficients, z_order, eps_work)
-    omega_t = omega_pad.compose_z(ginv.extended(z_order)).mul_z(jac)
-    v = _divide_by_model(omega_t, k)
+    v = _divide_by_model(BivariateSeries(omega_t.coefficients, eps_order=eps_work), k)
     return replace(spec, factored=FactoredForm(g=g, v=v))
 
 

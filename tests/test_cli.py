@@ -342,6 +342,10 @@ class TestCanonNfDsinv:
         assert data["order"] == [1, 0, 2]
         assert data["attachment"] == 0
 
+    def test_dsinv_near_homoclinic_ray(self):
+        # 1e-3 from the ray theta = pi: the integrated separatrix does not land
+        assert run_main(["dsinv", "--k", "1", "--eps=-1+0.001i"])[0] == 0
+
     def test_dsinv_at_bifurcation_fails(self):
         res = run_cli(["dsinv", "--k", "2", "--eps", "0.7071067811865476+0.7071067811865475i"])
         assert res.returncode == 3

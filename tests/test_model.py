@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import quad_rectify
+from parafold import model
 from parafold.model import (
+    ATOL,
+    H_INIT,
+    H_MAX,
     AtBifurcation,
     DegenerateParameter,
+    DSInvariant,
     IntegratorControls,
     ModelField,
     PathThroughSingularity,
@@ -69,14 +74,14 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
 
     zs, ts = [complex(z0)], [0.0]
     z, t = complex(z0), 0.0
-    h = min(ctl.h_init, 1e-2 / (1.0 + abs(f(z0))))
+    h = min(H_INIT, 1e-2 / (1.0 + abs(f(z0))))
     termination, landed = Termination.TIME_CAP, None
     n_rej, h_min = 0, math.inf
     ks = [0j] * 7
     for _ in range(ctl.max_steps):
         if h < ctl.h_min:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
-        h = min(h, ctl.h_max, ctl.time_cap - t)
+        h = min(h, H_MAX, ctl.time_cap - t)
         ks[0] = f(z)
         for i in range(1, 7):
             acc = 0j
@@ -85,7 +90,7 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
             ks[i] = f(z + h * acc)
         z5 = z + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
         z4 = z + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-        err = abs(z5 - z4) / (ctl.atol + ctl.rtol * max(abs(z), abs(z5)))
+        err = abs(z5 - z4) / (ATOL + ctl.rtol * max(abs(z), abs(z5)))
         if err <= 1.0:
             t += h
             z = z5
@@ -171,6 +176,16 @@ def _generic_field(rng, k, log_eps=(-1.0, 0.0), margin=1e-2):
         fld = ModelField(k, eps)
         if homoclinic_defect(fld)[0] > margin:
             return fld
+
+
+def _near_ray_fields(ks=range(1, 8), abs_eps=(0.5, 1.0, 3.0)):
+    """Fields at offsets 1e-3 down to 1e-8 on both sides of every theta_j."""
+    for k in ks:
+        for theta in bifurcation_angles(k):
+            for r in abs_eps:
+                for offset in (1e-3, 1e-4, 1e-6, 1e-8):
+                    for side in (-1, 1):
+                        yield ModelField(k, r * cmath.exp(1j * (theta + side * offset)))
 
 
 class TestSingularities:
@@ -513,6 +528,61 @@ class TestDSInvariant:
         with pytest.raises(AtBifurcation):
             ds_invariant(ModelField(2, cmath.exp(1j * math.pi / 4)))
 
+    def test_defined_near_every_ray(self):
+        # the trunk is a path of the side-overlap graph: consecutive sides
+        # overlap in open height span, and exactly k pairs of sides do
+        for fld in _near_ray_fields():
+            order = ds_invariant(fld).order
+            assert sorted(order) == list(range(fld.k + 1))
+            assert is_zigzag(order, singularities(fld))
+            gon = periods(fld)
+            spans = [sorted((a.imag, b.imag)) for a, b in map(gon.side, range(fld.k + 1))]
+
+            def overlap(i, j):
+                return max(spans[i][0], spans[j][0]) < min(spans[i][1], spans[j][1])
+
+            assert all(overlap(a, b) for a, b in zip(order, order[1:]))
+            pairs = itertools.combinations(range(fld.k + 1), 2)
+            assert sum(overlap(a, b) for a, b in pairs) == fld.k
+
+    def test_attachment_agrees_with_integration(self):
+        # the arg z = 0 separatrix, launched as in ds_invariant_integrated;
+        # points where that orbit does not land are skipped and counted
+        rng = np.random.default_rng(512)
+        checked = skipped = 0
+        while checked < 500:
+            k = int(rng.integers(1, 8))
+            fld = ModelField(k, rng.uniform(0.3, 2.0) * cmath.exp(2j * math.pi * rng.random()))
+            attachment = ds_invariant(fld).attachment
+            launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
+            landed = landing_index(fld, launch + 0j, direction=-1)
+            if landed is None:
+                skipped += 1
+                continue
+            assert attachment == landed
+            checked += 1
+        assert skipped < 10
+
+    def test_integrates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ds_invariant integrated an orbit")
+
+        monkeypatch.setattr(model, "landing_index", refuse)
+        monkeypatch.setattr(model, "_dopri", refuse)
+        assert ds_invariant(ModelField(2, 1.0)).attachment == 0
+        for fld in _near_ray_fields(ks=(1, 4), abs_eps=(1.0,)):
+            ds_invariant(fld)
+
+    def test_validate_compares_attachment(self, monkeypatch):
+        fld = ModelField(2, 1.0)
+        inv = ds_invariant(fld)
+        wrong = DSInvariant(2, fld.epsilon, inv.order, (inv.attachment + 1) % 3)
+        monkeypatch.setattr(model, "ds_invariant_integrated", lambda fld: wrong)
+        with pytest.raises(AtBifurcation) as exc:
+            ds_invariant(fld, validate=True)
+        assert f"attachment {inv.attachment}" in str(exc.value)
+        assert f"attachment {wrong.attachment}" in str(exc.value)
+
 
 class TestDSTransition:
     def test_rule_text_example(self):
@@ -530,8 +600,9 @@ class TestDSTransition:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_rule_across_all_angles(self, k):
         for j in range(2 * k):
-            before, after = ds_transition(k, j)
-            assert transition_rule_holds(before, after)
+            for offset in (1e-3, 1e-6, 1e-8):
+                before, after = ds_transition(k, j, probe_offset=offset)
+                assert transition_rule_holds(before, after)
 
     def test_sides_are_zigzag(self):
         before, after = ds_transition(2, 1)

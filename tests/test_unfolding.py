@@ -184,6 +184,23 @@ class TestDivideByModel:
             want = _divide_by_model_reference(omega_t, k).coefficients
             assert got.tobytes() == want.tobytes(), (k, nz, ne)
 
+    def test_stored_columns_only_bit_for_bit(self):
+        # factor_family composes only the stored eps columns of omega; the
+        # reference pads omega to the working eps-order before composing
+        rng = np.random.default_rng(24)
+        for k in range(1, 5):
+            for order in (40, 80, 160):
+                for _ in range(2):
+                    spec = factor_family(realize(random_eigenvalue(rng, k, order)))
+                    z_order = spec.omega.z_order
+                    ginv = spec.factored.g.reversion()
+                    jac = spec.factored.g.derivative().extended(z_order).compose(ginv)
+                    eps_work = spec.omega.eps_order + 1 + math.ceil((z_order + 1) / (k + 1))
+                    omega_pad = BivariateSeries(spec.omega.coefficients, z_order, eps_work)
+                    omega_t = omega_pad.compose_z(ginv.extended(z_order)).mul_z(jac)
+                    want = _divide_by_model(omega_t, k).coefficients
+                    assert spec.factored.v.coefficients.tobytes() == want.tobytes(), (k, order)
+
 
 class TestEigenvalueFunction:
     def test_trivial_unit(self):
