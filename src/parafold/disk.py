@@ -479,12 +479,7 @@ def _classify_point(fld: ModelField, r: float, alpha: float, controls) -> str:
     return "separating"
 
 
-def separating_regions(
-    fld: ModelField,
-    r: float,
-    samples_per_arc: int = 24,
-    controls: IntegratorControls | None = None,
-) -> list[BoundaryArc]:
+def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> list[BoundaryArc]:
     """Classify the boundary circle into incoming/outgoing/separating arcs.
 
     The 2k exact tangency angles cut the circle into arcs on which the field
@@ -494,9 +489,7 @@ def separating_regions(
     orbits born at a singularity label theirs ``outgoing`` and orbits that
     cross the disk label ``separating``.
     """
-    base = controls or IntegratorControls()
-    ctl = base.resolved(fld)
-    ctl = replace(ctl, boundary_radius=r * (1.0 - 1e-12))
+    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12)).resolved(fld)
     tset = tangency_angles(fld.k, fld.epsilon, r)
     cuts = np.sort(tset.angles)
     arcs = []

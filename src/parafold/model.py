@@ -430,12 +430,9 @@ def separatrix_directions(k: int) -> np.ndarray:
     return np.arange(2 * k) * math.pi / k
 
 
-def separatrices(
-    fld: ModelField,
-    launch_radius: float | None = None,
-    controls: IntegratorControls | None = None,
-) -> list[Trajectory]:
-    """The 2k separatrices, integrated inward from a far-field launch circle.
+def separatrices(fld: ModelField, controls: IntegratorControls | None = None) -> list[Trajectory]:
+    """The 2k separatrices, integrated inward from the launch circle at 0.995
+    times the escape radius.
 
     Outgoing separatrices (even j) are integrated in reversed time so that
     every trajectory runs from the launch point towards its landing point.
@@ -443,12 +440,7 @@ def separatrices(
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
     ctl = (controls or IntegratorControls()).resolved(fld)
-    if launch_radius is None:
-        launch_radius = 0.995 * ctl.escape_radius
-    if launch_radius <= fld.scale:
-        raise ValueError("launch radius must exceed |eps|^{1/(k+1)}")
-    if launch_radius >= ctl.escape_radius:
-        ctl = replace(ctl, escape_radius=launch_radius / 0.995)
+    launch_radius = 0.995 * ctl.escape_radius
     out = []
     for j, ang in enumerate(separatrix_directions(fld.k)):
         outgoing = j % 2 == 0

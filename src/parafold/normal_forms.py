@@ -2,9 +2,8 @@
 
 The polynomial form (z^{k+1} - eps) Q_eps(z) carries the degree-<=k
 interpolant of sigma at the singular points; the rational form interpolates
-1/sigma.  Both coefficient families are analytic in eps and are recovered
-exactly from the residue-class decomposition of sigma, with circle-sampled
-Lagrange interpolation kept as an independent pointwise oracle.  Kostov-type
+1/sigma.  Both coefficient families are analytic in eps and are read off
+exactly from the residue-class decomposition of sigma.  Kostov-type
 data (monic centred P_eps over 1 + A(eps) z^k) is not constructed, only
 checked for canonicity and uniqueness.
 """
@@ -12,12 +11,10 @@ checked for canonicity and uniqueness.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelField, singularities
 from .series import (
     MAX_JSON_ORDER,
     UNIT_TOL,
@@ -37,117 +34,6 @@ class NotCanonical(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Lagrange / Hermite interpolation at the singular points
-# ---------------------------------------------------------------------------
-
-
-def _hermite_divided_differences(values_fn, derivs_fn, nodes, coalesce_tol):
-    """Newton divided-difference coefficients with confluent nodes.
-
-    ``derivs_fn(x, m)`` must return f^(m)(x)/m!; equal nodes (within the
-    coalescence threshold) take the Hermite limit.
-    """
-    n = len(nodes)
-    x = np.asarray(nodes, dtype=complex)
-    scale = max(np.abs(x).max(initial=0.0), 1e-300)
-    # group nearly-equal nodes and snap each group to its mean
-    order = np.lexsort((x.imag, x.real))
-    x = x[order]
-    groups = []
-    for xi in x:
-        if groups and abs(xi - groups[-1][0]) < coalesce_tol * scale:
-            groups[-1][1].append(xi)
-        else:
-            groups.append([xi, [xi]])
-    xs = []
-    for g in groups:
-        center = np.mean(g[1])
-        xs.extend([center] * len(g[1]))
-    xs = np.array(xs)
-    table = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        table[i, i] = values_fn(xs[i])
-    for width in range(1, n):
-        for i in range(n - width):
-            j = i + width
-            if xs[i] == xs[j]:
-                table[i, j] = derivs_fn(xs[i], width)
-            else:
-                table[i, j] = (table[i + 1, j] - table[i, j - 1]) / (xs[j] - xs[i])
-    return xs, table[0, :]
-
-
-def lagrange_Q(
-    sigma: TruncatedSeries,
-    k: int,
-    eps: complex,
-    nodes=None,
-    coalesce_tol: float = 1e-4,
-) -> np.ndarray:
-    """The unique degree-<=k polynomial with Q(delta_i) = sigma(delta_i).
-
-    The nodes default to the k+1 roots of delta^{k+1} = eps; near (or at)
-    node coalescence the interpolant is computed by confluent divided
-    differences, whose limit is the Taylor polynomial of sigma.  Nodes are
-    sorted internally, so any permutation of an explicit node list yields
-    the identical result.
-    """
-    if nodes is None:
-        if eps == 0:
-            nodes = np.zeros(k + 1, dtype=complex)
-        else:
-            nodes = singularities(ModelField(k, eps))
-    if len(nodes) != k + 1:
-        raise ValueError("need exactly k+1 interpolation nodes")
-
-    taylor_cache = {}
-
-    def taylor(x, m):
-        # coefficient of (z-x)^m in the expansion of sigma around x
-        key = complex(x)
-        if key not in taylor_cache:
-            vals = []
-            d = sigma
-            fact = 1.0
-            for row in range(sigma.order + 1):
-                vals.append(d(key) / fact)
-                d = d.derivative()
-                fact *= row + 1
-            taylor_cache[key] = vals
-        return taylor_cache[key][m] if m <= sigma.order else 0j
-
-    xs, dd = _hermite_divided_differences(
-        values_fn=lambda x: sigma(x),
-        derivs_fn=taylor,
-        nodes=nodes,
-        coalesce_tol=coalesce_tol,
-    )
-    # expand Newton form sum dd_i prod_{j<i}(z - x_j)
-    coeffs = np.zeros(k + 1, dtype=complex)
-    basis = np.zeros(k + 1, dtype=complex)
-    basis[0] = 1.0
-    for i in range(k + 1):
-        coeffs += dd[i] * basis
-        if i + 1 <= k:
-            new = np.zeros(k + 1, dtype=complex)
-            new[1:] = basis[:-1]
-            basis = new - xs[i] * basis
-    return coeffs
-
-
-def lagrange_Q_determinant(sigma, k, eps, nodes=None) -> np.ndarray:
-    """Same interpolant via the Vandermonde determinant identity (oracle).
-
-    The default nodes are the roots of delta^{k+1} = eps, so eps = 0 raises
-    ``DegenerateParameter``.
-    """
-    nodes = singularities(ModelField(k, eps)) if nodes is None else np.asarray(nodes, dtype=complex)
-    vander = np.vander(nodes, k + 1, increasing=True)
-    values = np.array([sigma(x) for x in nodes])
-    return np.linalg.solve(vander, values)
-
-
-# ---------------------------------------------------------------------------
 # coefficient families in eps
 # ---------------------------------------------------------------------------
 
@@ -163,10 +49,6 @@ class PolynomialNF:
     def __post_init__(self):
         if len(self.coefficients) != self.k + 1:
             raise ValueError("need k+1 coefficient series")
-
-    @property
-    def eps_order(self):
-        return min(c.order for c in self.coefficients)
 
     def constant_term(self) -> TruncatedSeries:
         """Q_eps(0) = b_0(eps)."""
@@ -201,90 +83,48 @@ class PolynomialNF:
         return cls(k=k, coefficients=tuple(TruncatedSeries.from_dict(c) for c in series), kind=kind)
 
 
-def _sigma_of(spec_or_sigma, sigma_order=32):
+def _sigma_of(spec_or_sigma):
     if isinstance(spec_or_sigma, TruncatedSeries):
         return spec_or_sigma
     if isinstance(spec_or_sigma, EigenvalueFunction):
         return spec_or_sigma.sigma
-    spec = spec_or_sigma
-    return eigenvalue_function(spec, order=sigma_order + spec.k).sigma
+    return eigenvalue_function(spec_or_sigma, order=32 + spec_or_sigma.k).sigma
 
 
-def _split_coefficients(sigma: TruncatedSeries, k: int, eps_order) -> tuple:
-    parts = sigma.class_split(k + 1)
-    out = []
-    for j, part in enumerate(parts):
-        n = part.order if eps_order is None else min(eps_order, part.order)
-        out.append(part.truncated(n))
-    return tuple(out)
-
-
-def _sampled_coefficients(sigma, k, eps_order, radii=(1e-2, 1e-3)) -> tuple:
-    """Coefficient series by circle sampling and discrete Fourier projection.
-
-    Kept as an independent (if noise-amplifying for high orders) route; the
-    two radii provide the consistency check.
-    """
-    m_samples = 4 * (eps_order + 1)
-    estimates = []
-    for rho in radii:
-        phis = 2 * math.pi * np.arange(m_samples) / m_samples
-        qs = np.array(
-            [lagrange_Q(sigma, k, rho * cmath.exp(1j * p)) for p in phis]
-        )  # (samples, k+1)
-        est = np.empty((k + 1, eps_order + 1), dtype=complex)
-        for m in range(eps_order + 1):
-            est[:, m] = (qs * np.exp(-1j * m * phis)[:, None]).mean(axis=0) / rho**m
-        estimates.append(est)
-    consistency = float(np.abs(estimates[0] - estimates[1]).max())
-    series = tuple(TruncatedSeries(estimates[0][j]) for j in range(k + 1))
-    return series, consistency
-
-
-def polynomial_nf(
-    spec_or_sigma,
-    k: int | None = None,
-    eps_order: int | None = 8,
-    method: str = "split",
-) -> PolynomialNF:
+def polynomial_nf(spec_or_sigma, k: int | None = None, eps_order: int | None = 8) -> PolynomialNF:
     """Coefficients of the polynomial normal form (z^{k+1} - eps) Q_eps(z).
 
-    The identity sigma(delta) = sum_j delta^j b_j(delta^{k+1}) determines
-    Q_eps exactly (``split``); ``sampled`` reconstructs the series from
-    Lagrange data on parameter circles instead and cross-checks two radii.
+    A truncated sigma is a polynomial, so sigma(delta) = sum_j delta^j
+    b_j(delta^{k+1}) holds identically, and Q_eps(z) = sum_j b_j(eps) z^j
+    takes the values of sigma at the k+1 roots of delta^{k+1} = eps.  The
+    b_j are the residue classes of sigma mod k+1, each truncated at
+    ``eps_order`` unless it is None.
     """
-    return _normal_form(spec_or_sigma, k, eps_order, method, "polynomial")
+    k = spec_or_sigma.k if k is None else k
+    parts = _sigma_of(spec_or_sigma).class_split(k + 1)
+    if eps_order is not None:
+        parts = [part.truncated(min(eps_order, part.order)) for part in parts]
+    return PolynomialNF(k=k, coefficients=tuple(parts))
 
 
-def rational_nf(
-    spec_or_sigma,
-    k: int | None = None,
-    eps_order: int | None = 8,
-    method: str = "split",
-) -> PolynomialNF:
-    """Coefficients of the rational normal form (z^{k+1} - eps)/R_eps(z).
+def rational_nf(spec_or_sigma, k: int | None = None, eps_order: int | None = 8) -> PolynomialNF:
+    """Coefficients of the rational normal form (z^{k+1} - eps)/R_eps(z):
+    the polynomial form of 1/sigma."""
+    k = spec_or_sigma.k if k is None else k
+    sigma = _sigma_of(spec_or_sigma)
+    if not sigma.is_unit():
+        raise NotAUnit("sigma must not vanish at the origin")
+    nf = polynomial_nf(sigma.reciprocal(), k, eps_order)
+    return PolynomialNF(k=nf.k, coefficients=nf.coefficients, kind="rational")
 
-    Identical pipeline with target values 1/sigma(delta_i).
+
+def lagrange_Q(sigma: TruncatedSeries, k: int, eps: complex) -> np.ndarray:
+    """Coefficients of the degree-<=k polynomial Q_eps with Q_eps(delta) =
+    sigma(delta) at the k+1 roots of delta^{k+1} = eps: the untruncated
+    polynomial normal form at eps.  It is the unique interpolant for every
+    eps != 0, however small, and the Taylor polynomial of sigma at 0.
     """
-    return _normal_form(spec_or_sigma, k, eps_order, method, "rational")
-
-
-def _normal_form(spec_or_sigma, k, eps_order, method, kind) -> PolynomialNF:
-    """The pipeline of both forms: the rational one interpolates 1/sigma."""
-    if k is None:
-        k = spec_or_sigma.k
-    target = _sigma_of(spec_or_sigma)
-    if kind == "rational":
-        if not target.is_unit():
-            raise NotAUnit("sigma must not vanish at the origin")
-        target = target.reciprocal()
-    if method == "split":
-        coeffs = _split_coefficients(target, k, eps_order)
-    elif method == "sampled":
-        coeffs, _ = _sampled_coefficients(target, k, 4 if eps_order is None else eps_order)
-    else:
-        raise ValueError("method must be 'split' or 'sampled'")
-    return PolynomialNF(k=k, coefficients=coeffs, kind=kind)
+    return polynomial_nf(sigma, k, eps_order=None).eval_at(eps)
 
 
 @dataclass(frozen=True)

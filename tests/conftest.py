@@ -1,7 +1,12 @@
+import cmath
 import contextlib
 import io
+import math
+
+import numpy as np
 
 from parafold import cli
+from parafold.model import ModelField, singularities
 
 _ACCEPTANCE_LINES = []
 
@@ -27,6 +32,30 @@ def quad_rectify(fld, z):
 
     val, _ = quad(integrand, 0.0, 1.0, complex_func=True, limit=200, epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def vandermonde_Q(sigma, k, eps):
+    """Q_eps by a Vandermonde solve at the roots of delta^{k+1} = eps: the
+    independent oracle of ``normal_forms.lagrange_Q`` (eps = 0 raises
+    ``DegenerateParameter``)."""
+    nodes = singularities(ModelField(k, eps))
+    values = np.array([sigma(x) for x in nodes])
+    return np.linalg.solve(np.vander(nodes, k + 1, increasing=True), values)
+
+
+def sampled_nf(sigma, k, eps_order):
+    """The coefficient series of Q_eps up to ``eps_order``, one (k+1,
+    eps_order+1) array for each of the radii 1e-2 and 1e-3: ``vandermonde_Q``
+    on a parameter circle, projected onto eps^m by a discrete Fourier sum.
+    The independent oracle of the class split in ``normal_forms.polynomial_nf``."""
+    n = 4 * (eps_order + 1)
+    phis = 2 * math.pi * np.arange(n) / n
+    m = np.arange(eps_order + 1)
+    estimates = []
+    for rho in (1e-2, 1e-3):
+        qs = np.array([vandermonde_Q(sigma, k, rho * cmath.exp(1j * p)) for p in phis])
+        estimates.append(qs.T @ np.exp(-1j * np.outer(phis, m)) / (n * rho**m))
+    return estimates
 
 
 def run_main(argv):

@@ -1,26 +1,35 @@
-"""High-order series operations against mpmath at 30 digits.
+"""High-order series operations and the interpolant Q_eps against mpmath.
 
-The inputs are units whose coefficients decay like 0.3^n, so every exact
-coefficient of the results stays of order one.  Errors are measured per
-coefficient relative to max(1, |exact|); the bounds were fixed before the
-first run.
+The series inputs of the first tests are units whose coefficients decay like
+0.3^n, and errors are measured per coefficient relative to max(1, |exact|):
+past degree about 35 that bounds them only absolutely.  The reciprocal and
+root cases with 0.9^n and 0.7^n decay keep the exact coefficients away from
+zero and bound each one relative to its own size.  ``lagrange_Q`` is checked
+against a 60-digit Vandermonde solve down to |eps| = 1e-30.  The bounds were
+fixed before the first run.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
+from parafold.normal_forms import lagrange_Q
 from parafold.series import TruncatedSeries
 
 RECIPROCAL_BOUND = 1e-12
 KTH_ROOT_BOUND = 1e-12
 REVERSION_BOUND = 1e-9
+SLOW_DECAY_BOUND = 1e-11
+LAGRANGE_BOUND = 1e-13
 
 
-def _decaying_unit(rng, order, c0):
-    c = (rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)) * 0.3 ** np.arange(
-        order + 1
-    )
+def _decaying(rng, order, decay):
+    c = rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1)
+    return c * decay ** np.arange(order + 1)
+
+
+def _decaying_unit(rng, order, c0, decay=0.3):
+    c = _decaying(rng, order, decay)
     c[0] = c0
     return c
 
@@ -47,9 +56,10 @@ def _mp_power(c, alpha, order):
     return p
 
 
-def _worst_error(got, exact):
+def _worst_error(got, exact, floor=1):
+    """Largest error of ``got`` relative to max(floor, |exact|)."""
     return max(
-        float(abs(mpmath.mpc(complex(g)) - e) / max(1, abs(e))) for g, e in zip(got, exact)
+        float(abs(mpmath.mpc(complex(g)) - e) / max(floor, abs(e))) for g, e in zip(got, exact)
     )
 
 
@@ -71,6 +81,57 @@ def test_kth_root(order, k):
         c = _decaying_unit(rng, order, 1.0)
         got = TruncatedSeries(c).kth_root(k).coefficients
         assert _worst_error(got, _mp_power(_mp(c), mpmath.mpf(1) / k, order)) < KTH_ROOT_BOUND
+
+
+@pytest.mark.parametrize("order", [80, 160])
+@pytest.mark.parametrize("decay", [0.9, 0.7])
+def test_reciprocal_slow_decay(order, decay):
+    rng = np.random.default_rng(order + int(10 * decay))
+    with mpmath.workdps(40):
+        c = _decaying_unit(rng, order, 2 * np.exp(2j * np.pi * rng.random()), decay)
+        got = TruncatedSeries(c).reciprocal().coefficients
+        assert _worst_error(got, _mp_reciprocal(_mp(c)), floor=0) < SLOW_DECAY_BOUND
+
+
+@pytest.mark.parametrize("order", [80, 160])
+@pytest.mark.parametrize("decay", [0.9, 0.7])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_kth_root_slow_decay(order, decay, k):
+    rng = np.random.default_rng(10 * order + k + int(10 * decay))
+    with mpmath.workdps(40):
+        c = 0.5 * _decaying_unit(rng, order, 2.0, decay)
+        got = TruncatedSeries(c).kth_root(k).coefficients
+        exact = _mp_power(_mp(c), mpmath.mpf(1) / k, order)
+        assert _worst_error(got, exact, floor=0) < SLOW_DECAY_BOUND
+
+
+def _mp_interpolant(c, k, eps):
+    """Q_eps by an LU solve of the Vandermonde system at the exact roots of
+    delta^{k+1} = eps; at eps = 0 the Taylor polynomial, its limit."""
+    if eps == 0:
+        return _mp(c[: k + 1])
+    root = mpmath.root(mpmath.mpc(complex(eps)), k + 1)
+    nodes = [root * mpmath.expjpi(mpmath.mpf(2 * m) / (k + 1)) for m in range(k + 1)]
+    values = [mpmath.polyval(_mp(c[::-1]), x) for x in nodes]
+    vander = mpmath.matrix([[x**j for j in range(k + 1)] for x in nodes])
+    return mpmath.lu_solve(vander, mpmath.matrix(values))
+
+
+def test_lagrange_Q_small_eps():
+    # 4 sigma per (k, |eps|): 168 cases of orders k+2..40
+    rng = np.random.default_rng(30)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for k in range(1, 7):
+            for radius in (1e-3, 1e-6, 1e-9, 1e-12, 1e-20, 1e-30, 0.0):
+                for _ in range(4):
+                    c = _decaying(rng, int(rng.integers(k + 2, 41)), 0.6)
+                    eps = radius * np.exp(2j * np.pi * rng.random())
+                    got = lagrange_Q(TruncatedSeries(c), k, eps)
+                    exact = _mp_interpolant(c, k, eps)
+                    err = max(abs(mpmath.mpc(complex(g)) - e) for g, e in zip(got, exact))
+                    worst = max(worst, float(err))
+    assert worst < LAGRANGE_BOUND
 
 
 def test_reversion_order_80():

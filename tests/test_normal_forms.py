@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import sampled_nf, vandermonde_Q
 
 from parafold.series import NotAUnit, TruncatedSeries, exp_series
 from parafold.normal_forms import (
@@ -11,7 +12,6 @@ from parafold.normal_forms import (
     PolynomialNF,
     kostov_check,
     lagrange_Q,
-    lagrange_Q_determinant,
     poly_to_canonical_parameter,
     polynomial_nf,
     rational_nf,
@@ -66,19 +66,21 @@ class TestLagrange:
             sigma = random_series(rng, 18)
             eps = 0.3 * cmath.exp(2j * math.pi * rng.random())
             qa = lagrange_Q(sigma, k, eps)
-            qb = lagrange_Q_determinant(sigma, k, eps)
+            qb = vandermonde_Q(sigma, k, eps)
             assert np.abs(qa - qb).max() < 1e-10
 
-    def test_permutation_invariance_exact(self):
-        rng = np.random.default_rng(2)
-        sigma = random_series(rng, 14)
-        k = 3
-        eps = 0.4 + 0.1j
-        nodes = eps ** (1 / (k + 1)) * np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-        base = lagrange_Q(sigma, k, eps, nodes=nodes)
-        for perm in ([1, 0, 3, 2], [3, 2, 1, 0], [2, 3, 0, 1]):
-            got = lagrange_Q(sigma, k, eps, nodes=nodes[perm])
-            assert np.array_equal(base, got)
+    def test_matches_vandermonde_solve(self):
+        # 420 seeded points, |eps| log-uniform on [1e-3, 0.5]
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for _ in range(70):
+            for k in range(1, 7):
+                sigma = random_series(rng, int(rng.integers(k + 2, 41)))
+                radius = 10 ** rng.uniform(-3, math.log10(0.5))
+                eps = radius * cmath.exp(2j * math.pi * rng.random())
+                q = lagrange_Q(sigma, k, eps)
+                worst = max(worst, np.abs(q - vandermonde_Q(sigma, k, eps)).max())
+        assert worst < 1e-12
 
 
 class TestPolynomialNF:
@@ -126,10 +128,10 @@ class TestPolynomialNF:
         rng = np.random.default_rng(6)
         k = 2
         sigma = random_series(rng, 20)
-        a = polynomial_nf(sigma, k=k, eps_order=2, method="split")
-        b = polynomial_nf(sigma, k=k, eps_order=2, method="sampled")
-        for ca, cb in zip(a.coefficients, b.coefficients):
-            assert np.abs(ca.coefficients[:3] - cb.coefficients[:3]).max() < 1e-8
+        a = polynomial_nf(sigma, k=k, eps_order=2)
+        for est in sampled_nf(sigma, k, 2):
+            for ca, cb in zip(a.coefficients, est):
+                assert np.abs(ca.coefficients[:3] - cb).max() < 1e-8
 
 
 class TestRationalNF:
