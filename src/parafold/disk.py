@@ -93,7 +93,8 @@ def tangency_angles(k: int, eps, r: float, max_iter: int = 60) -> TangencySet:
     Newton iteration; each seed stops on its own once its step is below
     1e-15.  A seed whose derivative vanishes, which leaves its basin or
     whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported for
-    the first such seed in row order.
+    the first such seed in row order; where that row has r^{k+1} <= |eps|,
+    the message names this condition instead of the seed.
     """
     seeds = tangency_seeds(k)
     basin = math.pi / (2 * k)
@@ -121,6 +122,12 @@ def tangency_angles(k: int, eps, r: float, max_iter: int = 60) -> TangencySet:
     failed |= np.abs(_tangency_terms(k, rho, phi, a)[0]) > 1e-11
     if np.count_nonzero(failed):
         first = int(np.argmax(failed.ravel()))
+        abs_eps = abs(np.ravel(eps)[first // (2 * k)])
+        if r ** (k + 1) <= abs_eps:
+            raise NewtonDivergence(
+                f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
+                f"{r ** (k + 1):.6g} <= |eps| = {abs_eps:.6g}"
+            )
         j = first % (2 * k)
         if stalled.ravel()[first]:
             raise NewtonDivergence(f"vanishing derivative at seed {j}")

@@ -93,28 +93,60 @@ def _mul_raw(a, b):
     return np.convolve(a[:n], b[:n])[:n]
 
 
+def _newton_orders(start, n):
+    """Truncation orders of a Newton iteration whose iterate is exact to
+    order ``start``: each sweep doubles the resolved order, 2*start+1, ...,
+    up to n, and two sweeps run at n to settle the rounding."""
+    orders = []
+    while start < n:
+        start = min(2 * start + 1, n)
+        orders.append(start)
+    return orders + [n] * (2 - orders.count(n))
+
+
 def _reciprocal_raw(c):
+    """1/c by Newton's inv <- inv (2 - c inv) at doubling orders."""
     n = len(c) - 1
     inv = np.zeros(n + 1, dtype=complex)
     inv[0] = 1.0 / c[0]
-    for d in range(1, n + 1):
-        inv[d] = -np.dot(c[1 : d + 1], inv[d - 1 :: -1]) / c[0]
-    # one Newton polish squares the rounding residual of the recurrence
-    corr = -_mul_raw(c, inv)
-    corr[0] += 2.0
-    return _mul_raw(inv, corr)
+    for order in _newton_orders(0, n):
+        corr = -_mul_raw(c[: order + 1], inv[: order + 1])
+        corr[0] += 2.0
+        inv[: order + 1] = _mul_raw(inv[: order + 1], corr)
+    return inv
+
+
+def _power_table(inner, n):
+    """Rows inner^0 .. inner^m truncated at order n, m = isqrt(n+1): the
+    baby steps of ``_compose_table``."""
+    m = math.isqrt(n + 1)
+    table = np.zeros((m + 1, n + 1), dtype=complex)
+    table[0, 0] = 1.0
+    table[1] = inner[: n + 1]
+    for i in range(2, m + 1):
+        table[i] = _mul_raw(table[i - 1], table[1])
+    return table
+
+
+def _compose_table(outer, table):
+    """outer(inner) truncated at the table's order, by Brent and Kung's baby
+    steps and giant steps: the blocks of m coefficients of outer are taken
+    against inner^0 .. inner^{m-1} in one matrix product, and summed by
+    Horner in the giant step inner^m, about n/m products."""
+    m, width = table.shape[0] - 1, table.shape[1]
+    blocks = np.zeros((-(-width // m), m), dtype=complex)
+    blocks.flat[:width] = outer[:width]
+    parts = blocks @ table[:m]
+    acc = parts[-1]
+    for part in parts[-2::-1]:
+        acc = _mul_raw(acc, table[m]) + part
+    return acc
 
 
 def _compose_raw(outer, inner):
-    """Horner evaluation of outer at inner (inner constant term ignored)."""
-    n = min(len(outer), len(inner)) - 1
-    inner = inner[: n + 1]
-    acc = np.zeros(n + 1, dtype=complex)
-    acc[0] = outer[n]
-    for d in range(n - 1, -1, -1):
-        acc = np.convolve(acc, inner)[: n + 1]
-        acc[0] += outer[d]
-    return acc
+    """outer(inner) truncated at the shorter order, inner used as given (its
+    constant term included): one power table, then ``_compose_table``."""
+    return _compose_table(outer, _power_table(inner, min(len(outer), len(inner)) - 1))
 
 
 class TruncatedSeries:
@@ -320,36 +352,33 @@ class TruncatedSeries:
         """Compositional inverse g with self(g(x)) = x.
 
         Newton iteration on the composition equation, working at doubling
-        truncation orders so that each sweep costs what it resolves.
+        truncation orders so that each sweep costs what it resolves.  Each
+        sweep builds one power table of g and evaluates both self and its
+        derivative at g from it.
         """
         if abs(self._c[0]) > tol:
             raise NonZeroConstantTerm("series must vanish at the origin")
         if len(self._c) < 2 or abs(self._c[1]) <= tol:
             raise NotInvertible("linear coefficient is numerically zero")
         n = self.order
-        g = np.array([0.0, 1.0 / self._c[1]], dtype=complex)
+        g = np.zeros(n + 1, dtype=complex)
+        g[1] = 1.0 / self._c[1]
         dself = np.zeros(n + 1, dtype=complex)
         dself[:n] = self.derivative()._c[: n]
-        order = 1
-        sweeps_left = 2  # polish passes at full order for rounding
-        while True:
-            order = min(2 * order + 1, n)
-            if len(g) < order + 1:
-                g = np.concatenate([g, np.zeros(order + 1 - len(g), dtype=complex)])
-            residual = _compose_raw(self._c[: order + 1], g)
+        for order in _newton_orders(1, n):
+            table = _power_table(g, order)
+            residual = _compose_table(self._c, table)
             residual[1] -= 1.0
-            slope = _compose_raw(dself[: order + 1], g)
-            g = g - _mul_raw(residual, _reciprocal_raw(slope))
-            if order == n:
-                sweeps_left -= 1
-                if sweeps_left == 0:
-                    break
+            slope = _compose_table(dself, table)
+            g[: order + 1] -= _mul_raw(residual, _reciprocal_raw(slope))
         return TruncatedSeries(g)
 
     def kth_root(self, k, tol=1e-9):
         """The branch of the k-th root with value 1 at the origin.
 
-        Requires constant term 1 (callers normalise first).
+        Requires constant term 1 (callers normalise first).  Newton for
+        x^k = self, x <- x (k-1)/k + (self/k) x^{-(k-1)}, at doubling
+        truncation orders and then twice at full order.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -357,10 +386,10 @@ class TruncatedSeries:
             raise BadConstantTerm(f"constant term {self._c[0]!r} != 1")
         if k == 1:
             return self
-        x = TruncatedSeries.constant(1.0, self.order)
-        for _ in range(max(1, math.ceil(math.log2(self.order + 1))) + 2):
-            # Newton for x^k = self
-            x = x * ((k - 1) / k) + (self / k) * (x ** (k - 1)).reciprocal()
+        x = TruncatedSeries.constant(1.0, 0)
+        for order in _newton_orders(0, self.order):
+            x = x.extended(order)
+            x = x * ((k - 1) / k) + (self.truncated(order) / k) * (x ** (k - 1)).reciprocal()
         return x
 
     def class_split(self, modulus):
@@ -528,13 +557,15 @@ class BivariateSeries:
         return acc
 
     def compose_z(self, inner, tol=UNIT_TOL):
-        """Substitute z -> inner(z~) slice by slice in eps."""
+        """Substitute z -> inner(z~) slice by slice in eps, all slices from
+        one power table of inner."""
         if abs(inner.coefficients[0]) > tol:
             raise NonZeroConstantTerm("inner series must vanish at the origin")
         nz = min(self.z_order, inner.order)
+        table = _power_table(inner.coefficients, nz)
         out = np.zeros((nz + 1, self.eps_order + 1), dtype=complex)
         for n in range(self.eps_order + 1):
-            out[:, n] = _compose_raw(self._c[:, n], inner.coefficients)
+            out[:, n] = _compose_table(self._c[:, n], table)
         return BivariateSeries(out)
 
     def mul_z(self, factor):

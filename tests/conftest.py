@@ -58,6 +58,34 @@ def sampled_nf(sigma, k, eps_order):
     return estimates
 
 
+def horner_compose(outer, inner):
+    """outer(inner) truncated at the shorter order, by Horner's rule with one
+    full convolution per coefficient of outer: the independent oracle of
+    ``series._compose_raw`` (inner is used as given, constant term included)."""
+    n = min(len(outer), len(inner)) - 1
+    inner = inner[: n + 1]
+    acc = np.zeros(n + 1, dtype=complex)
+    acc[0] = outer[n]
+    for d in range(n - 1, -1, -1):
+        acc = np.convolve(acc, inner)[: n + 1]
+        acc[0] += outer[d]
+    return acc
+
+
+def recurrence_reciprocal(c):
+    """1/c by the recurrence b_d = -(c_1 b_{d-1} + ... + c_d b_0) / c_0, one
+    dot product per degree, then one Newton polish: the independent oracle of
+    ``series._reciprocal_raw``."""
+    n = len(c) - 1
+    inv = np.zeros(n + 1, dtype=complex)
+    inv[0] = 1.0 / c[0]
+    for d in range(1, n + 1):
+        inv[d] = -np.dot(c[1 : d + 1], inv[d - 1 :: -1]) / c[0]
+    corr = -np.convolve(c, inv)[: n + 1]
+    corr[0] += 2.0
+    return np.convolve(inv, corr)[: n + 1]
+
+
 def run_main(argv):
     """``(exit code, stdout, stderr)`` of an in-process ``cli.main``.
 

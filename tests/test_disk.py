@@ -46,7 +46,20 @@ def _slope_reference(k, r, eps, alpha):
 
 
 def _tangency_angles_reference(k, eps, r, max_iter=60):
-    """One scalar Newton loop per seed; returns (sorted angles, iterations)."""
+    """One scalar Newton loop per seed; returns (sorted angles, iterations).
+    A failure with r^{k+1} <= |eps| names that condition."""
+    try:
+        return _tangency_newton_reference(k, eps, r, max_iter)
+    except NewtonDivergence:
+        if r ** (k + 1) <= abs(eps):
+            raise NewtonDivergence(
+                f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
+                f"{r ** (k + 1):.6g} <= |eps| = {abs(eps):.6g}"
+            ) from None
+        raise
+
+
+def _tangency_newton_reference(k, eps, r, max_iter):
     basin = math.pi / (2 * k)
     out = np.empty(2 * k)
     iterations = 0
@@ -207,6 +220,17 @@ class TestTangencyAngles:
         # |eps| >> r^{k+1} leaves only two tangencies; the other seeds diverge
         with pytest.raises(NewtonDivergence):
             tangency_angles(2, 100j, 1.0)
+
+    def test_small_radius_names_the_condition(self):
+        # |eps| 3..10 times r^{k+1}: separating_regions fails in its tangency
+        # solve, before it integrates anything, and says what r must satisfy
+        rng = np.random.default_rng(55)
+        for k in range(2, 7):
+            for _ in range(2):
+                r = rng.uniform(0.5, 1.5)
+                eps = rng.uniform(3, 10) * r ** (k + 1) * cmath.exp(2j * math.pi * rng.random())
+                with pytest.raises(NewtonDivergence, match=rf"tangencies need r\^{k + 1} > \|eps\|"):
+                    separating_regions(ModelField(k, eps), r)
 
 
 class TestTangencyTimes:

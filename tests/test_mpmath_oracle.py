@@ -4,14 +4,19 @@ The series inputs of the first tests are units whose coefficients decay like
 0.3^n, and errors are measured per coefficient relative to max(1, |exact|):
 past degree about 35 that bounds them only absolutely.  The reciprocal and
 root cases with 0.9^n and 0.7^n decay keep the exact coefficients away from
-zero and bound each one relative to its own size.  ``lagrange_Q`` is checked
-against a 60-digit Vandermonde solve down to |eps| = 1e-30.  The bounds were
-fixed before the first run.
+zero and bound each one relative to its own size, and so does the reversion at
+order 160.  A composition coefficient is a sum of products that may cancel
+wherever the random outer coefficients do, so it is bounded relative to the
+size of its terms, sum_d |outer_d| (|inner|^d)_j, to which the rounding of
+any summation order is proportional.  ``lagrange_Q`` is checked against a
+60-digit Vandermonde solve down to |eps| = 1e-30.  The bounds were fixed
+before the first run.
 """
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import horner_compose
 
 from parafold.normal_forms import lagrange_Q
 from parafold.series import TruncatedSeries
@@ -20,6 +25,7 @@ RECIPROCAL_BOUND = 1e-12
 KTH_ROOT_BOUND = 1e-12
 REVERSION_BOUND = 1e-9
 SLOW_DECAY_BOUND = 1e-11
+COMPOSE_BOUND = 1e-13
 LAGRANGE_BOUND = 1e-13
 
 
@@ -54,6 +60,22 @@ def _mp_power(c, alpha, order):
         terms = (((alpha + 1) * j - n) * c[j] * p[n - j] for j in range(1, n + 1))
         p.append(mpmath.fsum(terms) / (n * c[0]))
     return p
+
+
+def _mp_compose(outer, inner):
+    """outer(inner) truncated at order len - 1, by Horner's rule."""
+    n = len(outer) - 1
+    acc = [outer[n]] + [mpmath.mpc(0)] * n
+    for d in range(n - 1, -1, -1):
+        acc = [mpmath.fdot(acc[: j + 1], inner[j::-1]) for j in range(n + 1)]
+        acc[0] += outer[d]
+    return acc
+
+
+def _lagrange_reversion(s, degrees):
+    """[x^n] of the inverse of x s(x) for n in ``degrees``, by Lagrange
+    inversion: [x^n] f^{-1} = [w^{n-1}] s(w)^{-n} / n."""
+    return [_mp_power(s, -n, n - 1)[n - 1] / n for n in degrees]
 
 
 def _worst_error(got, exact, floor=1):
@@ -142,7 +164,33 @@ def test_reversion_order_80():
         for _ in range(2):
             s = _decaying_unit(rng, order - 1, np.exp(2j * np.pi * rng.random()))
             got = TruncatedSeries(np.concatenate([[0.0], s])).reversion().coefficients
-            ms = _mp(s)
-            exact = [mpmath.mpc(0)]
-            exact += [_mp_power(ms, -n, n - 1)[n - 1] / n for n in range(1, order + 1)]
+            exact = [mpmath.mpc(0)] + _lagrange_reversion(_mp(s), range(1, order + 1))
             assert _worst_error(got, exact) < REVERSION_BOUND
+
+
+def test_compose_order_80_slow_decay():
+    order = 80
+    rng = np.random.default_rng(81)
+    outer = _decaying(rng, order, 0.9)
+    inner = _decaying(rng, order, 0.7)
+    inner[0] = 0.0
+    got = TruncatedSeries(outer).compose(TruncatedSeries(inner)).coefficients
+    with mpmath.workdps(30):
+        exact = _mp_compose(_mp(outer), _mp(inner))
+        err = [float(abs(mpmath.mpc(complex(g)) - e)) for g, e in zip(got, exact)]
+    modulus = horner_compose(np.abs(outer), np.abs(inner)).real
+    assert np.all(np.array(err) <= COMPOSE_BOUND * modulus)
+
+
+def test_reversion_order_160_slow_decay():
+    # the degrees 1..10 and five up to 160: the power recurrence costs n^2/2
+    # terms at degree n, so all 160 degrees would take seconds
+    order = 160
+    degrees = [*range(1, 11), 40, 80, 120, 159, 160]
+    rng = np.random.default_rng(160)
+    with mpmath.workdps(40):
+        for _ in range(2):
+            s = _decaying_unit(rng, order - 1, np.exp(2j * np.pi * rng.random()), 0.7)
+            got = TruncatedSeries(np.concatenate([[0.0], s])).reversion().coefficients
+            exact = _lagrange_reversion(_mp(s), degrees)
+            assert _worst_error(got[degrees], exact, floor=0) < SLOW_DECAY_BOUND

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import horner_compose, recurrence_reciprocal
 
 from parafold.series import (
+    UNIT_TOL,
     BadConstantTerm,
     BivariateSeries,
     NonZeroConstantTerm,
@@ -12,6 +14,7 @@ from parafold.series import (
     exp_series,
     geometric_series,
     log1p_series,
+    series_distance,
 )
 
 
@@ -180,6 +183,84 @@ class TestKthRoot:
     def test_bad_constant(self):
         with pytest.raises(BadConstantTerm):
             TruncatedSeries([2, 1, 1]).kth_root(3)
+
+
+def _decaying(rng, order, decay, amplitude=1.0):
+    c = amplitude * (rng.uniform(-1, 1, order + 1) + 1j * rng.uniform(-1, 1, order + 1))
+    return c * decay ** np.arange(order + 1)
+
+
+def _tangent(rng, order, decay, const):
+    """const e^{i phi} + x e^{i theta} + a decaying tail of amplitude 0.25."""
+    c = _decaying(rng, order, decay, 0.25)
+    c[0] = const * np.exp(2j * np.pi * rng.random())
+    if order >= 1:
+        c[1] = decay * np.exp(2j * np.pi * rng.random())
+    return c
+
+
+class TestAgainstHornerAndRecurrence:
+    """The Brent-Kung composition and the Newton reciprocal, reversion and
+    k-th root against the Horner composition and the reciprocal recurrence
+    of ``conftest``.  Orders 0..11 reach every block remainder of a short
+    series; 39, 80, 159 and 200 leave a partial last block, 40 and 160 do
+    not.  Both compositions sum the same products in another order, so a
+    coefficient is bounded relative to the same composition of the moduli,
+    sum_d |outer_d| (|inner|^d)_j, which bounds the rounding of either; the
+    reciprocal and the root are bounded relative to max(1, |coefficient|).
+    The bounds were fixed before the first run."""
+
+    ORDERS = [*range(12), 39, 40, 80, 159, 160, 200]
+    COMPOSE_BOUND = 1e-13
+    RECIPROCAL_BOUND = 1e-12
+    REVERSION_BOUND = 1e-13
+    KTH_ROOT_BOUND = 1e-12
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("const", [0.0, 0.5 * UNIT_TOL])
+    def test_compose(self, decay, const):
+        rng = np.random.default_rng(40 + int(10 * decay))
+        for order in self.ORDERS:
+            outer = _decaying(rng, order, decay)
+            inner = _tangent(rng, order, decay, const)
+            got = TruncatedSeries(outer).compose(TruncatedSeries(inner)).coefficients
+            modulus = horner_compose(np.abs(outer), np.abs(inner)).real
+            err = np.abs(got - horner_compose(outer, inner))
+            assert np.all(err <= self.COMPOSE_BOUND * modulus)
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    def test_reciprocal(self, decay):
+        rng = np.random.default_rng(50 + int(10 * decay))
+        for order in self.ORDERS:
+            c = _decaying(rng, order, decay)
+            c[0] = 2 * np.exp(2j * np.pi * rng.random())
+            got = TruncatedSeries(c).reciprocal()
+            expect = TruncatedSeries(recurrence_reciprocal(c))
+            assert series_distance(got, expect) <= self.RECIPROCAL_BOUND
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    def test_reversion(self, decay):
+        rng = np.random.default_rng(60 + int(10 * decay))
+        for order in self.ORDERS[1:]:
+            f = _tangent(rng, order, decay, 0.0)
+            g = TruncatedSeries(f).reversion().coefficients
+            residual = horner_compose(f, g)
+            residual[1] -= 1.0
+            modulus = horner_compose(np.abs(f), np.abs(g)).real
+            assert np.all(np.abs(residual) <= self.REVERSION_BOUND * modulus)
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_kth_root(self, decay, k):
+        # the root is the fixed point x = s x^{-(k-1)} of the Newton map
+        rng = np.random.default_rng(70 + 10 * k + int(10 * decay))
+        for order in self.ORDERS:
+            c = _decaying(rng, order, decay, 0.5)
+            c[0] = 1.0
+            root = TruncatedSeries(c).kth_root(k)
+            power = (root ** (k - 1)).coefficients
+            fixed = TruncatedSeries(c) * TruncatedSeries(recurrence_reciprocal(power))
+            assert series_distance(fixed, root) <= self.KTH_ROOT_BOUND
 
 
 class TestClassSplit:
