@@ -16,6 +16,7 @@ from .model import (
     ds_transition,
     integrate,
     landing_index,
+    landing_lanes,
     is_homoclinic,
     periods,
     rectify,

@@ -22,7 +22,7 @@ from .model import (
     ModelField,
     bifurcation_angles,
     is_homoclinic,
-    landing_index,
+    landing_lanes,
     periods,
     sector_array,
     xi_array,
@@ -476,40 +476,36 @@ class BoundaryArc:
         }
 
 
-def _classify_point(fld: ModelField, r: float, alpha: float, controls) -> str:
-    z = r * cmath.exp(1j * alpha)
-    radial = (fld.rhs(z) * complex(z).conjugate()).real
-    inward = radial < 0
-    z_in = z * (1.0 - 1e-9)
-    if landing_index(fld, z_in, direction=1 if inward else -1, controls=controls) is not None:
-        return "incoming" if inward else "outgoing"
-    return "separating"
-
-
 def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> list[BoundaryArc]:
     """Classify the boundary circle into incoming/outgoing/separating arcs.
 
     The 2k exact tangency angles cut the circle into arcs on which the field
     points strictly inward or outward; each arc is subsampled and the orbit
-    through every sample is run inside the disk to its first exit or landing.
-    Entering orbits that land label their samples ``incoming``, exiting
-    orbits born at a singularity label theirs ``outgoing`` and orbits that
-    cross the disk label ``separating``.
+    through every sample is run inside the disk to its first exit or landing,
+    all samples in one ``landing_lanes`` call.  Entering orbits that land
+    label their samples ``incoming``, exiting orbits born at a singularity
+    label theirs ``outgoing`` and orbits that cross the disk label
+    ``separating``.
     """
-    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12)).resolved(fld)
-    tset = tangency_angles(fld.k, fld.epsilon, r)
-    cuts = np.sort(tset.angles)
+    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
+    cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
+    ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+    alphas = [np.linspace(a0, a1, samples_per_arc + 2)[1:-1] for a0, a1 in zip(cuts, ends)]
+    zs = [r * cmath.exp(1j * a) for a in np.concatenate(alphas)]
+    inward = [(fld.rhs(z) * z.conjugate()).real < 0 for z in zs]
+    index, _ = landing_lanes(
+        fld, [z * (1.0 - 1e-9) for z in zs], [1 if w else -1 for w in inward], ctl
+    )
+    labels = [
+        ("incoming" if w else "outgoing") if i >= 0 else "separating"
+        for w, i in zip(inward, index)
+    ]
     arcs = []
-    for i in range(len(cuts)):
-        a0 = cuts[i]
-        a1 = cuts[(i + 1) % len(cuts)]
-        if i == len(cuts) - 1:
-            a1 += TWO_PI
-        alphas = np.linspace(a0, a1, samples_per_arc + 2)[1:-1]
-        labels = [_classify_point(fld, r, a, ctl) for a in alphas]
+    for n, (a0, a1, arc_alphas) in enumerate(zip(cuts, ends, alphas)):
+        arc_labels = labels[n * samples_per_arc : (n + 1) * samples_per_arc]
         start = a0
-        cur = labels[0]
-        for a_prev, a_next, lab in zip(alphas[:-1], alphas[1:], labels[1:]):
+        cur = arc_labels[0]
+        for a_prev, a_next, lab in zip(arc_alphas[:-1], arc_alphas[1:], arc_labels[1:]):
             if lab != cur:
                 mid = 0.5 * (a_prev + a_next)
                 arcs.append(BoundaryArc(start % TWO_PI, mid % TWO_PI, cur))

@@ -5,8 +5,19 @@ import math
 
 import numpy as np
 
-from parafold import cli
-from parafold.model import ModelField, singularities
+from parafold import cli, model
+from parafold.disk import tangency_angles
+from parafold.model import (
+    TWO_PI,
+    AtBifurcation,
+    DSInvariant,
+    IntegratorControls,
+    ModelField,
+    Termination,
+    _walk_path,
+    landing_radii,
+    singularities,
+)
 
 _ACCEPTANCE_LINES = []
 
@@ -84,6 +95,86 @@ def recurrence_reciprocal(c):
     corr = -np.convolve(c, inv)[: n + 1]
     corr[0] += 2.0
     return np.convolve(inv, corr)[: n + 1]
+
+
+def scalar_landing(fld, z0, direction, controls=None):
+    """Landing index (or None) of the orbit of z0 on the scalar kernel
+    ``model._dopri`` alone, with the certified disks of ``landing_lanes``,
+    and why it stopped as a name of ``model.STOPS``: the oracle of the lane
+    kernel."""
+    ctl = (controls or IntegratorControls()).resolved(fld)
+    sing = singularities(fld)
+    rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
+    if ctl.boundary_radius is not None:
+        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
+    radii = np.maximum(rho, ctl.capture_radius)
+    disks = list(zip(range(len(sing)), sing.tolist(), radii.tolist()))
+    term, landed, _, _, _, t = model._dopri(fld, complex(z0), direction, ctl, disks)
+    why = {
+        Termination.LANDED: "landed",
+        Termination.ESCAPED: "escape",
+        Termination.HIT_BOUNDARY: "boundary",
+    }.get(term, "time cap" if t >= ctl.time_cap else "step budget")
+    return landed, why
+
+
+def classify_point(fld, r, alpha, controls):
+    """The label of the boundary sample at angle alpha, one orbit at a time
+    on ``scalar_landing``."""
+    z = r * cmath.exp(1j * alpha)
+    radial = (fld.rhs(z) * complex(z).conjugate()).real
+    inward = radial < 0
+    z_in = z * (1.0 - 1e-9)
+    if scalar_landing(fld, z_in, 1 if inward else -1, controls)[0] is not None:
+        return "incoming" if inward else "outgoing"
+    return "separating"
+
+
+def scalar_separating_regions(fld, r, samples_per_arc=24):
+    """``disk.separating_regions`` with every sample classified on its own
+    by ``classify_point``: the oracle of the one lane call."""
+    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12)).resolved(fld)
+    cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
+    arcs = []
+    for i in range(len(cuts)):
+        a0 = cuts[i]
+        a1 = cuts[(i + 1) % len(cuts)]
+        if i == len(cuts) - 1:
+            a1 += TWO_PI
+        alphas = np.linspace(a0, a1, samples_per_arc + 2)[1:-1]
+        labels = [classify_point(fld, r, a, ctl) for a in alphas]
+        start = a0
+        cur = labels[0]
+        for a_prev, a_next, lab in zip(alphas[:-1], alphas[1:], labels[1:]):
+            if lab != cur:
+                mid = 0.5 * (a_prev + a_next)
+                arcs.append((start % TWO_PI, mid % TWO_PI, cur))
+                start, cur = mid, lab
+        arcs.append((start % TWO_PI, a1 % TWO_PI, cur))
+    return arcs
+
+
+def scalar_ds_invariant_integrated(fld, n_angles=24):
+    """``model.ds_invariant_integrated`` with the seed orbits and the arg
+    z = 0 separatrix run one at a time on ``scalar_landing``."""
+    sing = singularities(fld)
+    k1 = fld.k + 1
+    gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
+    rho = 0.2 * min(gaps)
+    edges = set()
+    for ell in range(k1):
+        for m in range(n_angles):
+            seed = sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
+            fwd = scalar_landing(fld, seed, 1)[0]
+            bwd = scalar_landing(fld, seed, -1)[0]
+            if fwd is not None and bwd is not None and fwd != bwd:
+                edges.add(frozenset((fwd, bwd)))
+    order = _walk_path([tuple(sorted(e)) for e in edges], k1)
+    launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
+    attachment = scalar_landing(fld, launch + 0j, -1)[0]
+    if attachment is None:
+        raise AtBifurcation("distinguished separatrix failed to land")
+    return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
 
 
 def run_main(argv):

@@ -24,7 +24,8 @@ from parafold.disk import (
     tangency_times,
     trace_curve,
 )
-from parafold.model import ModelField, bifurcation_angles, periods
+from conftest import classify_point, scalar_separating_regions
+from parafold.model import IntegratorControls, ModelField, bifurcation_angles, periods
 from test_model import _sector_reference, _xi_reference
 
 TWO_PI = 2 * math.pi
@@ -430,15 +431,28 @@ class TestSeparatingRegions:
     def test_conjugation_symmetric_real_eps(self):
         # (z, eps) -> (conj z, conj eps) preserves time, so the boundary
         # classification at angles +a and -a coincides for real eps
-        from parafold.disk import _classify_point
-        from parafold.model import IntegratorControls
-
         fld = ModelField(2, 0.05)
         ctl = IntegratorControls(boundary_radius=1.0 * (1 - 1e-12)).resolved(fld)
         for alpha in (0.2, 0.9, 2.0, 2.8):
-            assert _classify_point(fld, 1.0, alpha, ctl) == _classify_point(
-                fld, 1.0, -alpha, ctl
-            )
+            assert classify_point(fld, 1.0, alpha, ctl) == classify_point(fld, 1.0, -alpha, ctl)
+
+    @pytest.mark.parametrize("samples_per_arc", [6, 8, 24])
+    def test_matches_scalar_oracle(self, samples_per_arc):
+        # one lane call against every sample classified on its own by the
+        # scalar kernel: the same arcs, bit for bit, for k 1..7
+        rng = np.random.default_rng(600 + samples_per_arc)
+        labels = set()
+        for k in range(1, 8):
+            # odd k near a homoclinic ray, where separating arcs open
+            offset = rng.uniform(0.01, 0.05) if k % 2 else rng.uniform(0.25, 0.75)
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset * math.pi / k
+            fld = ModelField(k, rng.uniform(0.1, 1.0) * cmath.exp(1j * theta))
+            r = fld.scale * rng.uniform(1.2, 2.0)
+            arcs = separating_regions(fld, r, samples_per_arc)
+            got = [(a.alpha_start, a.alpha_end, a.label) for a in arcs]
+            assert got == scalar_separating_regions(fld, r, samples_per_arc)
+            labels.update(label for _, _, label in got)
+        assert labels == {"incoming", "outgoing", "separating"}
 
 
 class TestArrayKernel:

@@ -1,16 +1,18 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import quad_rectify
+from conftest import quad_rectify, scalar_ds_invariant_integrated, scalar_landing
 from parafold import model
 from parafold.model import (
     ATOL,
     H_INIT,
     H_MAX,
+    STOPS,
     AtBifurcation,
     DegenerateParameter,
     DSInvariant,
@@ -32,6 +34,7 @@ from parafold.model import (
     is_homoclinic,
     is_zigzag,
     landing_index,
+    landing_lanes,
     landing_radii,
     periods,
     rectify,
@@ -440,6 +443,79 @@ class TestLandingIndex:
         with pytest.raises(ValueError):
             landing_index(ModelField(2, 1.0), 0.3, direction=0)
 
+    def test_rejects_start_in_capture_radius(self):
+        fld = ModelField(2, 1.0)
+        with pytest.raises(ValueError):
+            landing_index(fld, 1.0 + 1e-9, direction=1)
+
+
+class TestLandingLanes:
+    """The lane kernel against the scalar kernel, orbit by orbit."""
+
+    CONTROLS = (
+        lambda fld, rng: None,
+        lambda fld, rng: IntegratorControls(boundary_radius=fld.scale * rng.uniform(1.2, 2.0)),
+        lambda fld, rng: IntegratorControls(time_cap=rng.uniform(0.05, 0.5)),
+        lambda fld, rng: IntegratorControls(max_steps=int(rng.integers(10, 200))),
+    )
+
+    def test_matches_scalar_kernel(self):
+        # 40 lanes a call, so the lanes step together before the last 16
+        # are handed to the scalar kernel with the steps left; both
+        # directions, every stop
+        rng = np.random.default_rng(1010)
+        n = 0
+        seen = set()
+        for call in range(21):
+            k = call % 7 + 1
+            fld = ModelField(k, rng.uniform(0.1, 3.0) * cmath.exp(2j * math.pi * rng.random()))
+            ctl = self.CONTROLS[call % 4](fld, rng)
+            z0 = (rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)) * fld.scale
+            direction = rng.choice([1, -1], 40)
+            index, stop = landing_lanes(fld, z0, direction, ctl)
+            for z, d, i, s in zip(z0, direction.tolist(), index, stop):
+                landed, why = scalar_landing(fld, z, d, ctl)
+                assert (i, STOPS[s]) == (-1 if landed is None else landed, why)
+                seen.add(why)
+                n += 1
+        assert n >= 800
+        assert seen == set(STOPS)
+
+    def test_one_direction_for_all(self):
+        fld = ModelField(3, 0.7j)
+        z0 = 1.5 * fld.scale * np.exp(2j * math.pi * np.arange(24) / 24 + 0.1j)
+        index, _ = landing_lanes(fld, z0, -1)
+        assert index.tolist() == [landing_index(fld, z, -1) for z in z0]
+
+    def test_underflow_in_the_lanes(self):
+        # the orbit of test_underflow_at_same_step in 20 lanes: the lanes
+        # stop with the scalar kernel's message
+        fld = ModelField(3, cmath.exp(-2.1j))
+        ctl = IntegratorControls(h_min=9.5e-4)
+        with pytest.raises(StepSizeUnderflow) as ref:
+            integrate(fld, -1.68 + 0.46j, 1, ctl)
+        with pytest.raises(StepSizeUnderflow) as got:
+            landing_lanes(fld, np.full(20, -1.68 + 0.46j), 1, ctl)
+        assert str(got.value) == str(ref.value)
+
+    def test_non_finite_start_as_scalar(self):
+        # a NaN start shrinks its step to the floor on either kernel
+        fld = ModelField(2, 1.0)
+        nan = complex(math.nan, 1.0)
+        with pytest.raises(StepSizeUnderflow) as ref:
+            scalar_landing(fld, nan, 1)
+        with pytest.raises(StepSizeUnderflow) as got:
+            landing_lanes(fld, np.r_[np.linspace(0.2, 0.5, 20), nan], 1)
+        assert str(got.value) == str(ref.value)
+
+    def test_rejects_bad_input(self):
+        fld = ModelField(2, 1.0)
+        z0 = np.linspace(0.2, 0.5, 20)
+        with pytest.raises(ValueError):
+            landing_lanes(fld, z0, np.r_[np.ones(19), 0])
+        with pytest.raises(ValueError):
+            landing_lanes(fld, np.r_[z0, 1.0], 1)
+
 
 class TestSeparatrices:
     def test_k5_example_all_land(self):
@@ -568,10 +644,40 @@ class TestDSInvariant:
             raise AssertionError("ds_invariant integrated an orbit")
 
         monkeypatch.setattr(model, "landing_index", refuse)
+        monkeypatch.setattr(model, "landing_lanes", refuse)
+        monkeypatch.setattr(model, "_dopri_lanes", refuse)
         monkeypatch.setattr(model, "_dopri", refuse)
         assert ds_invariant(ModelField(2, 1.0)).attachment == 0
         for fld in _near_ray_fields(ks=(1, 4), abs_eps=(1.0,)):
             ds_invariant(fld)
+
+    def test_integrated_matches_scalar_oracle(self):
+        # one lane call against the seed orbits run one at a time, at 42
+        # generic eps for k 1..5 with 6 or 8 seeds a circle
+        rng = np.random.default_rng(4040)
+        for n in range(42):
+            fld = _generic_field(rng, n % 5 + 1, log_eps=(-0.5, 0.3), margin=5e-2)
+            n_angles = (6, 8)[n % 2]
+            try:
+                want = scalar_ds_invariant_integrated(fld, n_angles)
+            except AtBifurcation as exc:
+                with pytest.raises(AtBifurcation, match=re.escape(str(exc))):
+                    ds_invariant_integrated(fld, n_angles)
+                continue
+            got = ds_invariant_integrated(fld, n_angles)
+            assert (got.order, got.attachment) == (want.order, want.attachment)
+
+    def test_failure_names_orbits_that_did_not_land(self, monkeypatch):
+        # with a budget of 20 steps most seed orbits do not land
+        monkeypatch.setattr(model, "IntegratorControls", lambda: IntegratorControls(max_steps=20))
+        with pytest.raises(AtBifurcation) as exc:
+            ds_invariant_integrated(ModelField(2, 1.0))
+        lost = re.fullmatch(
+            r"integrated connections do not form a trunk; "
+            r"(\d+) of 144 seed orbits did not land \((\d+) step budget\)",
+            str(exc.value),
+        )
+        assert lost and lost[1] == lost[2] and int(lost[1]) > 72
 
     def test_validate_compares_attachment(self, monkeypatch):
         fld = ModelField(2, 1.0)
