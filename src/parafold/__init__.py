@@ -15,7 +15,6 @@ from .model import (
     ds_invariant,
     ds_transition,
     integrate,
-    landing_index,
     landing_lanes,
     is_homoclinic,
     periods,

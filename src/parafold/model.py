@@ -7,31 +7,36 @@ combinatorial answer can be cross-checked dynamically.  The Douady-Sentenac
 invariant, trunk and attachment, is read off the period-gon alone; its
 integrated counterpart ``ds_invariant_integrated`` is the oracle.
 
-One Dormand-Prince 5(4) step does all integration.  It reuses the last
-stage of an accepted step as the first of the next, so a step costs six
-field evaluations, and it counts accepted and rejected steps and the
-smallest accepted step (``Trajectory.n_accepted``, ``n_rejected``,
-``h_min_seen``).  ``integrate`` and ``separatrices`` (and so
-``render.portrait_svg``) follow an orbit until it is within the capture
-radius 1e-6 min(1, |eps|^{1/(k+1)}) of a singular point, on the scalar
-kernel ``_dopri``: their points reach the CLI output, and numpy's complex
+Two Dormand-Prince 5(4) kernels do all integration under one contract:
+the scalar ``_dopri`` steps one orbit and the lane kernel ``_dopri_lanes``
+steps many together as numpy arrays with the scalar arithmetic.  Each
+orbit carries a row of k+1 landing radii and lands at the nearest root
+z_l with |z - z_l| <= its radius; the kernels test the stops in the order
+of ``Termination`` (landed, hit_boundary, escaped, time_cap, step_budget)
+and raise ``StepSizeUnderflow`` below the step ``H_MIN``.  A step reuses
+the last stage of an accepted step as the first of the next, so it costs
+six field evaluations; ``Trajectory`` counts accepted and rejected steps
+and the smallest accepted step.  ``integrate`` and ``separatrices`` (and
+so ``render.portrait_svg``) follow an orbit on ``_dopri`` down to the
+capture radius 1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a
+singular point: their points reach the CLI output, and numpy's complex
 product and ``abs`` differ from Python's in the last bit on 44% and 35% of
 random inputs (numpy 2.4.6).  Callers that need only where orbits land
 (``ds_invariant_integrated`` and ``disk.separating_regions``) call
 ``landing_lanes`` once, which stops each orbit as soon as it enters the
 certified disk |z - z_l| < rho_l of a root z_l attracting in its direction;
 ``landing_radii`` gives rho_l and the argument that an orbit inside the
-disk lands at z_l.  ``landing_lanes`` runs the lane kernel
-``_dopri_lanes``, which steps all orbits together as numpy arrays with the
-scalar kernel's arithmetic and stops, and hands the last ``_TAIL_LANES``
-orbits to ``_dopri``, where a numpy pass would cost more than their
-scalar steps.  ``landing_index`` is its one-orbit call.
+disk lands at z_l.  It hands the last ``_TAIL_LANES`` orbits to
+``_dopri``, where a numpy pass would cost more than their scalar steps.
+``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a start
+point that is not finite or lies within the capture radius.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -206,30 +211,31 @@ def is_homoclinic(fld: ModelField, tol: float = 1e-9):
 
 
 class Termination(str, Enum):
+    """Why an orbit stopped, in the order both kernels test the stops."""
+
     LANDED = "landed"
+    HIT_BOUNDARY = "hit_boundary"
     ESCAPED = "escaped"
     TIME_CAP = "time_cap"
-    HIT_BOUNDARY = "hit_boundary"
+    STEP_BUDGET = "step_budget"
 
 
 @dataclass(frozen=True)
 class IntegratorControls:
     rtol: float = 1e-10
-    capture_radius: float | None = None  # default 1e-6 * min(1, |eps|^{1/(k+1)})
-    escape_radius: float | None = None  # default 10 * |eps|^{1/(k+1)} + 10
     boundary_radius: float | None = None  # e.g. the disk radius r, if restricted
     time_cap: float = 1e4
     max_steps: int = 200_000
-    h_min: float = 1e-14
 
-    def resolved(self, fld: ModelField):
-        cap = self.capture_radius
-        esc = self.escape_radius
-        if cap is None:
-            cap = 1e-6 * min(1.0, fld.scale)
-        if esc is None:
-            esc = 10.0 * fld.scale + 10.0
-        return replace(self, capture_radius=cap, escape_radius=esc)
+
+def capture_radius(fld: ModelField) -> float:
+    """1e-6 min(1, |eps|^{1/(k+1)}): an orbit this close to a root has landed."""
+    return 1e-6 * min(1.0, fld.scale)
+
+
+def escape_radius(fld: ModelField) -> float:
+    """10 |eps|^{1/(k+1)} + 10: an orbit this far out has escaped."""
+    return 10.0 * fld.scale + 10.0
 
 
 @dataclass
@@ -244,8 +250,6 @@ class Trajectory:
     times: np.ndarray
     termination: Termination
     landed_index: int | None = None
-    direction: int = 1
-    launch_angle: float | None = None
     orientation: str | None = None
     n_accepted: int = 0
     n_rejected: int = 0
@@ -274,8 +278,9 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
 )
-# absolute error tolerance, largest first step and largest step of the kernel
-ATOL, H_INIT, H_MAX = 1e-13, 1e-3, 1.0
+# absolute error tolerance, largest first step, largest and smallest step of
+# the kernels
+ATOL, H_INIT, H_MAX, H_MIN = 1e-13, 1e-3, 1.0, 1e-14
 # the tableau by columns for _dopri_lanes: the sums it forms are, in order,
 # the inputs of stages 2..6, z5 and z4, and the field value of stage j
 # enters sums j-1.. (b2 = e2 = 0, so p2 only the stage inputs).  Complex
@@ -294,19 +299,18 @@ _COLUMNS = tuple(
 )
 
 
-def _dopri(fld, z0, direction, ctl, disks, path=None, t=0.0, h=None, steps=None):
+def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None):
     """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires.
 
-    ``disks`` lists ``(index, centre, radius)``: an accepted point within
-    ``radius`` of a centre lands at the nearest such centre.  The field is
+    ``radii`` holds a landing radius per singular point: an accepted point
+    within ``radii[l]`` of z_l lands at the nearest such root.  The field is
     direction-free and the step is ``h * direction``; negation is exact, and
     z4 and z5 are formed as in the plain tableau loop (not from the weight
     differences), so the steps equal that loop's bit for bit.  Accepted
     points and times are appended to ``path = (points, times)`` when given.
     An orbit taken over from ``_dopri_lanes`` starts at time ``t`` with the
     step ``h`` and the ``steps`` left of ``ctl.max_steps``.  Returns
-    ``(termination, landed_index, n_accepted, n_rejected, h_min_seen, t)``;
-    a TIME_CAP with t below ``ctl.time_cap`` means the steps ran out.
+    ``(termination, landed_index, n_accepted, n_rejected, h_min_seen)``.
     """
     k1 = fld.k + 1
     eps = fld.epsilon
@@ -319,15 +323,16 @@ def _dopri(fld, z0, direction, ctl, disks, path=None, t=0.0, h=None, steps=None)
             return big
         return z**k1 - eps
 
-    rtol, h_min = ctl.rtol, ctl.h_min
-    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, ctl.escape_radius
+    disks = list(zip(range(k1), singularities(fld).tolist(), map(float, radii)))
+    rtol, h_min = ctl.rtol, H_MIN
+    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
     z = complex(z0)
     p1 = f(z)
     if h is None:
         h = min(H_INIT, 1e-2 / (1.0 + abs(p1)))
     n_acc = n_rej = 0
     h_seen = math.inf
-    stop = Termination.TIME_CAP
+    stop = Termination.STEP_BUDGET
     landed = None
     for _ in range(ctl.max_steps if steps is None else steps):
         if h < h_min:
@@ -366,39 +371,37 @@ def _dopri(fld, z0, direction, ctl, disks, path=None, t=0.0, h=None, steps=None)
                 stop = Termination.ESCAPED
                 break
             if t >= time_cap:
+                stop = Termination.TIME_CAP
                 break
         else:
             n_rej += 1
         factor = 0.9 * (err + 1e-300) ** -0.2
         h *= min(5.0, max(0.2, factor))
-    return stop, landed, n_acc, n_rej, h_seen, t
+    return stop, landed, n_acc, n_rej, h_seen
 
 
 # below this many live lanes a numpy pass costs more than the scalar steps
 # it replaces (a pass costs about 12 scalar steps), so _dopri_lanes hands
 # them over
 _TAIL_LANES = 16
-# why a lane stopped: the codes of _dopri_lanes index this tuple
-STOPS = ("landed", "escape", "boundary", "time cap", "step budget")
-_STOP_CODE = {Termination.LANDED: 0, Termination.ESCAPED: 1, Termination.HIT_BOUNDARY: 2}
 
 
 def _dopri_lanes(fld, z0, direction, ctl, radii):
     """``_dopri`` for many landing-only orbits at once, one lane per orbit.
 
-    Lane i starts at ``z0[i]``, steps in ``direction[i]`` and lands at the
-    nearest root l with |z - z_l| <= ``radii[i, l]``.  Each lane keeps its
-    own t and h and stops on the scalar kernel's rules and in its order:
-    landing, boundary, escape, time cap; a step below ``h_min`` in any live
-    lane raises ``StepSizeUnderflow``.  Every live lane makes one attempt a
-    pass, so the lanes share the count of ``max_steps``.  The arithmetic is
+    Lane i starts at ``z0[i]``, steps in ``direction[i]`` and lands as
+    ``_dopri`` does with the landing radii ``radii[i]``.  Each lane keeps
+    its own t and h and stops on the scalar kernel's rules and in its
+    order; a step below ``H_MIN`` in any live lane raises
+    ``StepSizeUnderflow``.  Every live lane makes one attempt a pass, so
+    the lanes share the count of ``max_steps``.  The arithmetic is
     ``_dopri``'s on arrays: numpy's complex sums, its products by a real and
     its complex powers above the square round as Python's do, the square
     and the moduli are written out as Python forms them, and the step
     factor goes through Python's float power.  Finished lanes are compacted
     out; once at most ``_TAIL_LANES`` remain, ``_dopri`` finishes each from
     its z, t, h and remaining steps.  Returns ``(index, stop)``: the landing
-    index of each lane or -1, and its stop as an index into ``STOPS``.
+    index of each lane or -1, and the list of their ``Termination``.
     """
     k1 = fld.k + 1
     eps = fld.epsilon
@@ -425,12 +428,13 @@ def _dopri_lanes(fld, z0, direction, ctl, radii):
             out[modulus(w) > z_big] = 1e120
         return out
 
-    rtol, h_min = ctl.rtol, ctl.h_min
-    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, ctl.escape_radius
+    rtol, h_min = ctl.rtol, H_MIN
+    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
     reach = escape if boundary is None else min(boundary, escape)
     n = len(z0)
     index = np.full(n, -1)
-    stop = np.full(n, 4)  # step budget, unless another stop fires
+    stops = list(Termination)  # a lane holds its stop as a position in this list
+    stop = np.full(n, 4)  # STEP_BUDGET, unless another stop fires
     lane = np.arange(n)
     z = np.array(z0, dtype=complex)
     sign = np.array(direction, dtype=complex)
@@ -474,10 +478,10 @@ def _dopri_lanes(fld, z0, direction, ctl, radii):
             done &= ok
             if np.count_nonzero(done):
                 index[lane[landed]] = np.where(inside, dist, np.inf)[landed].argmin(axis=1)
-                far = np.where(az >= escape, 1, 3)
+                far = np.where(az >= escape, 2, 3)  # ESCAPED or TIME_CAP
                 if boundary is not None:
-                    far = np.where(az >= boundary, 2, far)
-                stop[lane[done]] = np.where(landed, 0, far)[done]
+                    far = np.where(az >= boundary, 1, far)  # HIT_BOUNDARY
+                stop[lane[done]] = np.where(landed, 0, far)[done]  # or LANDED
                 keep = ~done
                 lane, z, sign, t, h, p1, az, radii = (
                     a[keep] for a in (lane, z, sign, t, h, p1, az, radii)
@@ -485,13 +489,24 @@ def _dopri_lanes(fld, z0, direction, ctl, radii):
     if steps < ctl.max_steps:
         state = zip(lane, z.tolist(), sign.real, t.tolist(), h.tolist(), radii)
         for i, zi, di, ti, hi, rad in state:
-            disks = list(zip(range(k1), sing.tolist(), rad.tolist()))
-            term, landed, _, _, _, t_end = _dopri(
-                fld, zi, int(di), ctl, disks, t=ti, h=hi, steps=ctl.max_steps - steps
+            term, landed, _, _, _ = _dopri(
+                fld, zi, int(di), ctl, rad, t=ti, h=hi, steps=ctl.max_steps - steps
             )
             index[i] = -1 if landed is None else landed
-            stop[i] = _STOP_CODE.get(term, 3 if t_end >= time_cap else 4)
-    return index, stop
+            stop[i] = stops.index(term)
+    return index, [stops[s] for s in stop.tolist()]
+
+
+def _check_start(fld: ModelField, z0):
+    """Refuse a start point (or array of them) that is not finite or that
+    lies within the capture radius of a singular point."""
+    z = np.asarray(z0, dtype=complex).reshape(-1)
+    bad = ~np.isfinite(z)
+    if np.count_nonzero(bad):
+        raise ValueError(f"z0 = {complex(z[bad][0])} is not finite")
+    near = np.abs(singularities(fld) - z[:, None]).min(axis=1) < capture_radius(fld)
+    if np.count_nonzero(near):
+        raise ValueError(f"z0 = {complex(z[near][0])} lies within the capture radius of a root")
 
 
 def integrate(
@@ -508,20 +523,17 @@ def integrate(
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    ctl = (controls or IntegratorControls()).resolved(fld)
-    sing = singularities(fld)
-    if np.abs(sing - z0).min() < ctl.capture_radius:
-        raise ValueError("z0 lies within the capture radius of a singularity")
-    disks = [(i, s, ctl.capture_radius) for i, s in enumerate(sing.tolist())]
+    _check_start(fld, z0)
+    ctl = controls or IntegratorControls()
+    radii = [capture_radius(fld)] * (fld.k + 1)
     zs = [complex(z0)]
     ts = [0.0]
-    termination, landed, n_acc, n_rej, h_seen, _ = _dopri(fld, z0, direction, ctl, disks, (zs, ts))
+    termination, landed, n_acc, n_rej, h_seen = _dopri(fld, z0, direction, ctl, radii, (zs, ts))
     return Trajectory(
         points=np.array(zs),
         times=np.array(ts),
         termination=termination,
         landed_index=landed,
-        direction=direction,
         n_accepted=n_acc,
         n_rejected=n_rej,
         h_min_seen=h_seen,
@@ -550,7 +562,7 @@ def landing_lanes(
     z0,
     direction,
     controls: IntegratorControls | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[Termination]]:
     """Where the orbits of the points ``z0`` land, stepped together.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
@@ -558,36 +570,20 @@ def landing_lanes(
     root that attracts in its direction, i.e. direction * Re lambda_l < 0.
     A disk that reaches past ``boundary_radius`` is cut back to it, and no
     disk is smaller than the capture radius.  Returns ``(index, stop)``:
-    the landing index of each orbit or -1, and why it stopped as an index
-    into ``STOPS`` (landed, escape, boundary, time cap, step budget).
+    the landing index of each orbit or -1, and the list of the
+    ``Termination`` of each.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     direction = np.broadcast_to(direction, z0.shape)
     if not np.isin(direction, (1, -1)).all():
         raise ValueError("direction must be +1 or -1")
-    ctl = (controls or IntegratorControls()).resolved(fld)
+    _check_start(fld, z0)
+    ctl = controls or IntegratorControls()
     sing = singularities(fld)
-    if np.count_nonzero(np.abs(sing - z0[:, None]) < ctl.capture_radius):
-        raise ValueError("z0 lies within the capture radius of a singularity")
     rho = np.where(direction[:, None] * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
     if ctl.boundary_radius is not None:
         rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
-    return _dopri_lanes(fld, z0, direction, ctl, np.maximum(rho, ctl.capture_radius))
-
-
-def landing_index(
-    fld: ModelField,
-    z0: complex,
-    direction: int = 1,
-    controls: IntegratorControls | None = None,
-) -> int | None:
-    """Index of the singular point the orbit of z0 lands at, or None.
-
-    The one-lane call of ``landing_lanes``: None means the orbit escaped,
-    hit the boundary or ran out of time or steps.
-    """
-    index = int(landing_lanes(fld, [z0], direction, controls)[0][0])
-    return None if index < 0 else index
+    return _dopri_lanes(fld, z0, direction, ctl, np.maximum(rho, capture_radius(fld)))
 
 
 def separatrix_directions(k: int) -> np.ndarray:
@@ -604,8 +600,7 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
     """
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
-    ctl = (controls or IntegratorControls()).resolved(fld)
-    launch_radius = 0.995 * ctl.escape_radius
+    launch_radius = 0.995 * escape_radius(fld)
     out = []
     for j, ang in enumerate(separatrix_directions(fld.k)):
         outgoing = j % 2 == 0
@@ -613,9 +608,8 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
             fld,
             launch_radius * cmath.exp(1j * ang),
             direction=-1 if outgoing else 1,
-            controls=ctl,
+            controls=controls,
         )
-        traj.launch_angle = float(ang)
         traj.orientation = "outgoing" if outgoing else "incoming"
         out.append(traj)
     return out
@@ -751,7 +745,7 @@ def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
         for ell in range(k1)
         for m in range(n_angles)
     ]
-    launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
+    launch = 0.995 * escape_radius(fld)
     z0 = np.append(np.repeat(seeds, 2), launch)
     index, stop = landing_lanes(fld, z0, [1, -1] * len(seeds) + [-1])
     index = index.tolist()
@@ -762,16 +756,16 @@ def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
     try:
         order = _walk_path([tuple(sorted(e)) for e in edges], k1)
     except AtBifurcation as exc:
-        lost = np.count_nonzero(stop[:-1])
+        counts = Counter(stop[:-1])
+        lost = len(stop) - 1 - counts[Termination.LANDED]
         if not lost:
             raise
-        counts = np.bincount(stop[:-1], minlength=len(STOPS))
-        why = ", ".join(f"{c} {name}" for name, c in zip(STOPS[1:], counts[1:]) if c)
+        why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
         raise AtBifurcation(
             f"{exc}; {lost} of {len(stop) - 1} seed orbits did not land ({why})"
         ) from None
     if index[-1] < 0:
-        raise AtBifurcation(f"distinguished separatrix failed to land ({STOPS[stop[-1]]})")
+        raise AtBifurcation(f"distinguished separatrix failed to land ({stop[-1].value})")
     return DSInvariant(fld.k, fld.epsilon, order, index[-1]).normalised()
 
 

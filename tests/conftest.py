@@ -13,8 +13,9 @@ from parafold.model import (
     DSInvariant,
     IntegratorControls,
     ModelField,
-    Termination,
     _walk_path,
+    capture_radius,
+    escape_radius,
     landing_radii,
     singularities,
 )
@@ -99,23 +100,16 @@ def recurrence_reciprocal(c):
 
 def scalar_landing(fld, z0, direction, controls=None):
     """Landing index (or None) of the orbit of z0 on the scalar kernel
-    ``model._dopri`` alone, with the certified disks of ``landing_lanes``,
-    and why it stopped as a name of ``model.STOPS``: the oracle of the lane
-    kernel."""
-    ctl = (controls or IntegratorControls()).resolved(fld)
+    ``model._dopri`` alone, with the landing radii of ``landing_lanes``,
+    and its ``Termination``: the oracle of the lane kernel."""
+    ctl = controls or IntegratorControls()
     sing = singularities(fld)
     rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
     if ctl.boundary_radius is not None:
         rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
-    radii = np.maximum(rho, ctl.capture_radius)
-    disks = list(zip(range(len(sing)), sing.tolist(), radii.tolist()))
-    term, landed, _, _, _, t = model._dopri(fld, complex(z0), direction, ctl, disks)
-    why = {
-        Termination.LANDED: "landed",
-        Termination.ESCAPED: "escape",
-        Termination.HIT_BOUNDARY: "boundary",
-    }.get(term, "time cap" if t >= ctl.time_cap else "step budget")
-    return landed, why
+    radii = np.maximum(rho, capture_radius(fld))
+    term, landed, _, _, _ = model._dopri(fld, z0, direction, ctl, radii)
+    return landed, term
 
 
 def classify_point(fld, r, alpha, controls):
@@ -133,7 +127,7 @@ def classify_point(fld, r, alpha, controls):
 def scalar_separating_regions(fld, r, samples_per_arc=24):
     """``disk.separating_regions`` with every sample classified on its own
     by ``classify_point``: the oracle of the one lane call."""
-    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12)).resolved(fld)
+    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
     arcs = []
     for i in range(len(cuts)):
@@ -170,7 +164,7 @@ def scalar_ds_invariant_integrated(fld, n_angles=24):
             if fwd is not None and bwd is not None and fwd != bwd:
                 edges.add(frozenset((fwd, bwd)))
     order = _walk_path([tuple(sorted(e)) for e in edges], k1)
-    launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
+    launch = 0.995 * escape_radius(fld)
     attachment = scalar_landing(fld, launch + 0j, -1)[0]
     if attachment is None:
         raise AtBifurcation("distinguished separatrix failed to land")

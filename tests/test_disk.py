@@ -432,7 +432,7 @@ class TestSeparatingRegions:
         # (z, eps) -> (conj z, conj eps) preserves time, so the boundary
         # classification at angles +a and -a coincides for real eps
         fld = ModelField(2, 0.05)
-        ctl = IntegratorControls(boundary_radius=1.0 * (1 - 1e-12)).resolved(fld)
+        ctl = IntegratorControls(boundary_radius=1.0 * (1 - 1e-12))
         for alpha in (0.2, 0.9, 2.0, 2.8):
             assert classify_point(fld, 1.0, alpha, ctl) == classify_point(fld, 1.0, -alpha, ctl)
 

@@ -12,7 +12,6 @@ from parafold.model import (
     ATOL,
     H_INIT,
     H_MAX,
-    STOPS,
     AtBifurcation,
     DegenerateParameter,
     DSInvariant,
@@ -26,14 +25,15 @@ from parafold.model import (
     apply_transition,
     bifurcation_angles,
     build_tau_model,
+    capture_radius,
     ds_invariant,
     ds_invariant_integrated,
     ds_transition,
+    escape_radius,
     homoclinic_defect,
     integrate,
     is_homoclinic,
     is_zigzag,
-    landing_index,
     landing_lanes,
     landing_radii,
     periods,
@@ -66,7 +66,7 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
     """The plain tableau loop (seven field evaluations a step, the field
     negated for reversed time); the fast kernel must reproduce it bit for
     bit.  Returns (points, times, termination, landed, n_rejected, h_min)."""
-    ctl = (controls or IntegratorControls()).resolved(fld)
+    ctl = controls or IntegratorControls()
     sing = singularities(fld)
     z_big = 1e120 ** (1.0 / (fld.k + 1))
 
@@ -78,11 +78,11 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
     zs, ts = [complex(z0)], [0.0]
     z, t = complex(z0), 0.0
     h = min(H_INIT, 1e-2 / (1.0 + abs(f(z0))))
-    termination, landed = Termination.TIME_CAP, None
+    termination, landed = Termination.STEP_BUDGET, None
     n_rej, h_min = 0, math.inf
     ks = [0j] * 7
     for _ in range(ctl.max_steps):
-        if h < ctl.h_min:
+        if h < model.H_MIN:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
         h = min(h, H_MAX, ctl.time_cap - t)
         ks[0] = f(z)
@@ -101,16 +101,17 @@ def _integrate_reference(fld, z0, direction=1, controls=None):
             zs.append(z)
             ts.append(t)
             dist = np.abs(sing - z)
-            if dist.min() <= ctl.capture_radius:
+            if dist.min() <= capture_radius(fld):
                 termination, landed = Termination.LANDED, int(dist.argmin())
                 break
             if ctl.boundary_radius is not None and abs(z) >= ctl.boundary_radius:
                 termination = Termination.HIT_BOUNDARY
                 break
-            if abs(z) >= ctl.escape_radius:
+            if abs(z) >= escape_radius(fld):
                 termination = Termination.ESCAPED
                 break
             if t >= ctl.time_cap:
+                termination = Termination.TIME_CAP
                 break
         else:
             n_rej += 1
@@ -349,17 +350,18 @@ class TestIntegrate:
         for k in range(1, 7):
             for direction in (1, -1):
                 for rtol in (1e-8, 1e-10):
-                    for stop in ("free", "boundary", "time_cap", "separatrix"):
+                    for stop in ("free", "boundary", "time_cap", "max_steps", "separatrix"):
                         fld = _generic_field(rng, k)
                         extra = {}
                         if stop == "boundary":
                             extra["boundary_radius"] = 1.3 * fld.scale
                         elif stop == "time_cap":
                             extra["time_cap"] = float(rng.uniform(0.05, 0.5))
+                        elif stop == "max_steps":
+                            extra["max_steps"] = int(rng.integers(10, 200))
                         if stop == "separatrix":
-                            ctl = IntegratorControls(rtol=rtol).resolved(fld)
                             ang = float(rng.integers(2 * k)) * math.pi / k
-                            z0 = 0.995 * ctl.escape_radius * cmath.exp(1j * ang)
+                            z0 = 0.995 * escape_radius(fld) * cmath.exp(1j * ang)
                         else:
                             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
                         ctl = IntegratorControls(rtol=rtol, **extra)
@@ -376,18 +378,18 @@ class TestIntegrate:
                         assert got.h_min_seen == h_min
                         seen.add(term)
                         n += 1
-        assert n == 96
+        assert n == 120
         assert seen == set(Termination)
 
-    def test_underflow_at_same_step(self):
+    def test_underflow_at_same_step(self, monkeypatch):
         # the step needed near t = 6.2 is below this floor; the message
         # carries the step size and the time of the failing step
         fld = ModelField(3, cmath.exp(-2.1j))
-        ctl = IntegratorControls(h_min=9.5e-4)
+        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
         with pytest.raises(StepSizeUnderflow) as ref:
-            _integrate_reference(fld, -1.68 + 0.46j, 1, ctl)
+            _integrate_reference(fld, -1.68 + 0.46j, 1)
         with pytest.raises(StepSizeUnderflow) as got:
-            integrate(fld, -1.68 + 0.46j, 1, ctl)
+            integrate(fld, -1.68 + 0.46j, 1)
         assert str(got.value) == str(ref.value)
         assert "t=0 " not in str(got.value)
 
@@ -398,6 +400,12 @@ class TestIntegrate:
         assert 0.0 < traj.h_min_seen <= np.diff(traj.times).min() * (1 + 1e-9)
         # the JSON form carries no counters
         assert set(traj.to_dict()) == {"points", "termination"}
+
+    def test_step_budget_is_not_time_cap(self):
+        traj = integrate(ModelField(2, 1.0), 0.3, controls=IntegratorControls(max_steps=5))
+        assert traj.termination is Termination.STEP_BUDGET
+        assert traj.n_accepted + traj.n_rejected == 5
+        assert traj.to_dict()["termination"] == "step_budget"
 
 
 class TestLandingIndex:
@@ -413,7 +421,8 @@ class TestLandingIndex:
             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
             direction = int(rng.choice([1, -1]))
             expect = integrate(fld, z0, direction, ctl).landed_index
-            assert landing_index(fld, z0, direction, ctl) == expect
+            index = landing_lanes(fld, z0, direction, ctl)[0][0]
+            assert index == (-1 if expect is None else expect)
             landed += expect is not None
             n += 1
         assert landed > 150
@@ -441,12 +450,12 @@ class TestLandingIndex:
 
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
-            landing_index(ModelField(2, 1.0), 0.3, direction=0)
+            landing_lanes(ModelField(2, 1.0), 0.3, direction=0)
 
     def test_rejects_start_in_capture_radius(self):
         fld = ModelField(2, 1.0)
         with pytest.raises(ValueError):
-            landing_index(fld, 1.0 + 1e-9, direction=1)
+            landing_lanes(fld, 1.0 + 1e-9, direction=1)
 
 
 class TestLandingLanes:
@@ -475,38 +484,48 @@ class TestLandingLanes:
             index, stop = landing_lanes(fld, z0, direction, ctl)
             for z, d, i, s in zip(z0, direction.tolist(), index, stop):
                 landed, why = scalar_landing(fld, z, d, ctl)
-                assert (i, STOPS[s]) == (-1 if landed is None else landed, why)
+                assert (i, s) == (-1 if landed is None else landed, why)
                 seen.add(why)
                 n += 1
         assert n >= 800
-        assert seen == set(STOPS)
+        assert seen == set(Termination)
 
     def test_one_direction_for_all(self):
         fld = ModelField(3, 0.7j)
         z0 = 1.5 * fld.scale * np.exp(2j * math.pi * np.arange(24) / 24 + 0.1j)
         index, _ = landing_lanes(fld, z0, -1)
-        assert index.tolist() == [landing_index(fld, z, -1) for z in z0]
+        assert index.tolist() == [landing_lanes(fld, z, -1)[0][0] for z in z0]
 
-    def test_underflow_in_the_lanes(self):
+    def test_underflow_in_the_lanes(self, monkeypatch):
         # the orbit of test_underflow_at_same_step in 20 lanes: the lanes
         # stop with the scalar kernel's message
         fld = ModelField(3, cmath.exp(-2.1j))
-        ctl = IntegratorControls(h_min=9.5e-4)
+        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
         with pytest.raises(StepSizeUnderflow) as ref:
-            integrate(fld, -1.68 + 0.46j, 1, ctl)
+            integrate(fld, -1.68 + 0.46j, 1)
         with pytest.raises(StepSizeUnderflow) as got:
-            landing_lanes(fld, np.full(20, -1.68 + 0.46j), 1, ctl)
+            landing_lanes(fld, np.full(20, -1.68 + 0.46j), 1)
         assert str(got.value) == str(ref.value)
 
     def test_non_finite_start_as_scalar(self):
-        # a NaN start shrinks its step to the floor on either kernel
+        # a NaN start shrinks its step to the floor on either kernel; the
+        # entry points refuse a NaN or infinite start before either runs
         fld = ModelField(2, 1.0)
+        ctl = IntegratorControls()
         nan = complex(math.nan, 1.0)
+        z0 = np.r_[np.linspace(0.2, 0.5, 20), nan]
+        radii = np.full((21, 3), capture_radius(fld))
         with pytest.raises(StepSizeUnderflow) as ref:
-            scalar_landing(fld, nan, 1)
+            model._dopri(fld, nan, 1, ctl, radii[-1])
         with pytest.raises(StepSizeUnderflow) as got:
-            landing_lanes(fld, np.r_[np.linspace(0.2, 0.5, 20), nan], 1)
+            model._dopri_lanes(fld, z0, np.ones(21), ctl, radii)
         assert str(got.value) == str(ref.value)
+        for bad in (nan, complex(math.inf, 0.0), complex(0.3, -math.inf)):
+            message = re.escape(f"z0 = {bad} is not finite")
+            with pytest.raises(ValueError, match=message):
+                integrate(fld, bad)
+            with pytest.raises(ValueError, match=message):
+                landing_lanes(fld, np.r_[z0[:20], bad], 1)
 
     def test_rejects_bad_input(self):
         fld = ModelField(2, 1.0)
@@ -630,9 +649,9 @@ class TestDSInvariant:
             k = int(rng.integers(1, 8))
             fld = ModelField(k, rng.uniform(0.3, 2.0) * cmath.exp(2j * math.pi * rng.random()))
             attachment = ds_invariant(fld).attachment
-            launch = 0.995 * IntegratorControls().resolved(fld).escape_radius
-            landed = landing_index(fld, launch + 0j, direction=-1)
-            if landed is None:
+            launch = 0.995 * escape_radius(fld)
+            landed = landing_lanes(fld, launch, direction=-1)[0][0]
+            if landed < 0:
                 skipped += 1
                 continue
             assert attachment == landed
@@ -643,7 +662,6 @@ class TestDSInvariant:
         def refuse(*args, **kwargs):
             raise AssertionError("ds_invariant integrated an orbit")
 
-        monkeypatch.setattr(model, "landing_index", refuse)
         monkeypatch.setattr(model, "landing_lanes", refuse)
         monkeypatch.setattr(model, "_dopri_lanes", refuse)
         monkeypatch.setattr(model, "_dopri", refuse)
@@ -674,7 +692,7 @@ class TestDSInvariant:
             ds_invariant_integrated(ModelField(2, 1.0))
         lost = re.fullmatch(
             r"integrated connections do not form a trunk; "
-            r"(\d+) of 144 seed orbits did not land \((\d+) step budget\)",
+            r"(\d+) of 144 seed orbits did not land \((\d+) step_budget\)",
             str(exc.value),
         )
         assert lost and lost[1] == lost[2] and int(lost[1]) > 72
