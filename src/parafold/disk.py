@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -194,7 +195,7 @@ SELECTIONS = ("top-top", "bottom-bottom", "top-bottom", "bottom-top")
 def double_tangency_residual(
     k: int,
     r: float,
-    abs_eps: float,
+    abs_eps,
     theta,
     pair,
     selection: str = "top-bottom",
@@ -211,13 +212,21 @@ def double_tangency_residual(
     argument, so a pair defined near theta = 0 is translated across the
     seam to keep its geometric identity.
 
-    ``theta`` may be an array; the result is then an array, computed in one
-    pass, and an error is raised for the first theta that fails, as a loop
-    over theta would raise it.
+    ``abs_eps`` and ``theta`` may be arrays that broadcast; the result is
+    then an array of their broadcast shape, computed in one pass, each
+    element with the bits of its scalar call, and an error is raised for
+    the first pair that fails, as a loop over the pairs would raise it.
     """
     if selection not in SELECTIONS:
         raise ValueError(f"unknown selection {selection!r}")
-    th = np.array(theta, dtype=float, ndmin=1)
+    th = np.array(theta, dtype=float)
+    ae = abs_eps
+    eps_array = not np.isscalar(abs_eps)
+    if eps_array:
+        ae, th = (np.array(a, dtype=float) for a in np.broadcast_arrays(abs_eps, th))
+        ae = ae.ravel()
+    shape = th.shape
+    th = th.ravel()
     if np.count_nonzero(np.isinf(th)):
         raise ValueError("theta must be finite")
     shift = np.zeros(th.shape, dtype=int)
@@ -228,13 +237,16 @@ def double_tangency_residual(
         th[high] -= TWO_PI
         shift[high] += 1
     try:
-        res = _residuals(k, r, abs_eps, th, shift, pair, selection)
+        res = _residuals(k, r, ae, th, shift, pair, selection)
     except (NewtonDivergence, RootLoss, ValueError):
-        if th.size > 1:  # raise what the first failing theta raises alone
+        if th.size > 1:  # raise what the first failing pair raises alone
             for i in range(th.size):
-                _residuals(k, r, abs_eps, th[i : i + 1], shift[i : i + 1], pair, selection)
+                one = ae[i : i + 1] if eps_array else ae
+                _residuals(k, r, one, th[i : i + 1], shift[i : i + 1], pair, selection)
         raise
-    return float(res[0]) if np.ndim(theta) == 0 else res
+    if shape or eps_array:
+        return res.reshape(shape)
+    return float(res[0])
 
 
 def _residuals(k, r, abs_eps, th, shift, pair, selection):
@@ -274,7 +286,8 @@ class BifurcationCurve:
     tag: CurveTag
     samples: np.ndarray  # rows (|eps|, theta)
     fitted_exponent: float | None = None
-    residual_evaluations: int = 0  # theta points at which the residual was evaluated
+    residual_calls: int = 0  # vectorised residual calls
+    residual_evaluations: int = 0  # (|eps|, theta) points at which the residual was evaluated
     bracket_widenings: int = 0  # bracket scans repeated on a wider window
 
     def to_dict(self):
@@ -291,55 +304,70 @@ def _log_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
 
 
 def _bracket_root(fun, lo, hi, n=80):
-    """First sign change of ``fun`` on an n-point grid from ``lo`` to ``hi``,
-    the grid evaluated in one call: ``(x0, x1, f0, f1)``, with x0 = x1 at
-    an exact zero, or None."""
-    xs = np.linspace(lo, hi, n)
+    """First sign change of ``fun`` in each lane, on an n-point grid from
+    ``lo`` to ``hi`` (1-D arrays, one entry a lane), all lanes evaluated in
+    one call of ``fun`` on the (lanes, n) grid: arrays ``(x0, x1, f0, f1)``,
+    with x0 = x1 at an exact zero and NaN in a lane without a bracket."""
+    xs = np.linspace(lo, hi, n, axis=-1)
     vals = fun(xs)
-    hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)
-    if not hits.any():
-        return None
-    i = int(np.argmax(hits))
-    if vals[i] == 0.0:
-        return xs[i], xs[i], 0.0, 0.0
-    return xs[i], xs[i + 1], vals[i], vals[i + 1]
+    hits = (vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0)
+    lanes = np.arange(len(xs))
+    i = np.argmax(hits, axis=1)
+    j = np.where(vals[lanes, i] == 0.0, i, i + 1)
+    out = xs[lanes, i], xs[lanes, j], vals[lanes, i], vals[lanes, j]
+    miss = ~hits.any(axis=1)
+    for a in out:
+        a[miss] = np.nan
+    return out
 
 
-def _brent(f, xpre, xcur, fpre, fcur):
-    """Root of ``f`` in the bracket [xpre, xcur] with f values fpre, fcur of
-    opposite sign, by Brent's method, step for step as scipy's ``brentq``
-    with xtol = rtol = 1e-15 and at most 100 steps."""
-    if fpre == 0:
-        return xpre
+def _brent_lanes(f, xpre, xcur, fpre, fcur):
+    """Roots in the brackets [xpre, xcur] of 1-D arrays, f values fpre, fcur
+    of opposite sign or fpre = 0, by Brent's method: every lane steps as
+    scipy's ``brentq`` with xtol = rtol = 1e-15 and at most 100 steps.
+    ``f(x, lanes)`` evaluates the unfinished lanes, ``lanes`` indexing the
+    input arrays, in one call a step."""
     xtol = rtol = 1e-15
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+    roots = np.array(xpre, dtype=float)
+    lanes = np.flatnonzero(np.asarray(fpre) != 0)
+    xpre, xcur, fpre, fcur = (np.asarray(a, dtype=float)[lanes] for a in (xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(lanes.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            new = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+            spre, scur = (np.where(new, xcur - xpre, a) for a in (spre, scur))
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, a, b) for a, b in ((xcur, xpre), (xblk, xcur), (xcur, xblk))
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, a, b) for a, b in ((fcur, fpre), (fblk, fcur), (fcur, fblk))
+            )
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if np.count_nonzero(done):
+                roots[lanes[done]] = xcur[done]
+                live = ~done
+                lanes, delta, sbis = lanes[live], delta[live], sbis[live]
+                xpre, xcur, xblk, spre, scur = (a[live] for a in (xpre, xcur, xblk, spre, scur))
+                fpre, fcur, fblk = (a[live] for a in (fpre, fcur, fblk))
+            if not lanes.size:
+                return roots
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(  # secant, or inverse quadratic interpolation
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            take = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            take &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, lanes)
     raise RootLoss("Brent iteration did not converge in 100 steps")
 
 
@@ -372,10 +400,18 @@ def trace_curve(
 ) -> BifurcationCurve:
     """Numerical continuation of one bifurcation curve in the eps-plane.
 
-    ``side = 0`` is the straight homoclinic ray; the paired curves are found
-    by bracketing the double-tangency residual in theta at each |eps|,
-    seeded by the asymptotic offset ~ C |eps|^{k/(k+1)} calibrated at the
-    largest sample.
+    ``side = 0`` is the straight homoclinic ray.  A paired curve is the root
+    in theta of the double-tangency residual at each |eps| sample.  The
+    curve is calibrated once, at the largest |eps|: an 80-point scan from
+    theta_j fixes the selection and the offset constant C of the asymptotic
+    offset C |eps|^{k/(k+1)}.  All other samples are bracketed in one
+    residual call, each on 40 points of theta_j + side [offset/3, 3 offset];
+    the samples left without a bracket are scanned again at twice and five
+    times that window.  Brent's method then refines every root at once, as
+    lanes.  ``RootLoss`` names the largest |eps| left without a bracket.
+    The scalar point-by-point continuation, one bracket scan and one Brent
+    run per sample, is kept only as the test oracle
+    ``_trace_curve_reference`` in ``tests/test_disk.py``.
     """
     theta_j = bifurcation_angles(k)[tag.j]
     grid = _log_grid(decades[0], decades[1], per_decade)
@@ -384,57 +420,58 @@ def trace_curve(
         return BifurcationCurve(tag=tag, samples=samples, fitted_exponent=None)
 
     pair = tuple(tag.pair)
-    rows = []
-    c_est = None
-    selection = None
-    window0 = 0.45 * math.pi / k
-    evaluations = widenings = 0
-    for abs_eps in grid[::-1]:
-        def residual(theta, sel):
-            nonlocal evaluations
-            evaluations += np.size(theta)
-            return double_tangency_residual(k, r, abs_eps, theta, pair, selection=sel)
+    abs_eps = grid[::-1]  # lane 0, the largest |eps|, calibrates the rest
+    power = k / (k + 1.0)
+    calls = evaluations = widenings = 0
 
-        if c_est is None:
-            found = None
-            for sel in ("top-bottom", "bottom-top"):
-                span = window0
-                for attempt in range(2):
-                    widenings += attempt
-                    lo = theta_j + (1e-7 if tag.side > 0 else -span)
-                    hi = theta_j + (span if tag.side > 0 else -1e-7)
-                    br = _bracket_root(lambda th: residual(th, sel), lo, hi)
-                    if br is not None:
-                        found = (sel, br)
-                        break
-                    span *= 2.0
-                if found:
-                    break
-            if found is None:
-                raise RootLoss(f"no initial bracket for tag {tag}")
-            selection, br = found
-        else:
-            offset = c_est * abs_eps ** (k / (k + 1.0))
-            for widen in (1.0, 2.0, 5.0):
-                widenings += widen > 1.0
-                lo = theta_j + tag.side * offset / (3.0 * widen)
-                hi = theta_j + tag.side * offset * 3.0 * widen
-                lo, hi = min(lo, hi), max(lo, hi)
-                br = _bracket_root(lambda th: residual(th, selection), lo, hi, n=40)
-                if br is not None:
-                    break
-            if br is None:
-                raise RootLoss(f"continuation lost the root of tag {tag} at |eps|={abs_eps:g}")
-        lo, hi, f_lo, f_hi = br
-        theta = lo if lo == hi else _brent(lambda th: residual(th, selection), lo, hi, f_lo, f_hi)
-        rows.append((abs_eps, theta))
-        c_est = abs(theta - theta_j) / abs_eps ** (k / (k + 1.0))
-    samples = np.array(rows[::-1])
+    def residual(ae, theta, selection):
+        nonlocal calls, evaluations
+        vals = double_tangency_residual(k, r, ae, theta, pair, selection=selection)
+        calls += 1
+        evaluations += np.size(vals)
+        return vals
+
+    window0 = 0.45 * math.pi / k
+    selections = ("top-bottom", "bottom-top")
+    for selection, span in itertools.product(selections, (window0, 2.0 * window0)):
+        widenings += span > window0
+        lo = theta_j + (1e-7 if tag.side > 0 else -span)
+        hi = theta_j + (span if tag.side > 0 else -1e-7)
+        br = _bracket_root(lambda th: residual(abs_eps[0], th, selection), [lo], [hi])
+        if not np.isnan(br[0][0]):
+            break
+    else:
+        raise RootLoss(f"no initial bracket for tag {tag}")
+
+    theta0 = _brent_lanes(lambda th, _: residual(abs_eps[0], th, selection), *br)[0]
+    c_est = abs(theta0 - theta_j) / abs_eps[0] ** power
+    rest = abs_eps[1:]
+    offset = c_est * rest**power
+    brackets = np.full((4, rest.size), np.nan)
+    lanes = np.arange(rest.size)  # the samples still without a bracket
+    for widen in (1.0, 2.0, 5.0):
+        widenings += lanes.size if widen > 1.0 else 0
+        near = theta_j + tag.side * offset[lanes] / (3.0 * widen)
+        far = theta_j + tag.side * offset[lanes] * 3.0 * widen
+        brackets[:, lanes] = _bracket_root(
+            lambda th: residual(rest[lanes, None], th, selection),
+            np.minimum(near, far),
+            np.maximum(near, far),
+            n=40,
+        )
+        lanes = lanes[np.isnan(brackets[0, lanes])]
+        if not lanes.size:
+            break
+    else:
+        raise RootLoss(f"continuation lost the root of tag {tag} at |eps|={rest[lanes[0]]:g}")
+    thetas = _brent_lanes(lambda th, lanes: residual(rest[lanes], th, selection), *brackets)
+    samples = np.column_stack([grid, np.append(theta0, thetas)[::-1]])
     exponent = fit_exponent(samples, theta_j, drop_decades_above=decades[1] / 10.0)
     return BifurcationCurve(
         tag=tag,
         samples=samples,
         fitted_exponent=exponent,
+        residual_calls=calls,
         residual_evaluations=evaluations,
         bracket_widenings=widenings,
     )

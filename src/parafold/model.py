@@ -839,9 +839,10 @@ def is_zigzag(order, points, strict_margin: float = 1e-12) -> bool:
 def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
     """xi on arrays: ``eps`` broadcasts against ``z``.
 
-    One term count serves every point: the first n with
-    q^n a_0/a_n < ``tol``, plus one, for q the largest |eps/z^{k+1}|
-    (capped at ``max_terms``); the sum is evaluated by Horner.
+    Each point keeps the first n terms with q^n a_0/a_n < ``tol``, plus one,
+    for its own q = |eps/z^{k+1}| (capped at ``max_terms``), so its terms do
+    not depend on the other points of the array; the sums run as one Horner
+    pass, which each point joins at its last term.
     """
     k1 = k + 1
     z = np.asarray(z, dtype=complex)
@@ -849,16 +850,32 @@ def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
         raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")
     zk = z**k
     ratio = eps / (zk * z)
-    q = float(np.maximum.reduce(np.abs(ratio), axis=None, initial=0.0))
-    inv_a = [1.0 / k]  # 1/a_n of the terms kept
-    power = 1.0  # q^n of the last term kept
+    q = np.abs(ratio)
+    top = float(np.maximum.reduce(q, axis=None, initial=0.0))
+    inv_a = [1.0 / k]  # 1/a_n of the terms kept at the largest q
+    power = 1.0  # its q^n of the last term kept
     while len(inv_a) < max_terms and power * k * inv_a[-1] >= tol:
-        power *= q
+        power *= top
         inv_a.append(1.0 / (len(inv_a) * k1 + k))
+    # the loop condition falls with n and with q: some point keeps fewer
+    # terms where the smallest q fails it at the last term kept
+    bottom = float(np.minimum.reduce(q, axis=None, initial=top))
+    power = 1.0
+    for _ in inv_a[2:]:
+        power *= bottom
+    ragged = len(inv_a) > 1 and power * k * inv_a[-2] < tol
+    if ragged:  # the loop above, point by point
+        kept = np.ones(q.shape, dtype=int)
+        power = np.ones(q.shape)
+        for c in inv_a[:-1]:
+            kept += power * k * c >= tol
+            power *= q
     acc = np.full(ratio.shape, inv_a[-1], dtype=complex)
-    for c in inv_a[-2::-1]:
+    for n in range(len(inv_a) - 2, -1, -1):
         acc *= ratio
-        acc += c
+        acc += inv_a[n]
+        if ragged:
+            acc[kept == n + 1] = inv_a[n]
     return -acc / zk
 
 

@@ -567,6 +567,39 @@ class TestArrayKernel:
             assert _outcome(double_tangency_residual, 1, 0.8, 0.8, part, (0, 1)) == want
         assert kinds == {NewtonDivergence, ValueError}
 
+    def test_eps_grid_matches_scalar_calls(self):
+        # lanes of |eps| over five decades against (|eps|, theta) grids that
+        # cross the seam: every element has the bits of its scalar call
+        rng = np.random.default_rng(57)
+        for k in (1, 2, 3, 4, 5):
+            pair = (0, k) if k > 1 else (0, 1)
+            r = rng.uniform(0.8, 1.25)
+            abs_eps = 10 ** rng.uniform(-6, -1, size=(4, 1))
+            theta = rng.uniform(-0.5, 0.5, size=(4, 5)) + TWO_PI * rng.integers(0, 2, size=(4, 1))
+            for selection in ("top-bottom", "bottom-top"):
+                got = double_tangency_residual(k, r, abs_eps, theta, pair, selection=selection)
+                assert got.shape == theta.shape
+                for (i, j), value in np.ndenumerate(got):
+                    one = double_tangency_residual(k, r, abs_eps[i, 0], theta[i, j], pair, selection=selection)
+                    assert value == one
+            lanes = double_tangency_residual(k, r, abs_eps[:, 0], theta[:, 0], pair)
+            assert np.array_equal(lanes, double_tangency_residual(k, r, abs_eps, theta, pair)[:, 0])
+
+    def test_first_failing_eps_raises(self):
+        # k = 1, r = 0.8: |eps| = 0.8 fails at every theta; a (|eps|, theta)
+        # grid raises what its first failing pair raises alone
+        abs_eps = np.array([[1e-3], [0.8], [1e-3], [0.8]])
+        theta = np.linspace(-1.0, 7.0, 33)[::4]
+        for start in range(4):
+            part = abs_eps[start:]
+            want = next(
+                out
+                for ae in part[:, 0]
+                for th in theta
+                if isinstance(out := _outcome(_residual_reference, 1, 0.8, ae, th, (0, 1)), tuple)
+            )
+            assert _outcome(double_tangency_residual, 1, 0.8, part, theta, (0, 1)) == want
+
     def test_non_finite_theta_refused(self):
         # an infinite theta used to spin in the seam loop for ever
         for bad in (math.inf, -math.inf, math.nan, [0.3, math.inf]):
@@ -597,41 +630,80 @@ class TestArrayKernel:
         calls = []
 
         def fun(xs):
-            calls.append(len(xs))
+            calls.append(xs.shape)
             return np.cos(xs)
 
-        lo, hi, f_lo, f_hi = disk._bracket_root(fun, 0.0, 3.0, n=31)
-        assert calls == [31]
-        assert lo < math.pi / 2 < hi and f_lo > 0 > f_hi
-        assert disk._bracket_root(fun, 0.0, 0.5, n=8) is None
+        # one call on a (lanes, n) grid; each lane its own first sign change
+        x0, x1, f0, f1 = disk._bracket_root(fun, [0.0, 2.0, 0.0], [3.0, 6.0, 0.5], n=31)
+        assert calls == [(3, 31)]
+        assert x0[0] < math.pi / 2 < x1[0] and f0[0] > 0 > f1[0]
+        assert x0[1] < 3 * math.pi / 2 < x1[1] and f0[1] < 0 < f1[1]
+        # a lane without a sign change has no bracket
+        assert all(np.isnan(a[2]) for a in (x0, x1, f0, f1))
+        assert all(np.isnan(a).all() for a in disk._bracket_root(fun, [0.0], [0.5], n=8))
         # an exact zero returns (x, x); a sign change before it comes first
-        assert disk._bracket_root(lambda xs: xs - 1.0, 0.0, 2.0, n=5)[:2] == (1.0, 1.0)
-        assert disk._bracket_root(lambda xs: np.cos(4 * xs), 0.0, 2.0, n=5)[:2] == (0.0, 0.5)
+        out = disk._bracket_root(lambda xs: np.cos(4 * xs) * (xs - 1.0), [0.0, 0.0], [2.0, 2.0], n=5)
+        assert (out[0][0], out[1][0]) == (0.0, 0.5)
+        out = disk._bracket_root(lambda xs: xs - 1.0, [0.0], [2.0], n=5)
+        assert (out[0][0], out[1][0], out[2][0], out[3][0]) == (1.0, 1.0, 0.0, 0.0)
 
-    def test_brent_matches_brentq(self):
+    BRENT_CASES = (
+        (lambda x: np.cos(x) - 0.3, 0.0, 3.0),
+        (lambda x: x**3 - 2 * x - 5, 0.0, 3.0),
+        (lambda x: np.exp(x) - 3.0, -3.0, 3.0),
+        (lambda x: np.tanh(20 * (x - 0.7)), -3.0, 3.0),
+        (lambda x: x * np.exp(-x) - 0.1, 0.0, 1.0),
+    )
+
+    def _brent_brackets(self):
+        """Lanes (function index, lo, hi) around the roots of BRENT_CASES."""
         from scipy.optimize import brentq
 
         rng = np.random.default_rng(56)
-        funcs = [
-            (lambda x: np.cos(x) - 0.3, 0.0, 3.0),
-            (lambda x: x**3 - 2 * x - 5, 0.0, 3.0),
-            (lambda x: np.exp(x) - 3.0, -3.0, 3.0),
-            (lambda x: np.tanh(20 * (x - 0.7)), -3.0, 3.0),
-            (lambda x: x * np.exp(-x) - 0.1, 0.0, 1.0),
-        ]
-        compared = 0
-        for f, a, b in funcs:
+        lanes = []
+        for i, (f, a, b) in enumerate(self.BRENT_CASES):
             root = brentq(f, a, b, xtol=1e-15, rtol=1e-15)
             for _ in range(8):
                 lo = root - rng.uniform(1e-6, 1.0)
                 hi = root + rng.uniform(1e-6, 1.0)
-                if f(lo) * f(hi) >= 0:
-                    continue
-                want = brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
-                got = disk._brent(f, lo, hi, f(lo), f(hi))
-                assert abs(got - want) <= 4e-15 * max(1.0, abs(want))
-                compared += 1
-        assert compared >= 30
+                if f(lo) * f(hi) < 0:
+                    lanes.append((i, lo, hi))
+        which, lo, hi = (np.array(col) for col in zip(*lanes))
+        return which, lo, hi
+
+    def _lane_function(self, which):
+        def f(x, lanes):
+            every = np.array([g(x) for g, _, _ in self.BRENT_CASES])
+            return every[which[lanes], np.arange(len(x))]
+
+        return f
+
+    def test_brent_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        which, lo, hi = self._brent_brackets()
+        assert len(lo) >= 30
+        f = self._lane_function(which)
+        lanes = np.arange(len(lo))
+        got = disk._brent_lanes(f, lo, hi, f(lo, lanes), f(hi, lanes))
+        for i, g in enumerate(got):
+            want = brentq(self.BRENT_CASES[which[i]][0], lo[i], hi[i], xtol=1e-15, rtol=1e-15)
+            assert abs(g - want) <= 4e-15 * max(1.0, abs(want))
+
+    def test_brent_lanes_independent(self):
+        # each lane's root has the bits of that lane run alone, and a lane
+        # that starts on an exact zero returns it
+        which, lo, hi = self._brent_brackets()
+        f = self._lane_function(which)
+        lanes = np.arange(len(lo))
+        f_lo, f_hi = f(lo, lanes), f(hi, lanes)
+        f_lo[3], hi[3] = 0.0, lo[3]
+        together = disk._brent_lanes(f, lo, hi, f_lo, f_hi)
+        assert together[3] == lo[3]
+        for i in lanes:
+            alone = disk._brent_lanes(lambda x, _: f(x, np.array([i])), lo[i : i + 1], hi[i : i + 1],
+                                      f_lo[i : i + 1], f_hi[i : i + 1])
+            assert alone[0] == together[i]
 
     def test_trace_curve_matches_reference(self):
         # theta_0 = 0 for k = 3, so its minus side runs across the seam
@@ -642,6 +714,16 @@ class TestArrayKernel:
                 assert np.array_equal(got.samples[:, 0], want[:, 0])
                 assert np.abs(got.samples[:, 1] - want[:, 1]).max() <= 1e-13
 
+    @pytest.mark.parametrize("k, j, side", [(2, 1, 1), (3, 0, -1), (4, 2, -1), (5, 1, 1)])
+    def test_trace_curve_full_range_matches_reference(self, k, j, side):
+        # one calibration at |eps| = 1e-2 serves four decades; the k = 3,
+        # j = 0 minus side crosses the seam
+        tag = next(t for t in group_tags(k, j) if t.side == side)
+        got = trace_curve(k, 1.0, tag, decades=(1e-6, 1e-2), per_decade=6)
+        want = _trace_curve_reference(k, 1.0, tag, (1e-6, 1e-2), 6)
+        assert np.array_equal(got.samples[:, 0], want[:, 0])
+        assert np.abs(got.samples[:, 1] - want[:, 1]).max() <= 1e-13
+
 
 class TestCounters:
     def test_residual_evaluations_counted(self, monkeypatch):
@@ -649,33 +731,66 @@ class TestCounters:
         real = disk.double_tangency_residual
 
         def counted(k, r, abs_eps, theta, pair, selection="top-bottom"):
-            seen.append(np.size(theta))
-            return real(k, r, abs_eps, theta, pair, selection=selection)
+            out = real(k, r, abs_eps, theta, pair, selection=selection)
+            seen.append(np.size(out))
+            return out
 
         monkeypatch.setattr(disk, "double_tangency_residual", counted)
         tag = group_tags(2, 1)[1]
         curve = trace_curve(2, 1.0, tag, decades=(1e-4, 1e-2), per_decade=4)
+        assert curve.residual_calls == len(seen)
         assert curve.residual_evaluations == sum(seen)
         assert curve.residual_evaluations >= 80 + 40 * (len(curve.samples) - 1)
         assert curve.bracket_widenings == 0
 
+    def test_residual_calls_per_curve(self):
+        # calibration, one bracket call for the other 48 samples, lane Brent
+        for k in (2, 3, 4):
+            tag = group_tags(k, 0)[1]
+            curve = trace_curve(k, 1.0, tag, decades=(1e-6, 1e-2), per_decade=12)
+            assert len(curve.samples) == 49
+            assert curve.residual_calls <= 20
+
     def test_bracket_widenings_counted(self, monkeypatch):
-        # refuse the second and third scans: the first continuation window
-        # and its doubled one both come back empty
+        # refuse the first lane of the bracket call for the continued
+        # samples and of its doubled rescan: that lane is found at 5x
         real = disk._bracket_root
         calls = []
 
         def refusing(fun, lo, hi, n=80):
-            calls.append(n)
-            return None if len(calls) in (2, 3) else real(fun, lo, hi, n)
+            out = real(fun, lo, hi, n)
+            calls.append(len(lo))
+            if len(calls) in (2, 3):
+                for a in out:
+                    a[0] = np.nan
+            return out
 
         monkeypatch.setattr(disk, "_bracket_root", refusing)
         tag = group_tags(3, 1)[1]
         curve = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
+        assert calls == [1, len(curve.samples) - 1, 1, 1]
         assert curve.bracket_widenings == 2
         monkeypatch.setattr(disk, "_bracket_root", real)
         plain = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
         assert np.abs(plain.samples - curve.samples).max() <= 1e-13
+
+    def test_root_loss_names_largest_unbracketed(self, monkeypatch):
+        # the continued lanes run from the largest |eps| down; refuse lanes
+        # 2 and 4 of the bracket call and every rescan
+        real = disk._bracket_root
+
+        def refusing(fun, lo, hi, n=80):
+            out = real(fun, lo, hi, n)
+            if n == 40:
+                for a in out:
+                    a[[2, 4] if len(lo) > 2 else slice(None)] = np.nan
+            return out
+
+        monkeypatch.setattr(disk, "_bracket_root", refusing)
+        tag = group_tags(2, 0)[1]
+        grid = disk._log_grid(1e-3, 1e-2, 6)
+        with pytest.raises(RootLoss, match=f"at \\|eps\\|={grid[-4]:g}$"):
+            trace_curve(2, 1.0, tag, decades=(1e-3, 1e-2), per_decade=6)
 
     def test_to_dict_unchanged_by_counters(self):
         tag = group_tags(2, 0)[1]

@@ -43,6 +43,7 @@ from parafold.model import (
     singularities,
     transition_rule_holds,
     vertex_scale,
+    xi_array,
     xi_series,
 )
 
@@ -793,7 +794,7 @@ class TestRectify:
 class TestXiArray:
     def test_matches_scalar_loop(self):
         # points near the domain edge (|eps/z^{k+1}| in [0.5, 0.9]) mixed with
-        # far ones; one term count serves the whole array
+        # far ones; each point keeps its own term count
         rng = np.random.default_rng(41)
         for k in range(1, 8):
             for _ in range(5):
@@ -807,6 +808,26 @@ class TestXiArray:
                 far = z[6:]
                 want_far = want[6:]
                 assert np.abs(xi_series(fld, far) - want_far).max() <= 1e-13 * np.abs(want_far).max()
+
+    def test_point_keeps_its_bits_in_any_array(self):
+        # q = |eps/z^{k+1}| over eight decades by an eps per point, and in
+        # [0.05, 0.95] by z: every point has the bits it has in an array of its
+        # own (two copies: numpy multiplies a one-point array in place by
+        # its scalar loop, which rounds differently from its vector loop)
+        rng = np.random.default_rng(44)
+        for k in range(1, 7):
+            eps = 10 ** rng.uniform(-9, -1, 12) * np.exp(2j * math.pi * rng.random(12))
+            z = 1.2 * np.exp(2j * math.pi * rng.random(12))
+            got = xi_array(k, eps, z)
+            for e, w, g in zip(eps, z, got):
+                assert g == xi_array(k, e, np.full(2, w))[0]
+            # the largest q keeps the most terms; one term count for all
+            # changed the last bit of about 1.6% of such points
+            q = np.concatenate([[0.95], rng.uniform(0.05, 0.9, 47)])
+            z = (abs(eps[0]) / q) ** (1 / (k + 1)) * np.exp(2j * math.pi * rng.random(48))
+            got = xi_array(k, eps[0], z)
+            for w, g in zip(z, got):
+                assert g == xi_array(k, eps[0], np.full(2, w))[0]
 
     def test_scalar_returns_complex(self):
         fld = ModelField(3, 1e-3 * cmath.exp(0.4j))
