@@ -93,15 +93,30 @@ def _mul_raw(a, b):
     return np.convolve(a[:n], b[:n])[:n]
 
 
-def _newton_orders(start, n):
+def _newton_orders(start, n, gain=1):
     """Truncation orders of a Newton iteration whose iterate is exact to
-    order ``start``: each sweep doubles the resolved order, 2*start+1, ...,
-    up to n, and two sweeps run at n to settle the rounding."""
+    order ``start``: each sweep takes an iterate exact to order m to one
+    exact to 2m + gain, up to n, and two sweeps run at n to settle the
+    rounding."""
     orders = []
     while start < n:
-        start = min(2 * start + 1, n)
+        start = min(2 * start + gain, n)
         orders.append(start)
     return orders + [n] * (2 - orders.count(n))
+
+
+def _pow_raw(c, e):
+    """c^e for an integer e >= 0 by binary powering; c itself when e = 1."""
+    if e == 0:
+        return np.eye(1, len(c), dtype=complex)[0]
+    result = None
+    while True:
+        if e & 1:
+            result = c if result is None else _mul_raw(result, c)
+        e >>= 1
+        if not e:
+            return result
+        c = _mul_raw(c, c)
 
 
 def _reciprocal_raw(c):
@@ -277,15 +292,7 @@ class TruncatedSeries:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, np.integer)) or exponent < 0:
             raise ValueError("only non-negative integer powers")
-        result = TruncatedSeries.constant(1.0, self.order)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return TruncatedSeries(_pow_raw(self._c, int(exponent)))
 
     # -- calculus / structural helpers --------------------------------------
 
@@ -351,10 +358,11 @@ class TruncatedSeries:
     def reversion(self, tol=UNIT_TOL):
         """Compositional inverse g with self(g(x)) = x.
 
-        Newton iteration on the composition equation, working at doubling
-        truncation orders so that each sweep costs what it resolves.  Each
-        sweep builds one power table of g and evaluates both self and its
-        derivative at g from it.
+        Newton iteration on the composition equation, g <- g - (self(g) - x) g',
+        with g' in place of 1/self'(g): each sweep is one composition (one
+        power table of g) and one product.  An iterate exact to order m
+        comes out exact to order 2m, so the sweeps run at the truncation
+        orders 2, 4, 8, ..., n and then once more at n.
         """
         if abs(self._c[0]) > tol:
             raise NonZeroConstantTerm("series must vanish at the origin")
@@ -363,22 +371,22 @@ class TruncatedSeries:
         n = self.order
         g = np.zeros(n + 1, dtype=complex)
         g[1] = 1.0 / self._c[1]
-        dself = np.zeros(n + 1, dtype=complex)
-        dself[:n] = self.derivative()._c[: n]
-        for order in _newton_orders(1, n):
-            table = _power_table(g, order)
-            residual = _compose_table(self._c, table)
+        slope = np.zeros(n + 1, dtype=complex)
+        for order in _newton_orders(1, n, gain=0):
+            residual = _compose_raw(self._c[: order + 1], g[: order + 1])
             residual[1] -= 1.0
-            slope = _compose_table(dself, table)
-            g[: order + 1] -= _mul_raw(residual, _reciprocal_raw(slope))
+            slope[:order] = g[1 : order + 1] * np.arange(1, order + 1)
+            g[: order + 1] -= _mul_raw(residual, slope[: order + 1])
         return TruncatedSeries(g)
 
     def kth_root(self, k, tol=1e-9):
         """The branch of the k-th root with value 1 at the origin.
 
-        Requires constant term 1 (callers normalise first).  Newton for
-        x^k = self, x <- x (k-1)/k + (self/k) x^{-(k-1)}, at doubling
-        truncation orders and then twice at full order.
+        Requires constant term 1 (callers normalise first).  Newton for the
+        inverse root y = self^{-1/k}, y <- y + y (1 - self y^k)/k, needs no
+        reciprocal; it runs at doubling truncation orders and then twice at
+        full order.  The root x = self y^{k-1} is polished once at full
+        order, x <- x + (self - x^k) y^{k-1}/k.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -386,11 +394,16 @@ class TruncatedSeries:
             raise BadConstantTerm(f"constant term {self._c[0]!r} != 1")
         if k == 1:
             return self
-        x = TruncatedSeries.constant(1.0, 0)
+        s = self._c
+        y = np.zeros(len(s), dtype=complex)
+        y[0] = 1.0
         for order in _newton_orders(0, self.order):
-            x = x.extended(order)
-            x = x * ((k - 1) / k) + (self.truncated(order) / k) * (x ** (k - 1)).reciprocal()
-        return x
+            corr = -_mul_raw(s[: order + 1], _pow_raw(y[: order + 1], k))
+            corr[0] += 1.0
+            y[: order + 1] += _mul_raw(y[: order + 1], corr) / k
+        y_pow = _pow_raw(y, k - 1)
+        x = _mul_raw(s, y_pow)
+        return TruncatedSeries(x + _mul_raw(s - _pow_raw(x, k), y_pow) / k)
 
     def class_split(self, modulus):
         """Group coefficients by residue class of the exponent.

@@ -24,6 +24,7 @@ from .series import (
     UNIT_TOL,
     BivariateSeries,
     TruncatedSeries,
+    _newton_orders,
     json_field,
     json_int,
     principal_root,
@@ -197,14 +198,16 @@ def _solve_root_locus(omega: BivariateSeries, z_order: int) -> TruncatedSeries:
     """The series f with omega(z, f(z)) = 0, f = O(z^{k+1}).
 
     Newton iteration on the functional equation; the eps-derivative of omega
-    is a unit at the origin by genericity.
+    is a unit at the origin by genericity.  An iterate exact to order m
+    comes out exact to order 2m+1, so the sweeps run at the doubling
+    truncation orders 1, 3, 7, ..., z_order and then once more at z_order.
     """
     if omega.z_order < z_order:
         omega = BivariateSeries(omega.coefficients, z_order, omega.eps_order)
     d_omega = omega.deps()
-    f = TruncatedSeries.zero(z_order)
-    sweeps = max(1, math.ceil(math.log2(z_order + 2))) + 2
-    for _ in range(sweeps):
+    f = TruncatedSeries.zero(0)
+    for order in _newton_orders(0, z_order):
+        f = f.extended(order)
         res = omega.eval_eps_series(f)
         slope = d_omega.eval_eps_series(f)
         f = f - res * slope.reciprocal()
@@ -362,9 +365,11 @@ def unfolding_periods(ef: EigenvalueFunction, eps: complex):
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Result of canonicalisation: lambda_canonical = lambda o h."""
+    """Result of canonicalisation: lambda_canonical = lambda o h, and the
+    compositional inverse of h."""
 
     h: TruncatedSeries
+    h_inverse: TruncatedSeries
     lam: EigenvalueFunction
     linear_choices: np.ndarray
 
@@ -382,8 +387,14 @@ def canonicalize(ef: EigenvalueFunction) -> CanonicalForm:
     are listed).  Then the unique tangent-to-identity substitution
     h(eta) = eta g(eta^{k+1}) kills every coefficient of degree k + m(k+1),
     m >= 1: with sigma split into classes sum_j delta^j a_j(delta^{k+1}),
-    the germ l(delta) = delta a_0(delta^{k+1})^{1/k} (k-th root fixing 1)
-    satisfies l o h = id, so h is the compositional inverse of l.
+    the germ l(delta) = delta A(delta^{k+1}), A = a_0^{1/k} (k-th root
+    fixing 1), satisfies l o h = id, so h is the compositional inverse of l.
+
+    Both live in x = delta^{k+1}: l^{k+1} = L(delta^{k+1}) with
+    L(x) = x a_0(x) A(x), and h(eta) = eta G(eta^{k+1}) with
+    G = (L^{-1}(x)/x)^{1/(k+1)}, so the reversion and the roots run at order
+    (N-1)//(k+1) for truncation order N.  The inverse of the returned map
+    eta -> a h(eta) is delta -> l(delta/a), which costs nothing more.
     """
     k = ef.k
     order = ef.order
@@ -392,16 +403,21 @@ def canonicalize(ef: EigenvalueFunction) -> CanonicalForm:
     linear_choices = a * np.exp(2j * math.pi * np.arange(k) / k)
     lam1 = ef.lam.scale_argument(a)
     sigma1 = lam1.shift_down(k).extended(order) / (k + 1)
-    a0 = sigma1.class_split(k + 1)[0]
-    # l(delta) = delta * a0(delta^{k+1})^{1/k}; exact high-order padding is
-    # justified because every reported coefficient of lam o h below the
-    # truncation depends only on lambda-coefficients below it
-    ell = a0.kth_root(k).upsample(k + 1, order).shift_up(1)
-    h = ell.reversion()
+    # exact high-order padding is justified because every reported
+    # coefficient of lam o h below the truncation depends only on
+    # lambda-coefficients below it
+    m = (order - 1) // (k + 1)
+    a0 = sigma1.class_split(k + 1)[0].truncated(m)
+    root = a0.kth_root(k)
+    ell_power = (a0 * root).extended(m + 1).shift_up(1)  # L(x)
+    g = ell_power.reversion().shift_down(1).kth_root(k + 1)
+    h = g.upsample(k + 1, order).shift_up(1)
+    ell = root.upsample(k + 1, order).shift_up(1)
     lam_can = lam1.compose(h).coefficients.copy()
     lam_can[_k_class(k)][1:] = 0.0  # the eliminated classes are O(roundoff)
     return CanonicalForm(
         h=h * a,
+        h_inverse=ell.scale_argument(1 / a),
         lam=EigenvalueFunction(k, TruncatedSeries(lam_can)),
         linear_choices=linear_choices,
     )
@@ -446,8 +462,7 @@ def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float =
     if nu is None:
         return None
     # l1 o h1 = c1, l2 o h2 = c2 and c2 = c1 o (nu .): xi = h2 o (nu^{-1} .) o h1^{-1}
-    h1_inv = c1.h.reversion()
-    xi = c2.h.scale_argument(1 / nu).compose(h1_inv)
+    xi = c2.h.scale_argument(1 / nu).compose(c1.h_inverse)
     return nu, xi
 
 

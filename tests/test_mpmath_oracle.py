@@ -9,8 +9,12 @@ order 160.  A composition coefficient is a sum of products that may cancel
 wherever the random outer coefficients do, so it is bounded relative to the
 size of its terms, sum_d |outer_d| (|inner|^d)_j, to which the rounding of
 any summation order is proportional.  ``lagrange_Q`` is checked against a
-60-digit Vandermonde solve down to |eps| = 1e-30.  The bounds were fixed
-before the first run.
+60-digit Vandermonde solve down to |eps| = 1e-30.  ``canonicalize`` is
+checked at orders 80 and 160 for k = 1..4 on sigma with 0.7^n decay and
+|sigma(0)| = 1: its map h at sampled degrees, from the k-th root recurrence
+and Lagrange inversion of l at 30 digits, and its inverse l(delta/a) at
+every degree, each coefficient relative to its own size, bound 1e-11.  The
+bounds were fixed before the first run.
 """
 
 import mpmath
@@ -20,6 +24,7 @@ from conftest import horner_compose
 
 from parafold.normal_forms import lagrange_Q
 from parafold.series import TruncatedSeries
+from parafold.unfolding import EigenvalueFunction, canonicalize
 
 RECIPROCAL_BOUND = 1e-12
 KTH_ROOT_BOUND = 1e-12
@@ -27,6 +32,7 @@ REVERSION_BOUND = 1e-9
 SLOW_DECAY_BOUND = 1e-11
 COMPOSE_BOUND = 1e-13
 LAGRANGE_BOUND = 1e-13
+CANONICALIZE_BOUND = 1e-11
 
 
 def _decaying(rng, order, decay):
@@ -197,3 +203,37 @@ def test_reversion_order_160_slow_decay():
             got = TruncatedSeries(np.concatenate([[0.0], s])).reversion().coefficients
             exact = _lagrange_reversion(_mp(s), degrees)
             assert _worst_error(got[degrees], exact, floor=0) < SLOW_DECAY_BOUND
+
+
+def _mp_canonical_maps(sigma, k, order, degrees):
+    """The maps of ``canonicalize`` for lambda = (k+1) delta^k sigma: a h at
+    ``degrees``, h the inverse of l(delta) = delta A(delta^{k+1}) by Lagrange
+    inversion, and l(delta/a) at every degree.  A is the k-th root of the
+    class a_0 of sigma(a delta) a^k, padded with zeros past the data."""
+    a = mpmath.root(1 / sigma[0], k)
+    sigma1 = [c * a ** (j + k) for j, c in enumerate(sigma)] + [mpmath.mpc(0)] * k
+    m = (order - 1) // (k + 1)
+    s = [mpmath.mpc(0)] * order  # s(delta) = A(delta^{k+1}), so l = delta s
+    s[:: k + 1] = _mp_power(sigma1[:: k + 1], mpmath.mpf(1) / k, m)
+    h = [a * c for c in _lagrange_reversion(s, degrees)]
+    h_inverse = [c / a ** (d + 1) for d, c in enumerate(s)]
+    return h, h_inverse
+
+
+@pytest.mark.parametrize("order", [80, 160])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_canonicalize(order, k):
+    # h has terms only at the degrees 1 + i(k+1); i = 0..5 and four up to
+    # the last, since Lagrange inversion costs n^2/2 terms at degree n
+    m = (order - 1) // (k + 1)
+    steps = sorted({*range(6), m // 4, m // 2, 3 * m // 4, m - 1, m})
+    degrees = [1 + i * (k + 1) for i in steps]
+    rng = np.random.default_rng(1000 + 10 * order + k)
+    sigma = _decaying_unit(rng, order - k, np.exp(2j * np.pi * rng.random()), 0.7)
+    lam = np.concatenate([np.zeros(k), (k + 1) * sigma])
+    can = canonicalize(EigenvalueFunction(k, TruncatedSeries(lam)))
+    with mpmath.workdps(30):
+        h, h_inverse = _mp_canonical_maps(_mp(sigma), k, order, degrees)
+        assert _worst_error(can.h.coefficients[degrees], h, floor=0) < CANONICALIZE_BOUND
+        got = can.h_inverse.coefficients[1 :: k + 1]
+        assert _worst_error(got, h_inverse[:: k + 1], floor=0) < CANONICALIZE_BOUND

@@ -303,6 +303,14 @@ class TestRingAxioms:
             assert np.abs(assoc).max() / scale < 1e-12
             assert np.abs(distr).max() / scale < 1e-12
 
+    def test_powers_match_repeated_products(self):
+        rng = np.random.default_rng(18)
+        a = random_series(rng, 18)
+        product = TruncatedSeries.constant(1.0, 18)
+        for e in range(7):
+            assert series_distance(a**e, product) < 1e-12
+            product = product * a
+
 
 class TestScalingHelpers:
     def test_scale_argument(self):

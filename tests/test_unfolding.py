@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from parafold.series import BivariateSeries, TruncatedSeries
+from parafold.series import BivariateSeries, TruncatedSeries, series_distance
 from parafold.unfolding import (
     _divide_by_model,
     AmbiguousMatch,
@@ -355,6 +355,39 @@ class TestCanonicalize:
         rotated = canonicalize(EigenvalueFunction(k, ef.lam.scale_argument(nu))).lam.lam
         expect = base.scale_argument(nu)
         assert np.abs(rotated.coefficients - expect.coefficients).max() < 1e-9
+
+
+class TestCanonicalInverse:
+    """``CanonicalForm.h_inverse`` is built beside h, not by reverting it.
+
+    The eigenvalue functions decay like 0.3^n, as in the benchmark, so that
+    the compositions are well conditioned up to order 160.  At decay 0.6
+    and k = 1 the canonicalising maps converge on a disk of radius below 1,
+    and xi = h2 o h1^{-1} loses every digit by order 160 by either route.
+    """
+
+    @pytest.mark.parametrize("order", [40, 80, 160])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_composes_to_identity(self, k, order):
+        rng = np.random.default_rng(100 * k + order)
+        can = canonicalize(random_eigenvalue(rng, k, order, decay=0.3))
+        ident = TruncatedSeries.identity(order)
+        assert series_distance(can.h.compose(can.h_inverse), ident) <= 1e-12
+        assert series_distance(can.h_inverse.compose(can.h), ident) <= 1e-12
+
+    @pytest.mark.parametrize("order", [40, 80, 160])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_xi_matches_reverted_h(self, k, order):
+        # l2 = l1 o psi with psi(delta) = delta (1 + c delta^{k+1}) commuting
+        # with rotation; the oracle reverts the canonicalising map of l1
+        rng = np.random.default_rng(200 * k + order)
+        l1 = random_eigenvalue(rng, k, order, decay=0.3)
+        psi = TruncatedSeries.identity(order) + TruncatedSeries.monomial(k + 2, order, 0.05 - 0.03j)
+        l2 = EigenvalueFunction(k, l1.lam.compose(psi))
+        nu, xi = equivalent_full(l1, l2)
+        c1, c2 = canonicalize(l1), canonicalize(l2)
+        oracle = c2.h.scale_argument(1 / nu).compose(c1.h.reversion())
+        assert series_distance(xi, oracle) <= 1e-12
 
 
 class TestEquivalence:
