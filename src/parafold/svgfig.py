@@ -3,9 +3,17 @@
 Figures are assembled as explicit element strings with fixed-precision
 coordinates, so identical inputs produce byte-identical files and tests can
 assert on path data directly.
+
+``polyline`` and ``polygon`` emit a point list in one call: the points are
+mapped to pixels as a numpy float array, in ``map_point``'s order of
+operations, all coordinates are formatted by one ``"%.3f,%.3f " * n``
+format, and one ``str.replace`` turns each ``-0.000`` into ``0.000``.  Every
+token has exactly three decimals, so the replace touches whole tokens only.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # figure palette: matches the phase-portrait conventions
 COLOR_INCOMING = "blue"
@@ -33,10 +41,23 @@ class SvgCanvas:
         y = (self.ymax - z.imag) / (self.ymax - self.ymin) * self.size
         return x, y
 
+    def map_points(self, points):
+        """``map_point`` of each point, as the rows (x, y) of a float array."""
+        z = np.asarray(points, dtype=complex)
+        xy = np.empty((len(z), 2))
+        xy[:, 0] = (z.real - self.xmin) / (self.xmax - self.xmin) * self.size
+        xy[:, 1] = (self.ymax - z.imag) / (self.ymax - self.ymin) * self.size
+        return xy
+
+    def _coords(self, points):
+        """``"x,y x,y ..."`` of the points, each coordinate as ``_fmt`` gives it."""
+        xy = self.map_points(points)
+        return ("%.3f,%.3f " * len(xy) % tuple(xy.ravel().tolist()))[:-1].replace("-0.000", "0.000")
+
     def polyline(self, points, stroke, width=1.0, cls=None, dash=None):
         if len(points) < 2:
             return
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(self.map_point, points))
+        coords = self._coords(points)
         attrs = f'points="{coords}" fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"'
         if dash:
             attrs += f' stroke-dasharray="{dash}"'
@@ -45,7 +66,7 @@ class SvgCanvas:
         self._elements.append(f"<polyline {attrs} />")
 
     def polygon(self, points, stroke, width=1.0, cls=None, fill="none"):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(self.map_point, points))
+        coords = self._coords(points)
         self._elements.append(
             f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"' + (f' class="{cls}"' if cls else "") + " />"

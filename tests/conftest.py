@@ -8,11 +8,42 @@ import numpy as np
 from parafold import cli, model
 from parafold.disk import tangency_angles
 from parafold.model import (
+    _A21,
+    _A31,
+    _A32,
+    _A41,
+    _A42,
+    _A43,
+    _A51,
+    _A52,
+    _A53,
+    _A54,
+    _A61,
+    _A62,
+    _A63,
+    _A64,
+    _A65,
+    _B1,
+    _B3,
+    _B4,
+    _B5,
+    _B6,
+    _E1,
+    _E3,
+    _E4,
+    _E5,
+    _E6,
+    _E7,
+    ATOL,
+    H_INIT,
+    H_MAX,
     TWO_PI,
     AtBifurcation,
     DSInvariant,
     IntegratorControls,
     ModelField,
+    StepSizeUnderflow,
+    Termination,
     _walk_path,
     capture_radius,
     escape_radius,
@@ -98,16 +129,109 @@ def recurrence_reciprocal(c):
     return np.convolve(inv, corr)[: n + 1]
 
 
+def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None):
+    """The scalar kernel ``model._dopri`` as it stood before its field was
+    written out in each stage, |z| carried between steps and the landing
+    disks searched only near the circle of the roots: the oracle of that
+    kernel, which must match it bit for bit.  The step floor is read from
+    ``model.H_MIN`` at call time, so a test may lower both kernels' floor."""
+    k1 = fld.k + 1
+    eps = fld.epsilon
+    z_big = 1e120 ** (1.0 / k1)
+    big = complex(1e120)
+
+    def f(z):
+        # overflow guard: absurd trial stages force a step rejection
+        if abs(z) > z_big:
+            return big
+        return z**k1 - eps
+
+    disks = list(zip(range(k1), singularities(fld).tolist(), map(float, radii)))
+    rtol, h_min = ctl.rtol, model.H_MIN
+    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
+    z = complex(z0)
+    p1 = f(z)
+    if h is None:
+        h = min(H_INIT, 1e-2 / (1.0 + abs(p1)))
+    n_acc = n_rej = 0
+    h_seen = math.inf
+    stop = Termination.STEP_BUDGET
+    landed = None
+    for _ in range(ctl.max_steps if steps is None else steps):
+        if h < h_min:
+            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
+        h = min(h, H_MAX, time_cap - t)
+        hd = h * direction
+        p2 = f(z + hd * (_A21 * p1))
+        p3 = f(z + hd * (_A31 * p1 + _A32 * p2))
+        p4 = f(z + hd * (_A41 * p1 + _A42 * p2 + _A43 * p3))
+        p5 = f(z + hd * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4))
+        p6 = f(z + hd * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5))
+        z5 = z + hd * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+        p7 = f(z5)
+        z4 = z + hd * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+        err = abs(z5 - z4) / (ATOL + rtol * max(abs(z), abs(z5)))
+        if err <= 1.0:
+            t += h
+            z = z5
+            p1 = p7
+            n_acc += 1
+            h_seen = min(h_seen, h)
+            if path is not None:
+                path[0].append(z)
+                path[1].append(t)
+            for idx, centre, radius in disks:
+                d = abs(z - centre)
+                if d <= radius and (landed is None or d < best):
+                    landed, best = idx, d
+            if landed is not None:
+                stop = Termination.LANDED
+                break
+            if boundary is not None and abs(z) >= boundary:
+                stop = Termination.HIT_BOUNDARY
+                break
+            if abs(z) >= escape:
+                stop = Termination.ESCAPED
+                break
+            if t >= time_cap:
+                stop = Termination.TIME_CAP
+                break
+        else:
+            n_rej += 1
+        factor = 0.9 * (err + 1e-300) ** -0.2
+        h *= min(5.0, max(0.2, factor))
+    return stop, landed, n_acc, n_rej, h_seen
+
+
+def _reference_fmt(value):
+    out = f"{value:.3f}"
+    return "0.000" if out == "-0.000" else out
+
+
+def reference_coords(canvas, points):
+    """The ``points`` attribute of ``SvgCanvas.polyline`` and ``polygon``
+    formatted point by point through ``map_point``, as it was before the
+    one-call emission: the oracle of ``SvgCanvas._coords``."""
+    return " ".join(
+        f"{_reference_fmt(x)},{_reference_fmt(y)}" for x, y in map(canvas.map_point, points)
+    )
+
+
+def lane_radii(fld, direction, ctl):
+    """The row of landing radii that ``landing_lanes`` gives an orbit."""
+    sing = singularities(fld)
+    rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
+    if ctl.boundary_radius is not None:
+        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
+    return np.maximum(rho, capture_radius(fld))
+
+
 def scalar_landing(fld, z0, direction, controls=None):
     """Landing index (or None) of the orbit of z0 on the scalar kernel
     ``model._dopri`` alone, with the landing radii of ``landing_lanes``,
     and its ``Termination``: the oracle of the lane kernel."""
     ctl = controls or IntegratorControls()
-    sing = singularities(fld)
-    rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
-    if ctl.boundary_radius is not None:
-        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
-    radii = np.maximum(rho, capture_radius(fld))
+    radii = lane_radii(fld, direction, ctl)
     term, landed, _, _, _ = model._dopri(fld, z0, direction, ctl, radii)
     return landed, term
 

@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import quad_rectify, scalar_ds_invariant_integrated, scalar_landing
+from conftest import (
+    lane_radii,
+    quad_rectify,
+    reference_dopri,
+    scalar_ds_invariant_integrated,
+    scalar_landing,
+)
 from parafold import model
 from parafold.model import (
     ATOL,
@@ -407,6 +413,108 @@ class TestIntegrate:
         assert traj.termination is Termination.STEP_BUDGET
         assert traj.n_accepted + traj.n_rejected == 5
         assert traj.to_dict()["termination"] == "step_budget"
+
+
+class TestScalarKernel:
+    """``_dopri`` against ``conftest.reference_dopri``, the kernel before
+    its field was written out per stage, |z| carried between steps and the
+    landing disks searched only near the circle |z| = s of the roots."""
+
+    @staticmethod
+    def _both(fld, z0, direction, ctl, radii, **takeover):
+        runs = []
+        for kernel in (model._dopri, reference_dopri):
+            path = ([complex(z0)], [takeover.get("t", 0.0)])
+            runs.append((kernel(fld, z0, direction, ctl, radii, path, **takeover), path))
+        return runs
+
+    def test_matches_reference_kernel(self):
+        # k 1..7, both directions, every stop; radii of integrate (the
+        # capture radius) and of landing_lanes (certified disks, cut back
+        # to a boundary circle); starts anywhere, on the launch circle of
+        # the separatrices and outward on an outgoing ray (escape)
+        rng = np.random.default_rng(1414)
+        seen = set()
+        n = 0
+        for k in range(1, 8):
+            for direction in (1, -1):
+                for stop in ("free", "boundary", "time_cap", "max_steps", "separatrix", "escape"):
+                    for lanes in (False, True):
+                        fld = _generic_field(rng, k, log_eps=(-1.5, 1.0))
+                        extra = {}
+                        if stop == "boundary":
+                            extra["boundary_radius"] = fld.scale * rng.uniform(1.1, 2.0)
+                        elif stop == "time_cap":
+                            extra["time_cap"] = float(rng.uniform(0.05, 0.5))
+                        elif stop == "max_steps":
+                            extra["max_steps"] = int(rng.integers(10, 200))
+                        ctl = IntegratorControls(rtol=float(rng.choice([1e-8, 1e-10])), **extra)
+                        if stop == "separatrix":
+                            ang = float(rng.integers(2 * k)) * math.pi / k
+                            z0 = 0.995 * escape_radius(fld) * cmath.exp(1j * ang)
+                        elif stop == "escape":
+                            # z' = z^{k+1} points outward on arg z = 0 and
+                            # inward on arg z = pi/k, far from the roots
+                            ang = 0.0 if direction == 1 else math.pi / k
+                            z0 = 3.0 * fld.scale * cmath.exp(1j * ang)
+                        else:
+                            z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
+                        if lanes:
+                            radii = lane_radii(fld, direction, ctl)
+                        else:
+                            radii = [capture_radius(fld)] * (k + 1)
+                        (got, got_path), (ref, ref_path) = self._both(fld, z0, direction, ctl, radii)
+                        assert got == ref
+                        assert got_path == ref_path
+                        seen.add(got[0])
+                        n += 1
+        assert n == 168
+        assert seen == set(Termination)
+
+    def test_takeover_arguments(self):
+        # an orbit handed over mid-flight, as _dopri_lanes hands its tail:
+        # a start time, a step and the steps left
+        rng = np.random.default_rng(1415)
+        for k in range(1, 8):
+            fld = _generic_field(rng, k)
+            ctl = IntegratorControls(time_cap=float(rng.uniform(2.0, 20.0)))
+            for direction in (1, -1):
+                z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
+                t = float(rng.uniform(0.0, 1.0))
+                h = float(10.0 ** rng.uniform(-5.0, 0.5))
+                steps = int(rng.integers(5, 400))
+                radii = landing_radii(fld)
+                (got, got_path), (ref, ref_path) = self._both(
+                    fld, z0, direction, ctl, radii, t=t, h=h, steps=steps
+                )
+                assert got == ref
+                assert got_path == ref_path
+                assert got[2] + got[3] <= steps
+
+    def test_underflow_message(self, monkeypatch):
+        # the orbit of TestIntegrate.test_underflow_at_same_step, and a
+        # take-over whose first step is below the floor
+        fld = ModelField(3, cmath.exp(-2.1j))
+        radii = [capture_radius(fld)] * 4
+        ctl = IntegratorControls()
+        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
+        for takeover in ({}, {"t": 2.5, "h": 1e-4, "steps": 10}):
+            messages = []
+            for kernel in (model._dopri, reference_dopri):
+                with pytest.raises(StepSizeUnderflow) as exc:
+                    kernel(fld, -1.68 + 0.46j, 1, ctl, radii, **takeover)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    def test_roots_on_the_circle_of_the_band(self):
+        # the landing band |(|z| - s)| <= r_max + 1e-12 (|z| + s) needs
+        # |z_l| = s to far better than 1e-12 s
+        for k in range(1, 8):
+            for abs_eps in (1e-30, 1e-8, 1.0, 1e8, 1e30):
+                for arg in np.linspace(0.0, TWO_PI, 13):
+                    fld = ModelField(k, abs_eps * cmath.exp(1j * arg))
+                    gap = np.abs(np.abs(singularities(fld)) - fld.scale).max()
+                    assert gap <= 1e-15 * fld.scale
 
 
 class TestLandingIndex:
