@@ -5,10 +5,11 @@ coordinates, so identical inputs produce byte-identical files and tests can
 assert on path data directly.
 
 ``polyline`` and ``polygon`` emit a point list in one call: the points are
-mapped to pixels as a numpy float array, in ``map_point``'s order of
-operations, all coordinates are formatted by one ``"%.3f,%.3f " * n``
-format, and one ``str.replace`` turns each ``-0.000`` into ``0.000``.  Every
-token has exactly three decimals, so the replace touches whole tokens only.
+mapped to pixels as numpy float arrays, by the expressions that map one
+point for ``dot`` and ``circle``, all coordinates are formatted by one
+``"%.3f,%.3f " * n`` format, and one ``str.replace`` turns each ``-0.000``
+into ``0.000``.  Every token has exactly three decimals, so the replace
+touches whole tokens only.
 """
 
 from __future__ import annotations
@@ -36,22 +37,20 @@ class SvgCanvas:
         self.xmin, self.xmax, self.ymin, self.ymax = window
         self._elements = []
 
-    def map_point(self, z):
-        x = (z.real - self.xmin) / (self.xmax - self.xmin) * self.size
-        y = (self.ymax - z.imag) / (self.ymax - self.ymin) * self.size
+    def _px(self, re, im):
+        """Pixel (x, y) of re + i im; floats and float arrays alike."""
+        x = (re - self.xmin) / (self.xmax - self.xmin) * self.size
+        y = (self.ymax - im) / (self.ymax - self.ymin) * self.size
         return x, y
 
-    def map_points(self, points):
-        """``map_point`` of each point, as the rows (x, y) of a float array."""
-        z = np.asarray(points, dtype=complex)
-        xy = np.empty((len(z), 2))
-        xy[:, 0] = (z.real - self.xmin) / (self.xmax - self.xmin) * self.size
-        xy[:, 1] = (self.ymax - z.imag) / (self.ymax - self.ymin) * self.size
-        return xy
+    def map_point(self, z):
+        return self._px(z.real, z.imag)
 
     def _coords(self, points):
         """``"x,y x,y ..."`` of the points, each coordinate as ``_fmt`` gives it."""
-        xy = self.map_points(points)
+        z = np.asarray(points, dtype=complex)
+        xy = np.empty((len(z), 2))
+        xy[:, 0], xy[:, 1] = self._px(z.real, z.imag)
         return ("%.3f,%.3f " * len(xy) % tuple(xy.ravel().tolist()))[:-1].replace("-0.000", "0.000")
 
     def polyline(self, points, stroke, width=1.0, cls=None, dash=None):

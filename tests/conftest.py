@@ -210,11 +210,16 @@ def _reference_fmt(value):
 
 def reference_coords(canvas, points):
     """The ``points`` attribute of ``SvgCanvas.polyline`` and ``polygon``
-    formatted point by point through ``map_point``, as it was before the
-    one-call emission: the oracle of ``SvgCanvas._coords``."""
-    return " ".join(
-        f"{_reference_fmt(x)},{_reference_fmt(y)}" for x, y in map(canvas.map_point, points)
-    )
+    mapped and formatted point by point, as it was before the one-call
+    emission: the oracle of ``SvgCanvas._coords``."""
+    span_x = canvas.xmax - canvas.xmin
+    span_y = canvas.ymax - canvas.ymin
+    out = []
+    for z in points:
+        x = (z.real - canvas.xmin) / span_x * canvas.size
+        y = (canvas.ymax - z.imag) / span_y * canvas.size
+        out.append(f"{_reference_fmt(x)},{_reference_fmt(y)}")
+    return " ".join(out)
 
 
 def lane_radii(fld, direction, ctl):

@@ -606,35 +606,37 @@ class TestLandingLanes:
         assert index.tolist() == [landing_lanes(fld, z, -1)[0][0] for z in z0]
 
     def test_underflow_in_the_lanes(self, monkeypatch):
-        # the orbit of test_underflow_at_same_step in 20 lanes: the lanes
-        # stop with the scalar kernel's message
+        # the orbit of test_underflow_at_same_step in more lanes than the
+        # scalar tail takes: the numpy pass stops with the scalar message
         fld = ModelField(3, cmath.exp(-2.1j))
         monkeypatch.setattr(model, "H_MIN", 9.5e-4)
         with pytest.raises(StepSizeUnderflow) as ref:
             integrate(fld, -1.68 + 0.46j, 1)
         with pytest.raises(StepSizeUnderflow) as got:
-            landing_lanes(fld, np.full(20, -1.68 + 0.46j), 1)
+            landing_lanes(fld, np.full(model._TAIL_LANES + 8, -1.68 + 0.46j), 1)
         assert str(got.value) == str(ref.value)
 
     def test_non_finite_start_as_scalar(self):
-        # a NaN start shrinks its step to the floor on either kernel; the
+        # a NaN start shrinks its step to the floor on either kernel, in the
+        # numpy pass while more lanes live than the scalar tail takes; the
         # entry points refuse a NaN or infinite start before either runs
         fld = ModelField(2, 1.0)
         ctl = IntegratorControls()
         nan = complex(math.nan, 1.0)
-        z0 = np.r_[np.linspace(0.2, 0.5, 20), nan]
-        radii = np.full((21, 3), capture_radius(fld))
+        n = model._TAIL_LANES + 8
+        z0 = np.r_[np.linspace(0.2, 0.5, n - 1), nan]
+        radii = np.full((n, 3), capture_radius(fld))
         with pytest.raises(StepSizeUnderflow) as ref:
             model._dopri(fld, nan, 1, ctl, radii[-1])
         with pytest.raises(StepSizeUnderflow) as got:
-            model._dopri_lanes(fld, z0, np.ones(21), ctl, radii)
+            model._dopri_lanes(fld, z0, np.ones(n), ctl, radii)
         assert str(got.value) == str(ref.value)
         for bad in (nan, complex(math.inf, 0.0), complex(0.3, -math.inf)):
             message = re.escape(f"z0 = {bad} is not finite")
             with pytest.raises(ValueError, match=message):
                 integrate(fld, bad)
             with pytest.raises(ValueError, match=message):
-                landing_lanes(fld, np.r_[z0[:20], bad], 1)
+                landing_lanes(fld, np.r_[z0[:-1], bad], 1)
 
     def test_rejects_bad_input(self):
         fld = ModelField(2, 1.0)

@@ -66,19 +66,6 @@ class TestOneCallEmission:
         assert _emitted(canvas, seg, kind) == reference_coords(canvas, seg)
 
 
-def test_map_points_is_map_point():
-    # the array map repeats map_point's operations in its order, so every
-    # pixel coordinate is the same float, not only the same 3 decimals
-    rng = np.random.default_rng(15)
-    for half in WINDOWS:
-        for size in (200, 800, 1000):
-            cx, cy = rng.uniform(-half, half, 2)
-            canvas = SvgCanvas(size=size, window=(cx - half, cx + half, cy - half, cy + half))
-            z = (rng.uniform(-1.5, 1.5, 500) + 1j * rng.uniform(-1.5, 1.5, 500)) * half
-            z += complex(cx, cy)
-            assert canvas.map_points(z).tolist() == [list(canvas.map_point(p)) for p in z.tolist()]
-
-
 def test_polyline_needs_two_points():
     canvas = SvgCanvas()
     canvas.polyline([0.5j], stroke="gray")
