@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 
@@ -27,7 +28,7 @@ from .model import (
     singularities,
 )
 from .normal_forms import NotCanonical, polynomial_nf, rational_nf
-from .series import SeriesError
+from .series import MAX_JSON_ORDER, SeriesError
 from .unfolding import (
     AmbiguousMatch,
     EigenvalueFunction,
@@ -64,6 +65,29 @@ def parse_complex(text: str) -> complex:
     if not cmath.isfinite(value):
         raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
     return value
+
+
+def checked(convert, domain: str, holds):
+    """An argparse type: ``convert(text)``, refused unless ``holds`` of it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+        return value
+
+    return parse
+
+
+class DecadeRange(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string):
+        lo, hi = values
+        if not lo < hi:
+            raise argparse.ArgumentError(self, f"needs LO < HI, got {lo:g} >= {hi:g}")
+        setattr(namespace, self.dest, (lo, hi))
 
 
 def _complex_dict(z: complex):
@@ -192,35 +216,43 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(lo, hi):
+        domain = f"an integer in [{lo}, {hi}]" if hi < math.inf else f"an integer >= {lo}"
+        return checked(int, domain, lambda n: lo <= n <= hi)
+
+    positive = checked(float, "finite and > 0", lambda x: 0 < x < math.inf)
+    nonnegative = checked(float, "finite and >= 0", lambda x: 0 <= x < math.inf)
+    order, codimension = integer(0, MAX_JSON_ORDER), integer(1, MAX_JSON_ORDER)
+
     def add_truncation(p):
-        p.add_argument("--truncation", type=int, default=40, help="series truncation order")
+        p.add_argument("--truncation", type=order, default=40, help="series truncation order")
 
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
+        p.add_argument("--tol", type=nonnegative, default=1e-9, help="decision tolerance")
 
     p = sub.add_parser("portrait", help="phase portrait of z' = z^{k+1} - eps")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=codimension, required=True)
     p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
-    p.add_argument("--radius", type=float, default=1.5)
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the sampled orbits")
+    p.add_argument("--radius", type=positive, default=1.5)
+    p.add_argument("--samples", type=integer(0, math.inf), default=40)
+    p.add_argument("--seed", type=integer(0, math.inf), default=0, help="RNG seed for the sampled orbits")
     p.add_argument("--out", required=True)
     p.add_argument("--json-out", default=None, help="also export trajectories as JSON")
     p.set_defaults(func=cmd_portrait)
 
     p = sub.add_parser("star", help="rectified t-space figure with eyelets")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=codimension, required=True)
     p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
-    p.add_argument("--r", type=float, default=1.0, help="disk radius")
+    p.add_argument("--r", type=positive, default=1.0, help="disk radius")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_star)
 
     p = sub.add_parser("bifdiagram", help="bifurcation curves in the eps-plane")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--decades", type=float, nargs=2, default=(1e-6, 1e-2),
-                   metavar=("LO", "HI"))
-    p.add_argument("--per-decade", type=int, default=12)
+    p.add_argument("--k", type=codimension, required=True)
+    p.add_argument("--r", type=positive, default=1.0)
+    p.add_argument("--decades", type=positive, nargs=2, default=(1e-6, 1e-2),
+                   metavar=("LO", "HI"), action=DecadeRange)
+    p.add_argument("--per-decade", type=integer(1, math.inf), default=12)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bifdiagram)
 
@@ -239,12 +271,12 @@ def build_parser():
     p = sub.add_parser("nf", help="polynomial or rational normal form coefficients")
     p.add_argument("kind", choices=("polynomial", "rational"))
     p.add_argument("family")
-    p.add_argument("--eps-order", type=int, default=6)
+    p.add_argument("--eps-order", type=order, default=6)
     add_truncation(p)
     p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("dsinv", help="print the combinatorial invariant")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=codimension, required=True)
     p.add_argument("--eps", type=parse_complex, required=True, help=EPS_HELP)
     p.add_argument("--validate", action="store_true")
     add_tol(p)

@@ -87,7 +87,7 @@ class TangencySet:
         return _tangency_terms(self.k, rho, phi, self.angles)[0]
 
 
-def tangency_angles(k: int, eps, r: float, max_iter: int = 60) -> TangencySet:
+def tangency_angles(k: int, eps, r: float) -> TangencySet:
     """The 2k tangency angles, by Newton from the eps = 0 seeds.
 
     All seeds, and all rows when ``eps`` is a 1-D array, run as one masked
@@ -106,7 +106,7 @@ def tangency_angles(k: int, eps, r: float, max_iter: int = 60) -> TangencySet:
     stalled = np.zeros(a.shape, dtype=bool)
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(60):
             n_active = np.count_nonzero(active)
             if not n_active:
                 break
@@ -168,14 +168,14 @@ def tangency_times(tset: TangencySet) -> TangencySet:
     return replace(tset, t_values=ts, vertex_index=sectors, on_slit=slit)
 
 
-def eyelet_points(fld: ModelField, r: float, ell: int, n: int = 256, margin: float = 1e-6):
+def eyelet_points(fld: ModelField, r: float, ell: int, n: int = 256):
     """Sampled image of the boundary arc of sector ``ell`` in t-coordinate."""
     gon = periods(fld)
     k1 = fld.k + 1
     theta = fld.theta()
     a0 = (theta + TWO_PI * ell) / k1
     a1 = (theta + TWO_PI * (ell + 1)) / k1
-    alphas = np.linspace(a0 + margin, a1 - margin, n)
+    alphas = np.linspace(a0 + 1e-6, a1 - 1e-6, n)
     return gon.vertices[ell] + xi_series(fld, r * np.exp(1j * alphas))
 
 
@@ -265,10 +265,10 @@ def _residuals(k, r, abs_eps, th, shift, pair, selection):
     return ends[0] - ends[1]
 
 
-def symmetric_pairs(k: int, j: int, abs_eps: float = 1e-3, tol: float = 1e-9):
+def symmetric_pairs(k: int, j: int):
     """Vertex index pairs at equal height at the homoclinic angle theta_j."""
     theta = bifurcation_angles(k)[j]
-    return is_homoclinic(ModelField(k, abs_eps * cmath.exp(1j * theta)), tol)[1]
+    return is_homoclinic(ModelField(k, 1e-3 * cmath.exp(1j * theta)))[1]
 
 
 @dataclass
@@ -371,19 +371,18 @@ def _brent_lanes(f, xpre, xcur, fpre, fcur):
     raise RootLoss("Brent iteration did not converge in 100 steps")
 
 
-def fit_exponent(samples, theta_ref, drop_decades_above: float | None = None):
+def fit_exponent(samples, theta_ref, drop_decades_above: float):
     """Least-squares slope of log|y| against log x for curve samples.
 
-    Returns None when fewer than three usable samples remain (the largest
-    decade is discarded to suppress higher-order terms).
+    Samples with |eps| above ``drop_decades_above`` are discarded to suppress
+    higher-order terms.  Returns None when fewer than three usable samples
+    remain.
     """
     ae = samples[:, 0]
     th = samples[:, 1]
     x = ae * np.cos(th - theta_ref)
     y = ae * np.sin(th - theta_ref)
-    mask = (np.abs(y) > 0) & (x > 0)
-    if drop_decades_above is not None:
-        mask &= ae <= drop_decades_above
+    mask = (np.abs(y) > 0) & (x > 0) & (ae <= drop_decades_above)
     if mask.sum() < 3:
         return None
     lx, ly = np.log(x[mask]), np.log(np.abs(y[mask]))

@@ -652,12 +652,6 @@ class DSInvariant:
     order: tuple
     attachment: int
 
-    @property
-    def edges(self):
-        return frozenset(
-            frozenset((self.order[i], self.order[i + 1])) for i in range(len(self.order) - 1)
-        )
-
     def normalised(self):
         if self.order[0] > self.order[-1]:
             return replace(self, order=tuple(reversed(self.order)))
@@ -805,13 +799,13 @@ def apply_transition(order, parity: int):
     return tuple(chain)
 
 
-def ds_transition(k: int, j: int, probe_offset: float = 1e-3, abs_eps: float = 1.0):
+def ds_transition(k: int, j: int, probe_offset: float = 1e-3):
     """DS invariants on the two sides of the homoclinic angle theta_j."""
     if not 0 <= j < 2 * k:
         raise ValueError("angle index out of range")
     theta_j = bifurcation_angles(k)[j]
-    before = ds_invariant(ModelField(k, abs_eps * cmath.exp(1j * (theta_j - probe_offset))))
-    after = ds_invariant(ModelField(k, abs_eps * cmath.exp(1j * (theta_j + probe_offset))))
+    before = ds_invariant(ModelField(k, cmath.exp(1j * (theta_j - probe_offset))))
+    after = ds_invariant(ModelField(k, cmath.exp(1j * (theta_j + probe_offset))))
     return before, after
 
 
@@ -836,7 +830,7 @@ def transition_rule_holds(before: DSInvariant, after: DSInvariant) -> bool:
     return False
 
 
-def is_zigzag(order, points, strict_margin: float = 1e-12) -> bool:
+def is_zigzag(order, points) -> bool:
     """Whether a linear order of planar points is a zig-zag ordering.
 
     True iff some rotation makes the real parts strictly increasing along
@@ -849,7 +843,7 @@ def is_zigzag(order, points, strict_margin: float = 1e-12) -> bool:
     for a in args:
         candidates.extend([-a, -a + math.pi / 2 - 1e-9, -a - math.pi / 2 + 1e-9])
     for phi in candidates:
-        if all(math.cos(a + phi) > strict_margin for a in args):
+        if all(math.cos(a + phi) > 1e-12 for a in args):
             return True
     return False
 
@@ -859,11 +853,11 @@ def is_zigzag(order, points, strict_margin: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
+def xi_array(k: int, eps, z):
     """xi on arrays: ``eps`` broadcasts against ``z``.
 
-    Each point keeps the first n terms with q^n a_0/a_n < ``tol``, plus one,
-    for its own q = |eps/z^{k+1}| (capped at ``max_terms``), so its terms do
+    Each point keeps the first n terms with q^n a_0/a_n < 1e-18, plus one,
+    for its own q = |eps/z^{k+1}| (at most 20000 terms), so its terms do
     not depend on the other points of the array; the sums run as one Horner
     pass, which each point joins at its last term.
     """
@@ -877,7 +871,7 @@ def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
     top = float(np.maximum.reduce(q, axis=None, initial=0.0))
     inv_a = [1.0 / k]  # 1/a_n of the terms kept at the largest q
     power = 1.0  # its q^n of the last term kept
-    while len(inv_a) < max_terms and power * k * inv_a[-1] >= tol:
+    while len(inv_a) < 20000 and power * k * inv_a[-1] >= 1e-18:
         power *= top
         inv_a.append(1.0 / (len(inv_a) * k1 + k))
     # the loop condition falls with n and with q: some point keeps fewer
@@ -886,12 +880,12 @@ def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
     power = 1.0
     for _ in inv_a[2:]:
         power *= bottom
-    ragged = len(inv_a) > 1 and power * k * inv_a[-2] < tol
+    ragged = len(inv_a) > 1 and power * k * inv_a[-2] < 1e-18
     if ragged:  # the loop above, point by point
         kept = np.ones(q.shape, dtype=int)
         power = np.ones(q.shape)
         for c in inv_a[:-1]:
-            kept += power * k * c >= tol
+            kept += power * k * c >= 1e-18
             power *= q
     acc = np.full(ratio.shape, inv_a[-1], dtype=complex)
     for n in range(len(inv_a) - 2, -1, -1):
@@ -902,7 +896,7 @@ def xi_array(k: int, eps, z, tol: float = 1e-18, max_terms: int = 20000):
     return -acc / zk
 
 
-def xi_series(fld: ModelField, z, tol: float = 1e-18, max_terms: int = 20000):
+def xi_series(fld: ModelField, z):
     """Monodromy-free branch of int dz/(z^{k+1}-eps) outside the root disk.
 
     xi(z) = -sum_n eps^n / (a_n z^{a_n}) with a_n = (n+1)(k+1) - 1.  ``z``
@@ -910,7 +904,7 @@ def xi_series(fld: ModelField, z, tol: float = 1e-18, max_terms: int = 20000):
     ``xi_array``); any point with |z|^{k+1} <= |eps| raises
     ``SeriesOutOfDomain``.
     """
-    xi = xi_array(fld.k, fld.epsilon, z, tol, max_terms)
+    xi = xi_array(fld.k, fld.epsilon, z)
     return complex(xi) if np.ndim(xi) == 0 else xi
 
 
@@ -936,7 +930,7 @@ def rectify(fld: ModelField, z: complex) -> complex:
     return complex(np.sum(np.log(1 - z / sing) / fld.d_rhs(sing)))
 
 
-def sector_array(k: int, eps, z, slit_tol: float = 1e-12):
+def sector_array(k: int, eps, z):
     """Sector indices and slit flags of the points ``z``; ``eps`` broadcasts
     against ``z``.  Each point on a slit is nudged counterclockwise on its
     own, as ``sector_index`` describes."""
@@ -947,21 +941,21 @@ def sector_array(k: int, eps, z, slit_tol: float = 1e-12):
         raise ValueError("no sector for a non-finite point or eps")
     ell = (ang / (TWO_PI / k1)).astype(int) % k1
     rel = ang - ell * TWO_PI / k1
-    on_slit = np.minimum(rel, TWO_PI / k1 - rel) < slit_tol
+    on_slit = np.minimum(rel, TWO_PI / k1 - rel) < 1e-12
     if np.count_nonzero(on_slit):
-        nudged = (ang + 2 * slit_tol) % TWO_PI
+        nudged = (ang + 2e-12) % TWO_PI
         ell = np.where(on_slit, (nudged / (TWO_PI / k1)).astype(int) % k1, ell)
     return ell, on_slit
 
 
-def sector_index(fld: ModelField, z, slit_tol: float = 1e-12):
+def sector_index(fld: ModelField, z):
     """Index of the radial-slit sector containing z.
 
     Sector l spans the angles between the slits through singularities l and
     l+1.  On a slit the point is nudged counterclockwise; the flag reports
     it.  A scalar z gives ``(int, bool)``, an array z two arrays.
     """
-    ell, on_slit = sector_array(fld.k, fld.epsilon, z, slit_tol)
+    ell, on_slit = sector_array(fld.k, fld.epsilon, z)
     if np.ndim(z) == 0:
         return int(ell), bool(on_slit)
     return ell, on_slit

@@ -17,7 +17,6 @@ import numpy as np
 
 from .series import (
     MAX_JSON_ORDER,
-    UNIT_TOL,
     NotAUnit,
     TruncatedSeries,
     json_field,
@@ -54,12 +53,12 @@ class PolynomialNF:
         """Q_eps(0) = b_0(eps)."""
         return self.coefficients[0]
 
-    def is_canonical(self, tol: float = 1e-10) -> bool:
+    def is_canonical(self) -> bool:
         """Whether Q_eps(0) is identically 1 (canonical parameter test)."""
         c0 = self.coefficients[0].coefficients
         ref = np.zeros_like(c0)
         ref[0] = 1.0
-        return bool(np.abs(c0 - ref).max() <= tol)
+        return bool(np.abs(c0 - ref).max() <= 1e-10)
 
     def eval_at(self, eps: complex) -> np.ndarray:
         return np.array([c(eps) for c in self.coefficients])
@@ -88,7 +87,10 @@ def _sigma_of(spec_or_sigma):
         return spec_or_sigma
     if isinstance(spec_or_sigma, EigenvalueFunction):
         return spec_or_sigma.sigma
-    return eigenvalue_function(spec_or_sigma, order=32 + spec_or_sigma.k).sigma
+    if spec_or_sigma.factored is None:
+        raise ValueError("family is not factored")
+    order = spec_or_sigma.factored.v.z_order + spec_or_sigma.k - 1
+    return eigenvalue_function(spec_or_sigma, order=order).sigma
 
 
 def polynomial_nf(spec_or_sigma, k: int | None = None, eps_order: int | None = 8) -> PolynomialNF:
@@ -98,10 +100,14 @@ def polynomial_nf(spec_or_sigma, k: int | None = None, eps_order: int | None = 8
     b_j(delta^{k+1}) holds identically, and Q_eps(z) = sum_j b_j(eps) z^j
     takes the values of sigma at the k+1 roots of delta^{k+1} = eps.  The
     b_j are the residue classes of sigma mod k+1, each truncated at
-    ``eps_order`` unless it is None.
+    ``eps_order`` unless it is None; a factored family gives sigma to every
+    order its factorisation determines.
     """
     k = spec_or_sigma.k if k is None else k
-    parts = _sigma_of(spec_or_sigma).class_split(k + 1)
+    sigma = _sigma_of(spec_or_sigma)
+    if sigma.order < k:
+        raise ValueError(f"sigma to order {sigma.order} leaves b_{k} undetermined")
+    parts = sigma.class_split(k + 1)
     if eps_order is not None:
         parts = [part.truncated(min(eps_order, part.order)) for part in parts]
     return PolynomialNF(k=k, coefficients=tuple(parts))
@@ -145,7 +151,7 @@ class ParameterChange:
         )
 
 
-def poly_to_canonical_parameter(nf: PolynomialNF, tol: float = UNIT_TOL):
+def poly_to_canonical_parameter(nf: PolynomialNF):
     """Renormalise the parameter so that Q_eps(0) = 1 identically.
 
     The change is (z, eps) -> (z Q_eps(0)^{1/k}, eps Q_eps(0)^{1+1/k}) with
@@ -154,7 +160,7 @@ def poly_to_canonical_parameter(nf: PolynomialNF, tol: float = UNIT_TOL):
     """
     k = nf.k
     c = nf.constant_term()
-    if not c.is_unit(tol):
+    if not c.is_unit():
         raise NotAUnit("Q_0(0) must be nonzero")
     c0 = c[0]
     unit = c / c0
@@ -189,13 +195,13 @@ class KostovNF:
         if len(self.b) != self.k:
             raise ValueError("need k coefficient series b_0..b_{k-1}")
 
-    def is_canonical(self, tol: float = 1e-10) -> bool:
+    def is_canonical(self) -> bool:
         """Canonical parameter iff b_0(eps) = -eps identically."""
         c = self.b[0].coefficients
         ref = np.zeros_like(c)
         if len(ref) > 1:
             ref[1] = -1.0
-        return bool(np.abs(c - ref).max() <= tol)
+        return bool(np.abs(c - ref).max() <= 1e-10)
 
     def rotated(self, nu: complex) -> "KostovNF":
         """The data after (z, eps) -> (nu z, nu eps)."""
@@ -220,7 +226,7 @@ class KostovNF:
         return cls(k=k, b=b, A=TruncatedSeries.from_dict(json_field(data, "A")))
 
 
-def kostov_check(nf1: KostovNF, nf2: KostovNF, tol: float = 1e-9):
+def kostov_check(nf1: KostovNF, nf2: KostovNF):
     """Uniqueness check for canonical Kostov data.
 
     Two canonical tuples describe conjugate families iff they match under
@@ -238,6 +244,6 @@ def kostov_check(nf1: KostovNF, nf2: KostovNF, tol: float = 1e-9):
             (b1, b2.scale_argument(nu) * nu ** (j - 1))
             for j, (b1, b2) in enumerate(zip(nf1.b, nf2.b))
         ]
-        if all(series_distance(s1, s2) <= tol for s1, s2 in pairs):
+        if all(series_distance(s1, s2) <= 1e-9 for s1, s2 in pairs):
             return m
     return None

@@ -51,14 +51,13 @@ def portrait_svg(k: int, eps: complex, radius: float = 1.5, seed: int = 0, sampl
     return canvas.tostring()
 
 
-def star_svg(k: int, eps: complex, r: float, size: int = 800, strip_length: float | None = None) -> str:
+def star_svg(k: int, eps: complex, r: float, size: int = 800) -> str:
     """The rectified picture: period-gon, strips, eyelets, tangency points."""
     fld = ModelField(k, eps)
     gon = periods(fld)
     v = gon.vertices
     scale = float(np.abs(v).max())
-    if strip_length is None:
-        strip_length = 1.6 * scale
+    strip_length = 1.6 * scale
     win = 1.15 * (scale + strip_length) / 1.6
     canvas = SvgCanvas(size=size, window=(-win, win, -win, win))
     k1 = k + 1
@@ -89,7 +88,6 @@ def bifdiagram_svg(
     r: float,
     decades=(1e-6, 1e-2),
     per_decade: int = 12,
-    size: int = 800,
 ) -> str:
     """Bifurcation curves in the eps-disk, radius log-scaled in |eps|."""
     lo, hi = decades
@@ -100,7 +98,7 @@ def bifdiagram_svg(
     def radial(abs_eps):
         return 0.08 + 0.9 * (math.log10(abs_eps) - loglo) / (loghi - loglo)
 
-    canvas = SvgCanvas(size=size, window=(-1.05, 1.05, -1.05, 1.05))
+    canvas = SvgCanvas(size=800, window=(-1.05, 1.05, -1.05, 1.05))
     canvas.circle(0j, 0.98, stroke=svgfig.COLOR_GENERIC, width=0.8, cls="frame")
     for j, theta in enumerate(bifurcation_angles(k)):
         ray = [radial(lo) * cmath.exp(1j * theta), radial(hi) * cmath.exp(1j * theta)]

@@ -13,7 +13,6 @@ term exceeds ``UNIT_TOL`` in modulus.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import sys
 
@@ -230,8 +229,8 @@ class TruncatedSeries:
         tail = ", ..." if self.order > 4 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
-    def is_unit(self, tol=UNIT_TOL):
-        return abs(self._c[0]) > tol
+    def is_unit(self):
+        return abs(self._c[0]) > UNIT_TOL
 
     def truncated(self, order):
         """Restriction to a lower order (raises if asked to extend)."""
@@ -307,10 +306,10 @@ class TruncatedSeries:
         c[s:] = self._c[: self.order + 1 - s]
         return TruncatedSeries(c)
 
-    def shift_down(self, s, tol=1e-9):
+    def shift_down(self, s):
         """Divide by x^s; the dropped low coefficients must be negligible."""
         scale = max(np.abs(self._c).max(), 1.0)
-        if s > 0 and np.abs(self._c[:s]).max() > tol * scale:
+        if s > 0 and np.abs(self._c[:s]).max() > 1e-9 * scale:
             raise SeriesError(f"series is not divisible by x^{s}")
         return TruncatedSeries(self._c[s:])
 
@@ -335,9 +334,9 @@ class TruncatedSeries:
 
     # -- the nontrivial operations ------------------------------------------
 
-    def reciprocal(self, tol=UNIT_TOL):
+    def reciprocal(self):
         """Multiplicative inverse; requires a unit."""
-        if not self.is_unit(tol):
+        if not self.is_unit():
             raise NotAUnit(f"constant term {self._c[0]!r} is below tolerance")
         return TruncatedSeries(_reciprocal_raw(self._c))
 
@@ -348,14 +347,14 @@ class TruncatedSeries:
             return TruncatedSeries(self._c / complex(other))
         return NotImplemented
 
-    def compose(self, inner, tol=UNIT_TOL):
+    def compose(self, inner):
         """self(inner(x)), requiring inner(0) = 0."""
-        if abs(inner._c[0]) > tol:
+        if abs(inner._c[0]) > UNIT_TOL:
             raise NonZeroConstantTerm("inner series must vanish at the origin")
         n = min(self.order, inner.order)
         return TruncatedSeries(_compose_raw(self._c[: n + 1], inner._c[: n + 1]))
 
-    def reversion(self, tol=UNIT_TOL):
+    def reversion(self):
         """Compositional inverse g with self(g(x)) = x.
 
         Newton iteration on the composition equation, g <- g - (self(g) - x) g',
@@ -364,9 +363,9 @@ class TruncatedSeries:
         comes out exact to order 2m, so the sweeps run at the truncation
         orders 2, 4, 8, ..., n and then once more at n.
         """
-        if abs(self._c[0]) > tol:
+        if abs(self._c[0]) > UNIT_TOL:
             raise NonZeroConstantTerm("series must vanish at the origin")
-        if len(self._c) < 2 or abs(self._c[1]) <= tol:
+        if len(self._c) < 2 or abs(self._c[1]) <= UNIT_TOL:
             raise NotInvertible("linear coefficient is numerically zero")
         n = self.order
         g = np.zeros(n + 1, dtype=complex)
@@ -379,7 +378,7 @@ class TruncatedSeries:
             g[: order + 1] -= _mul_raw(residual, slope[: order + 1])
         return TruncatedSeries(g)
 
-    def kth_root(self, k, tol=1e-9):
+    def kth_root(self, k):
         """The branch of the k-th root with value 1 at the origin.
 
         Requires constant term 1 (callers normalise first).  Newton for the
@@ -390,7 +389,7 @@ class TruncatedSeries:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if abs(self._c[0] - 1.0) > tol:
+        if abs(self._c[0] - 1.0) > 1e-9:
             raise BadConstantTerm(f"constant term {self._c[0]!r} != 1")
         if k == 1:
             return self
@@ -435,13 +434,6 @@ class TruncatedSeries:
             c[deg] = _json_complex(entry)
         return cls(c)
 
-    def dumps(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def class_join(parts, modulus, order):
     """Inverse of class_split: rebuild sum_j x^j a_j(x^modulus)."""
@@ -453,10 +445,10 @@ def class_join(parts, modulus, order):
     return TruncatedSeries(c)
 
 
-def exp_series(order, prefactor=1.0):
-    """Taylor series of prefactor * exp(x)."""
+def exp_series(order):
+    """Taylor series of exp(x)."""
     c = np.empty(order + 1, dtype=complex)
-    c[0] = prefactor
+    c[0] = 1.0
     for n in range(1, order + 1):
         c[n] = c[n - 1] / n
     return TruncatedSeries(c)
@@ -516,30 +508,6 @@ class BivariateSeries:
         m, n = mn
         return self._c[m, n]
 
-    def __add__(self, other):
-        nz = min(self.z_order, other.z_order)
-        ne = min(self.eps_order, other.eps_order)
-        return BivariateSeries(self._c[: nz + 1, : ne + 1] + other._c[: nz + 1, : ne + 1])
-
-    def __neg__(self):
-        return BivariateSeries(-self._c)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return BivariateSeries(self._c * complex(other))
-        nz = min(self.z_order, other.z_order)
-        ne = min(self.eps_order, other.eps_order)
-        out = np.zeros((nz + 1, ne + 1), dtype=complex)
-        for p in range(ne + 1):
-            for q in range(ne + 1 - p):
-                out[:, p + q] += _mul_raw(self._c[:, p], other._c[:, q])
-        return BivariateSeries(out)
-
-    __rmul__ = __mul__
-
     def __call__(self, z, eps):
         """Numerical evaluation (Horner in both variables)."""
         acc = 0.0 + 0.0j
@@ -569,10 +537,10 @@ class BivariateSeries:
             acc = acc * ftr + TruncatedSeries(self._c[: n + 1, q])
         return acc
 
-    def compose_z(self, inner, tol=UNIT_TOL):
+    def compose_z(self, inner):
         """Substitute z -> inner(z~) slice by slice in eps, all slices from
         one power table of inner."""
-        if abs(inner.coefficients[0]) > tol:
+        if abs(inner.coefficients[0]) > UNIT_TOL:
             raise NonZeroConstantTerm("inner series must vanish at the origin")
         nz = min(self.z_order, inner.order)
         table = _power_table(inner.coefficients, nz)

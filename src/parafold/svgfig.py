@@ -64,30 +64,28 @@ class SvgCanvas:
             attrs += f' class="{cls}"'
         self._elements.append(f"<polyline {attrs} />")
 
-    def polygon(self, points, stroke, width=1.0, cls=None, fill="none"):
+    def polygon(self, points, stroke, width=1.0, cls=None):
         coords = self._coords(points)
         self._elements.append(
-            f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" '
+            f'<polygon points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"' + (f' class="{cls}"' if cls else "") + " />"
         )
 
-    def dot(self, z, radius_px=4.0, fill=COLOR_MARKER, cls=None):
+    def dot(self, z, radius_px=4.0, cls=None):
         x, y = self.map_point(z)
         self._elements.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius_px)}" fill="{fill}"'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius_px)}" fill="{COLOR_MARKER}"'
             + (f' class="{cls}"' if cls else "")
             + " />"
         )
 
-    def circle(self, center, radius, stroke, width=1.0, cls=None, dash=None):
+    def circle(self, center, radius, stroke, width=1.0, cls=None):
         x, y = self.map_point(center)
         rx = radius / (self.xmax - self.xmin) * self.size
         attrs = (
             f'cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(rx)}" fill="none" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"'
         )
-        if dash:
-            attrs += f' stroke-dasharray="{dash}"'
         if cls:
             attrs += f' class="{cls}"'
         self._elements.append(f"<circle {attrs} />")

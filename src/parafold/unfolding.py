@@ -105,6 +105,8 @@ class EigenvalueFunction:
     def __post_init__(self):
         k = self.k
         c = self.lam.coefficients
+        if len(c) <= k:
+            raise ValueError(f"truncation order {len(c) - 1} is below k = {k}")
         scale = max(np.abs(c).max(), 1.0)
         low = np.abs(c[:k]).max(initial=0.0)
         if k >= 1 and low > 1e-8 * scale:
@@ -158,7 +160,7 @@ def model_eigenvalue_function(k: int, order: int = 32) -> EigenvalueFunction:
 # ---------------------------------------------------------------------------
 
 
-def check_generic(spec: FamilySpec, tol: float = UNIT_TOL) -> AxesReport:
+def check_generic(spec: FamilySpec) -> AxesReport:
     """Validate the genericity conditions and report the axis geometry."""
     k = spec.k
     c = spec.omega.coefficients
@@ -169,10 +171,10 @@ def check_generic(spec: FamilySpec, tol: float = UNIT_TOL) -> AxesReport:
     if low > 1e-9 * scale:
         raise NotGeneric("omega_0 must vanish to order k+1 in z")
     B = c[k + 1, 0]
-    if abs(B) <= tol * scale:
+    if abs(B) <= UNIT_TOL * scale:
         raise NotGeneric("omega_0 must vanish to order exactly k+1 in z")
     A = -c[0, 1]
-    if abs(A) <= tol * scale:
+    if abs(A) <= UNIT_TOL * scale:
         raise NotGeneric("d(omega)/d(eps)(0,0) must be nonzero")
     j_rep = np.arange(k)
     repelling = (-cmath.phase(B) + 2 * math.pi * j_rep) / k % (2 * math.pi)
@@ -282,26 +284,30 @@ def straightened_family(spec: FamilySpec) -> BivariateSeries:
 
 
 def eigenvalue_function(spec: FamilySpec, order: int = 32) -> EigenvalueFunction:
-    """The natural eigenvalue function lambda(delta) = (k+1) delta^k v(delta, delta^{k+1})."""
+    """The natural eigenvalue function lambda(delta) = (k+1) delta^k v(delta, delta^{k+1}).
+
+    A factored spec caps ``order`` at v.z_order + k - 1, the last order its
+    v determines: ``factor_family`` pads g' with a zero at degree z_order.
+    """
     if spec.factored is None:
         spec = factor_family(spec, z_order=order)
     k = spec.k
+    order = min(order, spec.factored.v.z_order + k - 1)
     sigma = spec.factored.v.weighted_diagonal(k + 1, order - k)
     lam = (sigma.extended(order) * (k + 1)).shift_up(k)
     return EigenvalueFunction(k, lam)
 
 
-def realize(ef: EigenvalueFunction, z_order: int | None = None) -> FamilySpec:
+def realize(ef: EigenvalueFunction) -> FamilySpec:
     """A family realizing a given eigenvalue function: (z^{k+1} - eps) sigma(z).
 
-    The default z-order leaves room for the full product, so the family is
-    stored exactly and a round trip through factor_family and
-    eigenvalue_function reproduces lambda to its truncation.
+    Its z-order leaves room for the full product, so the family is stored
+    exactly and a round trip through factor_family and eigenvalue_function
+    reproduces lambda to its truncation.
     """
     k = ef.k
     sigma = ef.sigma
-    if z_order is None:
-        z_order = ef.order + 1
+    z_order = ef.order + 1
     s = sigma.extended(z_order).coefficients
     c = np.zeros((z_order + 1, 2), dtype=complex)
     c[k + 1 :, 0] = s[: z_order - k]
@@ -309,7 +315,7 @@ def realize(ef: EigenvalueFunction, z_order: int | None = None) -> FamilySpec:
     return FamilySpec(k=k, omega=BivariateSeries(c))
 
 
-def residue_sum(ef: EigenvalueFunction, eps_order: int | None = None) -> TruncatedSeries:
+def residue_sum(ef: EigenvalueFunction) -> TruncatedSeries:
     """The analytic sum A(eps) of the reciprocals of the eigenvalues.
 
     1/lambda is a Laurent series from degree -k; summing over the roots of
@@ -320,17 +326,15 @@ def residue_sum(ef: EigenvalueFunction, eps_order: int | None = None) -> Truncat
     k = ef.k
     u = ef.sigma.reciprocal() / (k + 1)  # 1/lambda = delta^{-k} u(delta)
     max_m = (u.order - k) // (k + 1)  # Laurent degree m(k+1) sits at u index m(k+1)+k
-    if eps_order is not None:
-        max_m = min(max_m, eps_order)
     if max_m < 0:
         raise ValueError("truncation order too small for any eps coefficient")
     idx = k + (k + 1) * np.arange(max_m + 1)
     return TruncatedSeries((k + 1) * u.coefficients[idx])
 
 
-def gap_function(ef: EigenvalueFunction, eps_order: int | None = None) -> TruncatedSeries:
+def gap_function(ef: EigenvalueFunction) -> TruncatedSeries:
     """a(eps) = 2 pi i A(eps) / (k+1): the closing defect of the period polygon."""
-    return residue_sum(ef, eps_order) * (2j * math.pi / (ef.k + 1))
+    return residue_sum(ef) * (2j * math.pi / (ef.k + 1))
 
 
 def unfolding_periods(ef: EigenvalueFunction, eps: complex):
@@ -466,7 +470,7 @@ def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float =
     return nu, xi
 
 
-def is_model_equivalent(ef: EigenvalueFunction, tol: float = 1e-9) -> bool:
+def is_model_equivalent(ef: EigenvalueFunction) -> bool:
     """Whether the family is conjugate to the model z^{k+1} - eps.
 
     True iff lambda(delta) = delta^k sigma(delta^{k+1}), i.e. every
@@ -475,4 +479,4 @@ def is_model_equivalent(ef: EigenvalueFunction, tol: float = 1e-9) -> bool:
     c = ef.lam.coefficients
     scale = max(np.abs(c).max(), 1.0)
     foreign = np.delete(c, _k_class(ef.k))
-    return bool(np.abs(foreign).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(foreign).max(initial=0.0) <= 1e-9 * scale)

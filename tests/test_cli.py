@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,11 @@ def test_import_leaves_scipy_unloaded():
     assert res.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
+def _last_flag(argv):
+    """The last option of ``argv``: the malformed one in each case below."""
+    return next(a for a in reversed(argv) if a.startswith("--"))
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run_cli(["portrait", "--k", "2"]).returncode == 2
@@ -110,6 +116,42 @@ class TestExitCodes:
         # options belong to the subcommand that reads them
         res = run_cli(["--tol", "1e-3", "dsinv", "--k", "2", "--eps", "1"])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--radius", "nan"],
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--radius", "inf"],
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--radius", "0"],
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--radius", "-1"],
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--samples", "-1"],
+            ["portrait", "--k", "2", "--eps", "1", "--out", "x.svg", "--seed", "-1"],
+            ["star", "--k", "2", "--eps", "1", "--out", "x.svg", "--r", "inf"],
+            ["star", "--eps", "1", "--out", "x.svg", "--k", "0"],
+            ["bifdiagram", "--k", "2", "--out", "x.svg", "--decades", "1e-6", "inf"],
+            ["bifdiagram", "--k", "2", "--out", "x.svg", "--decades", "0", "1e-2"],
+            ["bifdiagram", "--k", "2", "--out", "x.svg", "--decades", "1e-2", "1e-3"],
+            ["bifdiagram", "--k", "2", "--out", "x.svg", "--per-decade", "0"],
+            ["bifdiagram", "--k", "2", "--out", "x.svg", "--r", "0"],
+            ["nf", "polynomial", "f.json", "--eps-order", "-1"],
+            ["nf", "polynomial", "f.json", "--truncation", "-1"],
+            ["canon", "f.json", "--truncation", "1001"],
+            ["dsinv", "--k", "2", "--eps", "1", "--tol", "nan"],
+            ["dsinv", "--k", "2", "--eps", "1", "--tol", "-1"],
+            ["classify", "a.json", "b.json", "--tol", "nan"],
+            ["dsinv", "--eps", "1", "--k", "100000"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[argv.index(_last_flag(argv)) :]),
+    )
+    def test_malformed_flag(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_main(argv)
+        assert code == 2
+        assert f"argument {_last_flag(argv)}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
 
 
 LAMBDA_DOC = {"k": 2, "truncation": 20, "coefficients": [{"deg": 2, "re": 3.0, "im": 0.0},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import sampled_nf, vandermonde_Q
 
-from parafold.series import NotAUnit, TruncatedSeries, exp_series
+from parafold.series import BivariateSeries, NotAUnit, TruncatedSeries, exp_series
 from parafold.normal_forms import (
     KostovNF,
     NotCanonical,
@@ -16,7 +16,7 @@ from parafold.normal_forms import (
     polynomial_nf,
     rational_nf,
 )
-from parafold.unfolding import EigenvalueFunction, factor_family, realize
+from parafold.unfolding import EigenvalueFunction, FamilySpec, factor_family, realize
 
 
 def random_series(rng, order, decay=0.6, unit=True):
@@ -166,6 +166,24 @@ class TestRationalNF:
     def test_requires_unit(self):
         with pytest.raises(NotAUnit):
             rational_nf(TruncatedSeries([0.0, 1.0], order=6), k=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reports_only_determined_coefficients(k):
+    # a family factored at z-order T determines sigma to order T - 1, so b_j
+    # to eps^((T - 1 - j) // (k + 1)); a padded zero would miss the T = 200 run
+    c = np.zeros((k + 3, 2), dtype=complex)
+    c[k + 1, 0], c[k + 2, 0], c[0, 1], c[1, 1] = 1.0, 0.3, -1.0, 0.2
+    family = FamilySpec(k=k, omega=BivariateSeries(c))
+    for maker in (polynomial_nf, rational_nf):
+        reference = maker(factor_family(family, z_order=200), eps_order=12)
+        for truncation in (10, 20, 80):
+            nf = maker(factor_family(family, z_order=truncation), eps_order=12)
+            for j, (got, want) in enumerate(zip(nf.coefficients, reference.coefficients)):
+                assert got.order == min(12, (truncation - 1 - j) // (k + 1))
+                assert np.abs(got.coefficients - want.coefficients[: got.order + 1]).max() <= 1e-12
+        with pytest.raises(ValueError, match="undetermined"):
+            maker(factor_family(family, z_order=k))
 
 
 class TestCanonicalParameter:

@@ -209,6 +209,11 @@ class TestEigenvalueFunction:
         expect[4] = 5.0
         assert np.abs(ef.lam.coefficients - expect).max() < 1e-12
 
+    def test_order_below_k_is_refused(self):
+        # the CLI's canon and classify take the order from --truncation
+        with pytest.raises(ValueError, match="below k"):
+            eigenvalue_function(model_family(2), order=1)
+
     def test_eps_independent_v(self):
         k = 3
         sigma = TruncatedSeries([1, 1], order=20)
