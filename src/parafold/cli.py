@@ -225,7 +225,9 @@ def build_parser():
     order, codimension = integer(0, MAX_JSON_ORDER), integer(1, MAX_JSON_ORDER)
 
     def add_truncation(p):
-        p.add_argument("--truncation", type=order, default=40, help="series truncation order")
+        # an order-0 factorisation has no linear term to normalise by
+        p.add_argument("--truncation", type=integer(1, MAX_JSON_ORDER), default=40,
+                       help="series truncation order")
 
     def add_tol(p):
         p.add_argument("--tol", type=nonnegative, default=1e-9, help="decision tolerance")

@@ -298,6 +298,13 @@ class BifurcationCurve:
         }
 
 
+#: (spread, points) of the continuation's bracket stages: a sample's root is
+#: sought on ``points`` points of [offset/spread, spread offset] around its
+#: predicted offset, and a sample left without a sign change goes on to the
+#: next, wider stage
+_BRACKET_STAGES = ((1.1, 2), (3.0, 40), (6.0, 40), (15.0, 40))
+
+
 def _log_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     n = max(2, int(round(per_decade * math.log10(hi / lo))) + 1)
     return np.logspace(math.log10(lo), math.log10(hi), n)
@@ -400,16 +407,19 @@ def trace_curve(
     """Numerical continuation of one bifurcation curve in the eps-plane.
 
     ``side = 0`` is the straight homoclinic ray.  A paired curve is the root
-    in theta of the double-tangency residual at each |eps| sample.  The
-    curve is calibrated once, at the largest |eps|: an 80-point scan from
-    theta_j fixes the selection and the offset constant C of the asymptotic
-    offset C |eps|^{k/(k+1)}.  All other samples are bracketed in one
-    residual call, each on 40 points of theta_j + side [offset/3, 3 offset];
-    the samples left without a bracket are scanned again at twice and five
-    times that window.  Brent's method then refines every root at once, as
-    lanes.  ``RootLoss`` names the largest |eps| left without a bracket.
-    The scalar point-by-point continuation, one bracket scan and one Brent
-    run per sample, is kept only as the test oracle
+    in theta of the double-tangency residual at each |eps| sample, found by
+    predictor and corrector.  The curve is calibrated once, at the largest
+    |eps|: an 80-point scan from theta_j fixes the selection and brackets
+    that sample's root, and regula falsi on the bracket estimates the
+    constant C of the asymptotic offset C |eps|^{k/(k+1)}.  Every other
+    sample is then bracketed in one residual call, on the two points
+    theta_j + side [offset/1.1, 1.1 offset] around its predicted offset;
+    the samples left without a sign change are scanned on 40 points of
+    the windows [offset/s, s offset] for s = 3, 6 and 15, in turn.  One
+    lane Brent refines every root at once, the calibration sample
+    included.  ``RootLoss`` names the largest |eps| left without a
+    bracket.  The scalar point-by-point continuation, one bracket scan and
+    one Brent run per sample, is kept only as the test oracle
     ``_trace_curve_reference`` in ``tests/test_disk.py``.
     """
     theta_j = bifurcation_angles(k)[tag.j]
@@ -420,7 +430,6 @@ def trace_curve(
 
     pair = tuple(tag.pair)
     abs_eps = grid[::-1]  # lane 0, the largest |eps|, calibrates the rest
-    power = k / (k + 1.0)
     calls = evaluations = widenings = 0
 
     def residual(ae, theta, selection):
@@ -442,29 +451,30 @@ def trace_curve(
     else:
         raise RootLoss(f"no initial bracket for tag {tag}")
 
-    theta0 = _brent_lanes(lambda th, _: residual(abs_eps[0], th, selection), *br)[0]
-    c_est = abs(theta0 - theta_j) / abs_eps[0] ** power
-    rest = abs_eps[1:]
-    offset = c_est * rest**power
-    brackets = np.full((4, rest.size), np.nan)
-    lanes = np.arange(rest.size)  # the samples still without a bracket
-    for widen in (1.0, 2.0, 5.0):
-        widenings += lanes.size if widen > 1.0 else 0
-        near = theta_j + tag.side * offset[lanes] / (3.0 * widen)
-        far = theta_j + tag.side * offset[lanes] * 3.0 * widen
+    x0, x1, f0, f1 = (a[0] for a in br)
+    guess = x0 if f0 == 0.0 else x0 - f0 * (x1 - x0) / (f1 - f0)  # regula falsi
+    power = k / (k + 1.0)
+    offset = abs(guess - theta_j) / abs_eps[0] ** power * abs_eps**power
+    brackets = np.full((4, abs_eps.size), np.nan)
+    brackets[:, 0] = x0, x1, f0, f1
+    lanes = np.arange(1, abs_eps.size)  # the samples still without a bracket
+    for stage, (spread, points) in enumerate(_BRACKET_STAGES):
+        widenings += lanes.size if stage else 0
+        near = theta_j + tag.side * offset[lanes] / spread
+        far = theta_j + tag.side * offset[lanes] * spread
         brackets[:, lanes] = _bracket_root(
-            lambda th: residual(rest[lanes, None], th, selection),
+            lambda th: residual(abs_eps[lanes, None], th, selection),
             np.minimum(near, far),
             np.maximum(near, far),
-            n=40,
+            n=points,
         )
         lanes = lanes[np.isnan(brackets[0, lanes])]
         if not lanes.size:
             break
     else:
-        raise RootLoss(f"continuation lost the root of tag {tag} at |eps|={rest[lanes[0]]:g}")
-    thetas = _brent_lanes(lambda th, lanes: residual(rest[lanes], th, selection), *brackets)
-    samples = np.column_stack([grid, np.append(theta0, thetas)[::-1]])
+        raise RootLoss(f"continuation lost the root of tag {tag} at |eps|={abs_eps[lanes[0]]:g}")
+    thetas = _brent_lanes(lambda th, lanes: residual(abs_eps[lanes], th, selection), *brackets)
+    samples = np.column_stack([grid, thetas[::-1]])
     exponent = fit_exponent(samples, theta_j, drop_decades_above=decades[1] / 10.0)
     return BifurcationCurve(
         tag=tag,

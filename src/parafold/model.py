@@ -174,11 +174,6 @@ def periods(fld: ModelField) -> PeriodGon:
     )
 
 
-def vertex_scale(k: int) -> float:
-    """Circumradius constant of the period-gon at |eps| = 1."""
-    return (math.pi / (k + 1)) / math.sin(math.pi / (k + 1))
-
-
 def homoclinic_defect(fld: ModelField, gon: PeriodGon | None = None):
     """Distance (on normalised heights) from the vertical-symmetry locus.
 

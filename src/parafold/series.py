@@ -445,28 +445,6 @@ def class_join(parts, modulus, order):
     return TruncatedSeries(c)
 
 
-def exp_series(order):
-    """Taylor series of exp(x)."""
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    for n in range(1, order + 1):
-        c[n] = c[n - 1] / n
-    return TruncatedSeries(c)
-
-
-def log1p_series(order):
-    """Taylor series of log(1 + x)."""
-    c = np.zeros(order + 1, dtype=complex)
-    n = np.arange(1, order + 1, dtype=float)
-    c[1:] = (-1.0) ** (n + 1) / n
-    return TruncatedSeries(c)
-
-
-def geometric_series(order, ratio=1.0):
-    """1/(1 - ratio*x)."""
-    return TruncatedSeries(complex(ratio) ** np.arange(order + 1))
-
-
 class BivariateSeries:
     """Series sum c_{m,n} z^m eps^n truncated at orders (Nz, Neps).
 

@@ -265,19 +265,6 @@ def _divide_by_model(omega_t: BivariateSeries, k: int) -> BivariateSeries:
     return BivariateSeries(-acc)
 
 
-def straightened_family(spec: FamilySpec) -> BivariateSeries:
-    """omega~(z~, eps) = (z~^{k+1} - eps) v_eps(z~) reassembled."""
-    if spec.factored is None:
-        raise ValueError("family is not factored")
-    k, v = spec.k, spec.factored.v
-    nz, ne = v.z_order, v.eps_order
-    out = np.zeros((nz + 1, ne + 1), dtype=complex)
-    vc = v.coefficients
-    out[k + 1 :, :] += vc[: nz - k, :]
-    out[:, 1:] -= vc[:, : ne]
-    return BivariateSeries(out)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue functions
 # ---------------------------------------------------------------------------

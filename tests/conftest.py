@@ -50,6 +50,7 @@ from parafold.model import (
     landing_radii,
     singularities,
 )
+from parafold.series import TruncatedSeries
 
 _ACCEPTANCE_LINES = []
 
@@ -113,6 +114,15 @@ def horner_compose(outer, inner):
         acc = np.convolve(acc, inner)[: n + 1]
         acc[0] += outer[d]
     return acc
+
+
+def exp_series(order):
+    """Taylor series of exp(x)."""
+    c = np.empty(order + 1, dtype=complex)
+    c[0] = 1.0
+    for n in range(1, order + 1):
+        c[n] = c[n - 1] / n
+    return TruncatedSeries(c)
 
 
 def recurrence_reciprocal(c):

@@ -135,6 +135,8 @@ class TestExitCodes:
             ["bifdiagram", "--k", "2", "--out", "x.svg", "--r", "0"],
             ["nf", "polynomial", "f.json", "--eps-order", "-1"],
             ["nf", "polynomial", "f.json", "--truncation", "-1"],
+            ["nf", "polynomial", "f.json", "--truncation", "0"],
+            ["classify", "a.json", "b.json", "--truncation", "0"],
             ["canon", "f.json", "--truncation", "1001"],
             ["dsinv", "--k", "2", "--eps", "1", "--tol", "nan"],
             ["dsinv", "--k", "2", "--eps", "1", "--tol", "-1"],

@@ -132,13 +132,16 @@ def _trace_curve_reference(k, r, tag, decades, per_decade):
     from scipy.optimize import brentq
 
     def bracket(fun, lo, hi, n=80):
+        # the grid is evaluated only up to its first sign change
         xs = np.linspace(lo, hi, n)
-        vals = [fun(x) for x in xs]
+        here = fun(xs[0])
         for i in range(n - 1):
-            if vals[i] == 0.0:
+            if here == 0.0:
                 return xs[i], xs[i]
-            if vals[i] * vals[i + 1] < 0:
+            there = fun(xs[i + 1])
+            if here * there < 0:
                 return xs[i], xs[i + 1]
+            here = there
         return None
 
     theta_j = bifurcation_angles(k)[tag.j]
@@ -177,6 +180,25 @@ def _trace_curve_reference(k, r, tag, decades, per_decade):
         rows.append((abs_eps, theta))
         c_est = abs(theta - theta_j) / abs_eps ** (k / (k + 1.0))
     return np.array(rows[::-1])
+
+
+def _calibration_reference(k, r, tag, abs_eps):
+    """The sample at the largest |eps| from a Brent run on that lane alone,
+    started from the bracket of the 80-point calibration scan; the joint
+    Brent of ``trace_curve`` must keep its bits."""
+    theta_j = bifurcation_angles(k)[tag.j]
+    window0 = 0.45 * math.pi / k
+    for selection in ("top-bottom", "bottom-top"):
+        for span in (window0, 2.0 * window0):
+            def residual(theta, _lanes=None):
+                return double_tangency_residual(k, r, abs_eps, theta, tuple(tag.pair), selection)
+
+            lo = theta_j + (1e-7 if tag.side > 0 else -span)
+            hi = theta_j + (span if tag.side > 0 else -1e-7)
+            br = disk._bracket_root(residual, [lo], [hi])
+            if not np.isnan(br[0][0]):
+                return disk._brent_lanes(residual, *br)[0]
+    raise RootLoss(f"no initial bracket for tag {tag}")
 
 
 def _outcome(fun, *args):
@@ -724,6 +746,30 @@ class TestArrayKernel:
         assert np.array_equal(got.samples[:, 0], want[:, 0])
         assert np.abs(got.samples[:, 1] - want[:, 1]).max() <= 1e-13
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_predicted_brackets_match_reference(self, k, monkeypatch):
+        # one tag per side of every ray, at r = 0.8 and 1.25 on alternate
+        # pairs of rays; theta_0 = 0 for k = 3, so its minus side crosses
+        # the seam.  Every lane is bracketed by its two predicted points,
+        # and the calibration sample keeps the bits of a lone Brent run
+        real, stages = disk._bracket_root, []
+
+        def spy(fun, lo, hi, n=80):
+            stages.append(n)
+            return real(fun, lo, hi, n)
+
+        monkeypatch.setattr(disk, "_bracket_root", spy)
+        for j in range(2 * k):
+            r = (0.8, 1.25)[j // 2 % 2]
+            for side in (-1, 1):
+                tag = next(t for t in group_tags(k, j) if t.side == side)
+                got = trace_curve(k, r, tag, decades=(1e-3, 1e-2), per_decade=1)
+                want = _trace_curve_reference(k, r, tag, (1e-3, 1e-2), 1)
+                assert np.array_equal(got.samples[:, 0], want[:, 0])
+                assert np.abs(got.samples[:, 1] - want[:, 1]).max() <= 1e-13
+                assert got.samples[-1, 1] == _calibration_reference(k, r, tag, got.samples[-1, 0])
+        assert 2 in stages and 40 not in stages
+
 
 class TestCounters:
     def test_residual_evaluations_counted(self, monkeypatch):
@@ -738,9 +784,13 @@ class TestCounters:
         monkeypatch.setattr(disk, "double_tangency_residual", counted)
         tag = group_tags(2, 1)[1]
         curve = trace_curve(2, 1.0, tag, decades=(1e-4, 1e-2), per_decade=4)
+        n = len(curve.samples)
         assert curve.residual_calls == len(seen)
         assert curve.residual_evaluations == sum(seen)
-        assert curve.residual_evaluations >= 80 + 40 * (len(curve.samples) - 1)
+        # the calibration scan, two points a predicted sample, then the
+        # lane Brent, every sample in its first step
+        assert seen[:3] == [80, 2 * (n - 1), n]
+        assert max(seen[3:]) <= n
         assert curve.bracket_widenings == 0
 
     def test_residual_calls_per_curve(self):
@@ -752,15 +802,15 @@ class TestCounters:
             assert curve.residual_calls <= 20
 
     def test_bracket_widenings_counted(self, monkeypatch):
-        # refuse the first lane of the bracket call for the continued
-        # samples and of its doubled rescan: that lane is found at 5x
+        # refuse the first lane of the predicted brackets and of the 3x and
+        # 6x windows: that lane is found in the 15x window
         real = disk._bracket_root
         calls = []
 
         def refusing(fun, lo, hi, n=80):
             out = real(fun, lo, hi, n)
-            calls.append(len(lo))
-            if len(calls) in (2, 3):
+            calls.append((len(lo), n))
+            if len(calls) in (2, 3, 4):
                 for a in out:
                     a[0] = np.nan
             return out
@@ -768,22 +818,46 @@ class TestCounters:
         monkeypatch.setattr(disk, "_bracket_root", refusing)
         tag = group_tags(3, 1)[1]
         curve = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
-        assert calls == [1, len(curve.samples) - 1, 1, 1]
-        assert curve.bracket_widenings == 2
+        assert calls == [(1, 80), (len(curve.samples) - 1, 2), (1, 40), (1, 40), (1, 40)]
+        assert curve.bracket_widenings == 3
         monkeypatch.setattr(disk, "_bracket_root", real)
         plain = trace_curve(3, 1.0, tag, decades=(1e-3, 1e-2), per_decade=3)
         assert np.abs(plain.samples - curve.samples).max() <= 1e-13
 
+    def test_refused_predictions_fall_back(self, monkeypatch):
+        # lanes whose two predicted points are refused reach the 40-point
+        # windows and find the roots of the plain trace
+        tag = group_tags(4, 2)[2]
+        plain = trace_curve(4, 1.0, tag, decades=(1e-5, 1e-2), per_decade=2)
+        real = disk._bracket_root
+        calls = []
+
+        def refusing(fun, lo, hi, n=80):
+            out = real(fun, lo, hi, n)
+            calls.append((len(lo), n))
+            if n == 2:
+                for a in out:
+                    a[[0, 3, 5]] = np.nan
+            return out
+
+        monkeypatch.setattr(disk, "_bracket_root", refusing)
+        curve = trace_curve(4, 1.0, tag, decades=(1e-5, 1e-2), per_decade=2)
+        assert calls[-2:] == [(len(curve.samples) - 1, 2), (3, 40)]
+        assert curve.bracket_widenings == plain.bracket_widenings + 3
+        assert np.abs(plain.samples - curve.samples).max() <= 1e-13
+        want = _trace_curve_reference(4, 1.0, tag, (1e-5, 1e-2), 2)
+        assert np.abs(curve.samples - want).max() <= 1e-13
+
     def test_root_loss_names_largest_unbracketed(self, monkeypatch):
         # the continued lanes run from the largest |eps| down; refuse lanes
-        # 2 and 4 of the bracket call and every rescan
+        # 2 and 4 of the predicted brackets and every rescan
         real = disk._bracket_root
 
         def refusing(fun, lo, hi, n=80):
             out = real(fun, lo, hi, n)
-            if n == 40:
+            if n < 80:
                 for a in out:
-                    a[[2, 4] if len(lo) > 2 else slice(None)] = np.nan
+                    a[[2, 4] if n == 2 else slice(None)] = np.nan
             return out
 
         monkeypatch.setattr(disk, "_bracket_root", refusing)

@@ -48,12 +48,17 @@ from parafold.model import (
     separatrices,
     singularities,
     transition_rule_holds,
-    vertex_scale,
     xi_array,
     xi_series,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def vertex_scale(k):
+    """Circumradius constant of the period-gon at |eps| = 1."""
+    return (math.pi / (k + 1)) / math.sin(math.pi / (k + 1))
+
 
 # Dormand-Prince 5(4) tableau, as rows, for the reference loop below
 _DP_A = (

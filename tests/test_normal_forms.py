@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import sampled_nf, vandermonde_Q
+from conftest import exp_series, sampled_nf, vandermonde_Q
 
-from parafold.series import BivariateSeries, NotAUnit, TruncatedSeries, exp_series
+from parafold.series import BivariateSeries, NotAUnit, TruncatedSeries
 from parafold.normal_forms import (
     KostovNF,
     NotCanonical,

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import horner_compose, recurrence_reciprocal
+from conftest import exp_series, horner_compose, recurrence_reciprocal
 
 from parafold.series import (
     UNIT_TOL,
@@ -13,11 +13,21 @@ from parafold.series import (
     NotInvertible,
     TruncatedSeries,
     class_join,
-    exp_series,
-    geometric_series,
-    log1p_series,
     series_distance,
 )
+
+
+def log1p_series(order):
+    """Taylor series of log(1 + x)."""
+    c = np.zeros(order + 1, dtype=complex)
+    n = np.arange(1, order + 1, dtype=float)
+    c[1:] = (-1.0) ** (n + 1) / n
+    return TruncatedSeries(c)
+
+
+def geometric_series(order, ratio=1.0):
+    """1/(1 - ratio*x)."""
+    return TruncatedSeries(complex(ratio) ** np.arange(order + 1))
 
 
 def random_series(rng, order, unit=False, zero_const=False, radius=1.0, decay=1.0):

@@ -22,9 +22,19 @@ from parafold.unfolding import (
     model_eigenvalue_function,
     realize,
     residue_sum,
-    straightened_family,
     unfolding_periods,
 )
+
+
+def straightened_family(spec):
+    """omega~(z~, eps) = (z~^{k+1} - eps) v_eps(z~) reassembled."""
+    k, v = spec.k, spec.factored.v
+    nz, ne = v.z_order, v.eps_order
+    out = np.zeros((nz + 1, ne + 1), dtype=complex)
+    vc = v.coefficients
+    out[k + 1 :, :] += vc[: nz - k, :]
+    out[:, 1:] -= vc[:, : ne]
+    return BivariateSeries(out)
 
 
 def model_family(k, nz=20):
