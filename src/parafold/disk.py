@@ -92,14 +92,23 @@ def tangency_angles(k: int, eps, r: float) -> TangencySet:
 
     All seeds, and all rows when ``eps`` is a 1-D array, run as one masked
     Newton iteration; each seed stops on its own once its step is below
-    1e-15.  A seed whose derivative vanishes, which leaves its basin or
-    whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported for
-    the first such seed in row order; where that row has r^{k+1} <= |eps|,
-    the message names this condition instead of the seed.
+    1e-15.  A row with r^{k+1} <= |eps| raises ``NewtonDivergence`` naming
+    this condition, for the first such row, before any Newton step: the
+    circle then does not enclose the roots, and ``tangency_times`` has no
+    series there.  A seed whose derivative vanishes, which leaves its basin
+    or whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported
+    for the first such seed in row order.
     """
     seeds = tangency_seeds(k)
     basin = math.pi / (2 * k)
     rho, phi = _polar(k, r, np.asarray(eps)[..., None])
+    inside = np.abs(np.ravel(eps)) >= r ** (k + 1)
+    if np.count_nonzero(inside):
+        abs_eps = abs(np.ravel(eps)[np.argmax(inside)])
+        raise NewtonDivergence(
+            f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
+            f"{r ** (k + 1):.6g} <= |eps| = {abs_eps:.6g}"
+        )
     a = np.empty(rho.shape[:-1] + seeds.shape)
     a[...] = seeds
     active = np.ones(a.shape, dtype=bool)
@@ -123,12 +132,6 @@ def tangency_angles(k: int, eps, r: float) -> TangencySet:
     failed |= np.abs(_tangency_terms(k, rho, phi, a)[0]) > 1e-11
     if np.count_nonzero(failed):
         first = int(np.argmax(failed.ravel()))
-        abs_eps = abs(np.ravel(eps)[first // (2 * k)])
-        if r ** (k + 1) <= abs_eps:
-            raise NewtonDivergence(
-                f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
-                f"{r ** (k + 1):.6g} <= |eps| = {abs_eps:.6g}"
-            )
         j = first % (2 * k)
         if stalled.ravel()[first]:
             raise NewtonDivergence(f"vanishing derivative at seed {j}")
@@ -527,11 +530,24 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
 
     The 2k exact tangency angles cut the circle into arcs on which the field
     points strictly inward or outward; each arc is subsampled and the orbit
-    through every sample is run inside the disk to its first exit or landing,
-    all samples in one ``landing_lanes`` call.  Entering orbits that land
-    label their samples ``incoming``, exiting orbits born at a singularity
-    label theirs ``outgoing`` and orbits that cross the disk label
-    ``separating``.
+    through a sample is run inside the disk to its first exit or landing.
+    Entering orbits that land label their samples ``incoming``, exiting
+    orbits born at a singularity label theirs ``outgoing`` and orbits that
+    cross the disk label ``separating``.
+
+    One ``landing_lanes`` call runs the first and the last sample of every
+    arc.  Where both land, every sample of the arc takes the label of its
+    own direction; a second call runs the other samples of each arc with a
+    separating end.  Why the ends decide: in t = int dz/f every orbit is a
+    horizontal line and each alpha-omega zone a horizontal strip, and the
+    outside of the disk meets a zone as two bumps, one at each of the
+    zone's two ends at infinity.  An entering orbit is a horizontal ray to
+    the right from a point of the left bump (an exiting one, in reversed
+    time, to the left), and it separates only if it meets the zone's other
+    bump.  For convex bumps the heights at which it does form one interval,
+    and that interval ends at the arc's tangency point.  So the separating
+    samples of an arc form a run at each end of it, never a run in the
+    middle.  The arcs are those of running every sample.
     """
     ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
@@ -539,12 +555,19 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     alphas = [np.linspace(a0, a1, samples_per_arc + 2)[1:-1] for a0, a1 in zip(cuts, ends)]
     zs = [r * cmath.exp(1j * a) for a in np.concatenate(alphas)]
     inward = [(fld.rhs(z) * z.conjugate()).real < 0 for z in zs]
-    index, _ = landing_lanes(
-        fld, [z * (1.0 - 1e-9) for z in zs], [1 if w else -1 for w in inward], ctl
-    )
+    starts = np.array([z * (1.0 - 1e-9) for z in zs])
+    sign = np.where(inward, 1, -1)
+    grid = np.arange(len(zs)).reshape(len(cuts), samples_per_arc)
+    end_samples = grid[:, [0, -1]]
+    landed = np.ones(len(zs), dtype=bool)
+    run = np.unique(end_samples)
+    landed[run] = landing_lanes(fld, starts[run], sign[run], ctl)[0] >= 0
+    run = grid[~landed[end_samples].all(axis=1), 1:-1].ravel()
+    if run.size:
+        landed[run] = landing_lanes(fld, starts[run], sign[run], ctl)[0] >= 0
     labels = [
-        ("incoming" if w else "outgoing") if i >= 0 else "separating"
-        for w, i in zip(inward, index)
+        ("incoming" if w else "outgoing") if ok else "separating"
+        for w, ok in zip(inward, landed.tolist())
     ]
     arcs = []
     for n, (a0, a1, arc_alphas) in enumerate(zip(cuts, ends, alphas)):

@@ -31,11 +31,15 @@ singular point: their points reach the CLI output, and numpy's complex
 product and ``abs`` differ from Python's in the last bit on 44% and 35% of
 random inputs (numpy 2.4.6).  Callers that need only where orbits land
 (``ds_invariant_integrated`` and ``disk.separating_regions``) call
-``landing_lanes`` once, which stops each orbit as soon as it enters the
-certified disk |z - z_l| < rho_l of a root z_l attracting in its direction;
-``landing_radii`` gives rho_l and the argument that an orbit inside the
-disk lands at z_l.  It hands the last ``_TAIL_LANES`` (22) orbits to
-``_dopri``, where a numpy pass would cost more than their scalar steps.
+``landing_lanes``, which stops each orbit as soon as it enters the
+certified disk |z - z_l| <= rho_l of a root z_l attracting in its
+direction (``lane_radii``).  rho_l is the larger of two certified radii:
+the linearization disk of ``landing_radii``, which shrinks with
+|Re lambda_l|/|lambda_l| near the homoclinic rays, and the chart disk of
+``chart_radius``, rho_k(c) d with d the closest root spacing, which does
+not (0.32 d at k = 1, 0.13 d at k = 8).  ``landing_lanes`` hands the last
+``_TAIL_LANES`` (22) orbits to ``_dopri``, where a numpy pass would cost
+more than their scalar steps.
 ``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a start
 point that is not finite or lies within the capture radius.
 """
@@ -43,6 +47,7 @@ point that is not finite or lies within the capture radius.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -575,6 +580,91 @@ def landing_radii(fld: ModelField) -> np.ndarray:
     return 0.99 * (fld.scale / fld.k) * ratio
 
 
+# the linearizing chart traps orbits in |z - z_l| < c d with c = CHART_C, or
+# with the largest multiple of 1/CHART_GRID below the room a boundary circle
+# leaves (chart_radius)
+CHART_C, CHART_GRID = 0.9, 20
+
+
+def _chart_log_modulus(k: int, radius: float):
+    """log |g| on the upper half of the circle |v| = radius, where
+    g(v) = v prod_{j=1..k} (1 - v/(zeta^j - 1))^{zeta^j}, zeta = e^{2 pi i/(k+1)},
+    and a bound on how far log |g| strays between the samples: ``(values,
+    margin)``.  |g(conj v)| = |g(v)|, so the half circle covers the circle.
+    d/dphi log |g(radius e^{i phi})| is at most |v g'/g| <= 1 + sum_j radius /
+    (|zeta^j - 1| - radius) =: L, and every angle lies within pi/(2n) of
+    one of the n + 1 samples, with n = ceil(L pi / 0.02): margin L pi/(2n)
+    <= 0.01.
+    """
+    zeta = np.exp(2j * math.pi * np.arange(1, k + 1) / (k + 1))
+    lip = 1.0 + float(np.sum(radius / (np.abs(zeta - 1.0) - radius)))
+    n = math.ceil(lip * math.pi / 0.02)
+    v = radius * np.exp(1j * np.linspace(0.0, math.pi, n + 1))
+    values = np.full(n + 1, math.log(radius))
+    for q in zeta:
+        values += (q * np.log1p(v / (1.0 - q))).real
+    return values, lip * math.pi / (2 * n)
+
+
+@functools.cache
+def _chart_ratio(k: int, step: int) -> float:
+    """``chart_radius`` at c = step / CHART_GRID: bisection in the radius,
+    12 halvings, between the certified bounds of ``_chart_log_modulus``."""
+    delta = 2.0 * math.sin(math.pi / (k + 1))  # d/s
+    values, margin = _chart_log_modulus(k, step / CHART_GRID * delta)
+    floor = values.min() - margin - 1e-9  # 1e-9 covers the rounding of the sums
+    lo, hi = 0.0, step / CHART_GRID * delta
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        values, margin = _chart_log_modulus(k, mid)
+        if values.max() + margin + 1e-9 < floor:
+            lo = mid
+        else:
+            hi = mid
+    return lo / delta
+
+
+def chart_radius(k: int, c: float) -> float:
+    """rho_k(c)/d: the radius, over the closest root spacing d, of a disk
+    around a root z_l on which every orbit attracted to z_l lands there.
+
+    The Koenigs chart u_l(z) = w exp(sum_{m != l} (lambda_l/lambda_m)
+    Log(1 - w/(z_m - z_l))), w = z - z_l, is analytic on |w| < d and obeys
+    du_l/dt = lambda_l u_l, so |u_l| falls strictly along an orbit stepped
+    towards an attracting z_l.  Let M = min |u_l| over |w| = c d.  An orbit
+    that enters |w| <= rho with max |u_l| < M there cannot reach |w| = c d
+    afterwards, and u_l vanishes only at w = 0 in that disk: it lands at
+    z_l.  As lambda_l/lambda_m = z_m/z_l, u_l(z_l (1 + v)) = z_l g(v) with
+    g of ``_chart_log_modulus``, so rho/d depends on k and c alone.  c is
+    floored to a multiple of 1/CHART_GRID (0 below the first), and each
+    value is computed once, on its first use, from sampled bounds with
+    their Lipschitz margins, so it is certified.
+    """
+    step = math.floor(min(c, CHART_C) * CHART_GRID)
+    return _chart_ratio(k, step) if step > 0 else 0.0
+
+
+def lane_radii(fld: ModelField, direction, ctl: IntegratorControls) -> np.ndarray:
+    """The landing radii ``landing_lanes`` gives orbits stepped in
+    ``direction`` (+1 or -1, or an array of them): a row of k+1 radii per
+    direction.
+
+    A root that attracts in the direction, i.e. direction * Re lambda_l < 0,
+    gets max(``landing_radii``, ``chart_radius`` d); the others get none.
+    With a ``boundary_radius`` R the disks stay inside that circle: the
+    first is cut back to R - s and c to (R - s)/d.  No radius is below the
+    capture radius.
+    """
+    d = 2.0 * fld.scale * math.sin(math.pi / (fld.k + 1))
+    rho, c = landing_radii(fld), CHART_C
+    if ctl.boundary_radius is not None:
+        room = ctl.boundary_radius - fld.scale
+        rho, c = np.minimum(rho, room), min(c, room / d)
+    rho = np.maximum(rho, chart_radius(fld.k, c) * d)
+    attracting = np.multiply.outer(direction, fld.d_rhs(singularities(fld)).real) < 0
+    return np.maximum(np.where(attracting, rho, 0.0), capture_radius(fld))
+
+
 def landing_lanes(
     fld: ModelField,
     z0,
@@ -584,12 +674,10 @@ def landing_lanes(
     """Where the orbits of the points ``z0`` land, stepped together.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
-    stops as soon as it enters the certified disk (``landing_radii``) of a
-    root that attracts in its direction, i.e. direction * Re lambda_l < 0.
-    A disk that reaches past ``boundary_radius`` is cut back to it, and no
-    disk is smaller than the capture radius.  Returns ``(index, stop)``:
-    the landing index of each orbit or -1, and the list of the
-    ``Termination`` of each.
+    stops as soon as it enters the certified disk (``lane_radii``) of a
+    root that attracts in its direction.  Returns ``(index, stop)``: the
+    landing index of each orbit or -1, and the list of the ``Termination``
+    of each.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     direction = np.broadcast_to(direction, z0.shape)
@@ -597,11 +685,7 @@ def landing_lanes(
         raise ValueError("direction must be +1 or -1")
     _check_start(fld, z0)
     ctl = controls or IntegratorControls()
-    sing = singularities(fld)
-    rho = np.where(direction[:, None] * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
-    if ctl.boundary_radius is not None:
-        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
-    return _dopri_lanes(fld, z0, direction, ctl, np.maximum(rho, capture_radius(fld)))
+    return _dopri_lanes(fld, z0, direction, ctl, lane_radii(fld, direction, ctl))
 
 
 def separatrix_directions(k: int) -> np.ndarray:

@@ -203,16 +203,23 @@ def _solve_root_locus(omega: BivariateSeries, z_order: int) -> TruncatedSeries:
     is a unit at the origin by genericity.  An iterate exact to order m
     comes out exact to order 2m+1, so the sweeps run at the doubling
     truncation orders 1, 3, 7, ..., z_order and then once more at z_order.
+    The reciprocal of the slope is carried as a second Newton iterate,
+    inv <- inv (2 - slope inv), one step a sweep: an inv exact to order m
+    (against the slope of an f exact to order m) suffices for the step of
+    f, and one step brings it to 2m+1.
     """
     if omega.z_order < z_order:
         omega = BivariateSeries(omega.coefficients, z_order, omega.eps_order)
     d_omega = omega.deps()
     f = TruncatedSeries.zero(0)
+    inv = d_omega.eval_eps_series(f).reciprocal()
     for order in _newton_orders(0, z_order):
         f = f.extended(order)
         res = omega.eval_eps_series(f)
         slope = d_omega.eval_eps_series(f)
-        f = f - res * slope.reciprocal()
+        inv = inv.extended(order)
+        inv = inv * (2.0 - slope * inv)
+        f = f - res * inv
     return f
 
 

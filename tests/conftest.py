@@ -45,9 +45,8 @@ from parafold.model import (
     StepSizeUnderflow,
     Termination,
     _walk_path,
-    capture_radius,
     escape_radius,
-    landing_radii,
+    lane_radii,
     singularities,
 )
 from parafold.series import TruncatedSeries
@@ -232,15 +231,6 @@ def reference_coords(canvas, points):
     return " ".join(out)
 
 
-def lane_radii(fld, direction, ctl):
-    """The row of landing radii that ``landing_lanes`` gives an orbit."""
-    sing = singularities(fld)
-    rho = np.where(direction * fld.d_rhs(sing).real < 0, landing_radii(fld), 0.0)
-    if ctl.boundary_radius is not None:
-        rho = np.minimum(rho, ctl.boundary_radius - fld.scale)
-    return np.maximum(rho, capture_radius(fld))
-
-
 def scalar_landing(fld, z0, direction, controls=None):
     """Landing index (or None) of the orbit of z0 on the scalar kernel
     ``model._dopri`` alone, with the landing radii of ``landing_lanes``,
@@ -265,7 +255,7 @@ def classify_point(fld, r, alpha, controls):
 
 def scalar_separating_regions(fld, r, samples_per_arc=24):
     """``disk.separating_regions`` with every sample classified on its own
-    by ``classify_point``: the oracle of the one lane call."""
+    by ``classify_point``: the oracle of its arc-end lane calls."""
     ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
     arcs = []

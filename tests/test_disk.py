@@ -25,7 +25,7 @@ from parafold.disk import (
     trace_curve,
 )
 from conftest import classify_point, scalar_separating_regions
-from parafold.model import IntegratorControls, ModelField, bifurcation_angles, periods
+from parafold.model import IntegratorControls, ModelField, bifurcation_angles, landing_lanes, periods
 from test_model import _sector_reference, _xi_reference
 
 TWO_PI = 2 * math.pi
@@ -48,16 +48,13 @@ def _slope_reference(k, r, eps, alpha):
 
 def _tangency_angles_reference(k, eps, r, max_iter=60):
     """One scalar Newton loop per seed; returns (sorted angles, iterations).
-    A failure with r^{k+1} <= |eps| names that condition."""
-    try:
-        return _tangency_newton_reference(k, eps, r, max_iter)
-    except NewtonDivergence:
-        if r ** (k + 1) <= abs(eps):
-            raise NewtonDivergence(
-                f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
-                f"{r ** (k + 1):.6g} <= |eps| = {abs(eps):.6g}"
-            ) from None
-        raise
+    r^{k+1} <= |eps| is refused, naming that condition, before any step."""
+    if r ** (k + 1) <= abs(eps):
+        raise NewtonDivergence(
+            f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
+            f"{r ** (k + 1):.6g} <= |eps| = {abs(eps):.6g}"
+        )
+    return _tangency_newton_reference(k, eps, r, max_iter)
 
 
 def _tangency_newton_reference(k, eps, r, max_iter):
@@ -254,6 +251,11 @@ class TestTangencyAngles:
                 eps = rng.uniform(3, 10) * r ** (k + 1) * cmath.exp(2j * math.pi * rng.random())
                 with pytest.raises(NewtonDivergence, match=rf"tangencies need r\^{k + 1} > \|eps\|"):
                     separating_regions(ModelField(k, eps), r)
+        # at k = 3, r = 0.3 Newton converges on every seed for these tags,
+        # once |eps| passes r^4: the condition is named before it runs
+        for j, pair in ((1, (0, 2)), (3, (1, 3)), (5, (0, 2))):
+            with pytest.raises(NewtonDivergence, match=r"tangencies need r\^4 > \|eps\|"):
+                trace_curve(3, 0.3, CurveTag(j=j, pair=pair, side=1))
 
 
 class TestTangencyTimes:
@@ -459,22 +461,83 @@ class TestSeparatingRegions:
             assert classify_point(fld, 1.0, alpha, ctl) == classify_point(fld, 1.0, -alpha, ctl)
 
     @pytest.mark.parametrize("samples_per_arc", [6, 8, 24])
-    def test_matches_scalar_oracle(self, samples_per_arc):
-        # one lane call against every sample classified on its own by the
-        # scalar kernel: the same arcs, bit for bit, for k 1..7
+    def test_matches_scalar_oracle(self, monkeypatch, samples_per_arc):
+        # the arc-end lane calls against every sample classified on its own
+        # by the scalar kernel: the same arcs, bit for bit, for k 1..8; k 8
+        # and a circle at 1.05 s close to a ray, where end samples separate
+        # and the second call runs the rest of their arcs
+        calls = []
+
+        def counted(fld, z0, direction, ctl):
+            calls.append(len(z0))
+            return landing_lanes(fld, z0, direction, ctl)
+
+        monkeypatch.setattr(disk, "landing_lanes", counted)
         rng = np.random.default_rng(600 + samples_per_arc)
         labels = set()
-        for k in range(1, 8):
-            # odd k near a homoclinic ray, where separating arcs open
-            offset = rng.uniform(0.01, 0.05) if k % 2 else rng.uniform(0.25, 0.75)
+        fallbacks = 0
+        cases = [(k, k % 2, 1.2, 2.0) for k in range(1, 8)] + [(8, 1, 1.2, 2.0), (3, 1, 1.05, 1.05)]
+        for k, near, lo, hi in cases:
+            # near a homoclinic ray separating arcs open
+            offset = rng.uniform(0.01, 0.05) if near else rng.uniform(0.25, 0.75)
             theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset * math.pi / k
             fld = ModelField(k, rng.uniform(0.1, 1.0) * cmath.exp(1j * theta))
-            r = fld.scale * rng.uniform(1.2, 2.0)
+            r = fld.scale * rng.uniform(lo, hi)
+            calls.clear()
             arcs = separating_regions(fld, r, samples_per_arc)
             got = [(a.alpha_start, a.alpha_end, a.label) for a in arcs]
             assert got == scalar_separating_regions(fld, r, samples_per_arc)
             labels.update(label for _, _, label in got)
+            assert calls[0] == 4 * k and len(calls) <= 2
+            fallbacks += len(calls) == 2
         assert labels == {"incoming", "outgoing", "separating"}
+        assert fallbacks >= 3
+
+    def test_two_samples_per_arc_at_generic_eps(self, monkeypatch):
+        # where no sample separates, one call runs the first and the last
+        # sample of each of the 2k arcs, whatever samples_per_arc is
+        calls = []
+
+        def counted(fld, z0, direction, ctl):
+            calls.append(len(z0))
+            return landing_lanes(fld, z0, direction, ctl)
+
+        monkeypatch.setattr(disk, "landing_lanes", counted)
+        rng = np.random.default_rng(61)
+        for k in range(1, 8):
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + 0.5 * math.pi / k
+            fld = ModelField(k, rng.uniform(0.3, 1.0) * cmath.exp(1j * theta))
+            calls.clear()
+            arcs = separating_regions(fld, 1.5 * fld.scale, samples_per_arc=24)
+            assert calls == [4 * k]
+            assert len(arcs) == 2 * k
+            assert {a.label for a in arcs} == {"incoming", "outgoing"}
+
+    def test_separating_samples_run_from_the_arc_ends(self):
+        # every sample of every arc in one lane call, near the rays: the
+        # separating samples of an arc form a run at each end of it (either
+        # run may be empty), never a run in the middle
+        rng = np.random.default_rng(62)
+        n_runs = 0
+        for n in range(48):
+            k = n % 8 + 1
+            offset = 10 ** rng.uniform(-4, -1) * rng.choice([-1, 1])
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset
+            fld = ModelField(k, 10 ** rng.uniform(-2, 1) * cmath.exp(1j * theta))
+            r = fld.scale * rng.uniform(1.03, 3.0)
+            spa = int(rng.choice([6, 8, 12]))
+            cuts = tangency_angles(k, fld.epsilon, r).angles
+            ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+            alphas = np.concatenate([np.linspace(a, b, spa + 2)[1:-1] for a, b in zip(cuts, ends)])
+            zs = r * np.exp(1j * alphas)
+            inward = (fld.rhs(zs) * np.conj(zs)).real < 0
+            ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
+            index, _ = landing_lanes(fld, zs * (1.0 - 1e-9), np.where(inward, 1, -1), ctl)
+            for row in (index >= 0).reshape(2 * k, spa):
+                marks = "".join("L" if x else "S" for x in row)
+                assert "S" not in marks.strip("S"), marks
+                n_runs += "S" in marks
+        assert n_runs > 50
 
 
 class TestArrayKernel:
@@ -573,21 +636,21 @@ class TestArrayKernel:
                     assert type(one) is float and one == got[3]
 
     def test_first_failing_theta_raises(self):
-        # k = 1, r = 0.8, |eps| = 0.8: every theta fails, some in the Newton
-        # solve and the others at the radius check; a grid raises what a loop
-        # over it raises first
+        # k = 1, r = 0.8: |eps| = 0.63 fails in the Newton solve at some
+        # theta, and every fifth point, at |eps| = 0.8 >= r^2, at the radius
+        # check before it; a grid raises what a loop over it raises first
         grid = np.linspace(-1.0, 7.0, 33)
+        abs_eps = np.where(np.arange(33) % 5 == 4, 0.8, 0.63)
         kinds = set()
         for start in range(0, 33, 4):
-            part = grid[start:]
-            want = None
-            for th in part:
-                want = _outcome(_residual_reference, 1, 0.8, 0.8, th, (0, 1))
+            for ae, th in zip(abs_eps[start:], grid[start:]):
+                want = _outcome(_residual_reference, 1, 0.8, ae, th, (0, 1))
                 if isinstance(want, tuple):
                     break
-            kinds.add(want[0])
-            assert _outcome(double_tangency_residual, 1, 0.8, 0.8, part, (0, 1)) == want
-        assert kinds == {NewtonDivergence, ValueError}
+            kinds.add(want[1].split(",")[0])
+            got = _outcome(double_tangency_residual, 1, 0.8, abs_eps[start:], grid[start:], (0, 1))
+            assert got == want
+        assert kinds == {"no tangency root in the basin of seed 0", "the 2 tangencies need r^2 > |eps|"}
 
     def test_eps_grid_matches_scalar_calls(self):
         # lanes of |eps| over five decades against (|eps|, theta) grids that
