@@ -18,9 +18,11 @@ import numpy as np
 
 from .model import (
     TWO_PI,
+    AtBifurcation,
     DegenerateParameter,
     IntegratorControls,
     ModelField,
+    Termination,
     bifurcation_angles,
     is_homoclinic,
     landing_lanes,
@@ -548,6 +550,11 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     and that interval ends at the arc's tangency point.  So the separating
     samples of an arc form a run at each end of it, never a run in the
     middle.  The arcs are those of running every sample.
+
+    An orbit that crosses the disk stops at ``hit_boundary``.  Any other
+    stop short of a landing (``time_cap``, ``step_budget``, ``escaped``)
+    leaves the sample undecided and raises ``AtBifurcation``, naming its
+    angle and the stop.
     """
     ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
@@ -559,15 +566,26 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     sign = np.where(inward, 1, -1)
     grid = np.arange(len(zs)).reshape(len(cuts), samples_per_arc)
     end_samples = grid[:, [0, -1]]
-    landed = np.ones(len(zs), dtype=bool)
-    run = np.unique(end_samples)
-    landed[run] = landing_lanes(fld, starts[run], sign[run], ctl)[0] >= 0
-    run = grid[~landed[end_samples].all(axis=1), 1:-1].ravel()
-    if run.size:
-        landed[run] = landing_lanes(fld, starts[run], sign[run], ctl)[0] >= 0
+    stops = [Termination.LANDED] * len(zs)
+
+    def run(samples):
+        for i, stop in zip(samples, landing_lanes(fld, starts[samples], sign[samples], ctl)[1]):
+            stops[i] = stop
+
+    run(np.unique(end_samples))
+    landed = np.array([stop is Termination.LANDED for stop in stops])
+    rest = grid[~landed[end_samples].all(axis=1), 1:-1].ravel()
+    if rest.size:
+        run(rest)
+    for alpha, stop in zip(np.concatenate(alphas).tolist(), stops):
+        if stop not in (Termination.LANDED, Termination.HIT_BOUNDARY):
+            raise AtBifurcation(
+                f"the orbit of the sample at alpha = {alpha % TWO_PI:.12g} stopped at "
+                f"{stop.value}, neither landed nor crossed the disk"
+            )
     labels = [
-        ("incoming" if w else "outgoing") if ok else "separating"
-        for w, ok in zip(inward, landed.tolist())
+        ("incoming" if w else "outgoing") if stop is Termination.LANDED else "separating"
+        for w, stop in zip(inward, stops)
     ]
     arcs = []
     for n, (a0, a1, arc_alphas) in enumerate(zip(cuts, ends, alphas)):

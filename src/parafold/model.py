@@ -24,12 +24,14 @@ landing disks only when ||z| - s| <= r_max + 1e-12 (|z| + s), with s =
 |eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >= ||z| - |z_l||
 and |z_l| is s to a few ulps, so no disk is missed.  Every sum keeps its
 order, so the steps are bit for bit those of the plain loop.
-``integrate`` and ``separatrices`` (and
-so ``render.portrait_svg``) follow an orbit on ``_dopri`` down to the
-capture radius 1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a
-singular point: their points reach the CLI output, and numpy's complex
-product and ``abs`` differ from Python's in the last bit on 44% and 35% of
-random inputs (numpy 2.4.6).  Callers that need only where orbits land
+``integrate`` follows an orbit on ``_dopri`` down to the capture radius
+1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a singular point:
+its points reach the CLI output, and numpy's complex product and ``abs``
+differ from Python's in the last bit on 44% and 35% of random inputs
+(numpy 2.4.6).  ``separatrices`` (and so ``render.portrait_svg``) steps
+``_dopri`` only between two charts that give the orbit in closed form:
+xi near infinity and the Koenigs chart of the landing root.  Callers
+that need only where orbits land
 (``ds_invariant_integrated`` and ``disk.separating_regions``) call
 ``landing_lanes``, which stops each orbit as soon as it enters the
 certified disk |z - z_l| <= rho_l of a root z_l attracting in its
@@ -251,7 +253,9 @@ class Trajectory:
     """An integrated orbit and why it stopped.
 
     ``n_accepted`` and ``n_rejected`` count the kernel's steps (one point
-    per accepted step) and ``h_min_seen`` is the smallest accepted step.
+    per accepted step; a separatrix adds the points of its two chart
+    segments, see ``separatrices``) and ``h_min_seen`` is the smallest
+    accepted step.
     """
 
     points: np.ndarray
@@ -586,24 +590,36 @@ def landing_radii(fld: ModelField) -> np.ndarray:
 CHART_C, CHART_GRID = 0.9, 20
 
 
+def _roots_of_unity(k: int) -> np.ndarray:
+    """zeta^j for j = 1..k, zeta = e^{2 pi i/(k+1)}."""
+    return np.exp(2j * math.pi * np.arange(1, k + 1) / (k + 1))
+
+
+def _chart_log(k: int, v):
+    """log g(v), with g(v) = v prod_{j=1..k} (1 - v/(zeta^j - 1))^{zeta^j}
+    the normalised Koenigs chart: u_l(z_l (1 + v)) = z_l g(v) at every root
+    z_l (``chart_radius``).  Each log is principal, so the imaginary part
+    is log g only up to a multiple of 2 pi; every factor is analytic for
+    |v| < |zeta - 1| = d/s."""
+    out = np.log(v)
+    for q in _roots_of_unity(k):
+        out += q * np.log1p(v / (1.0 - q))
+    return out
+
+
 def _chart_log_modulus(k: int, radius: float):
-    """log |g| on the upper half of the circle |v| = radius, where
-    g(v) = v prod_{j=1..k} (1 - v/(zeta^j - 1))^{zeta^j}, zeta = e^{2 pi i/(k+1)},
-    and a bound on how far log |g| strays between the samples: ``(values,
-    margin)``.  |g(conj v)| = |g(v)|, so the half circle covers the circle.
-    d/dphi log |g(radius e^{i phi})| is at most |v g'/g| <= 1 + sum_j radius /
-    (|zeta^j - 1| - radius) =: L, and every angle lies within pi/(2n) of
-    one of the n + 1 samples, with n = ceil(L pi / 0.02): margin L pi/(2n)
-    <= 0.01.
+    """log |g| (``_chart_log``) on the upper half of the circle |v| =
+    radius, and a bound on how far log |g| strays between the samples:
+    ``(values, margin)``.  |g(conj v)| = |g(v)|, so the half circle covers
+    the circle.  d/dphi log |g(radius e^{i phi})| is at most |v g'/g| <= 1 +
+    sum_j radius / (|zeta^j - 1| - radius) =: L, and every angle lies
+    within pi/(2n) of one of the n + 1 samples, with n = ceil(L pi / 0.02):
+    margin L pi/(2n) <= 0.01.
     """
-    zeta = np.exp(2j * math.pi * np.arange(1, k + 1) / (k + 1))
-    lip = 1.0 + float(np.sum(radius / (np.abs(zeta - 1.0) - radius)))
+    lip = 1.0 + float(np.sum(radius / (np.abs(_roots_of_unity(k) - 1.0) - radius)))
     n = math.ceil(lip * math.pi / 0.02)
     v = radius * np.exp(1j * np.linspace(0.0, math.pi, n + 1))
-    values = np.full(n + 1, math.log(radius))
-    for q in zeta:
-        values += (q * np.log1p(v / (1.0 - q))).real
-    return values, lip * math.pi / (2 * n)
+    return _chart_log(k, v).real, lip * math.pi / (2 * n)
 
 
 @functools.cache
@@ -693,27 +709,179 @@ def separatrix_directions(k: int) -> np.ndarray:
     return np.arange(2 * k) * math.pi / k
 
 
-def separatrices(fld: ModelField, controls: IntegratorControls | None = None) -> list[Trajectory]:
-    """The 2k separatrices, integrated inward from the launch circle at 0.995
-    times the escape radius.
+# Point spacing of the chart segments of ``separatrices``, as chord-error
+# bounds: far points at most a factor FAR_RATIO apart in |z| (the curve
+# there is close to a ray), landing points at most LAND_TURN rad of
+# rotation and a factor LAND_SHRINK in |u_l| apart (a log spiral in u_l).
+# A Newton solve makes one more sweep once every relative step is below
+# NEWTON_TOL (convergence is quadratic, so after that sweep only rounding
+# is left), and raises after NEWTON_MAX sweeps.
+FAR_RATIO, LAND_TURN, LAND_SHRINK = 1.05, 0.25, 1.3
+NEWTON_TOL, NEWTON_MAX = 1e-9, 40
 
-    Outgoing separatrices (even j) are integrated in reversed time so that
-    every trajectory runs from the launch point towards its landing point.
+
+def _newton(x, step, what):
+    """x <- x - step(x) until one sweep after every |step| is below
+    NEWTON_TOL |x|."""
+    for _ in range(NEWTON_MAX):
+        dx = step(x)
+        x = x - dx
+        if np.all(np.abs(dx) <= NEWTON_TOL * np.abs(x)):
+            return x - step(x)
+    raise StepSizeUnderflow(f"{what}: Newton did not converge in {NEWTON_MAX} sweeps")
+
+
+def _far_segment(fld: ModelField, js, time_cap: float):
+    """Points of the separatrices ``js`` on their exact curves, from the
+    launch circle at 0.995 times the escape radius down to |z| = 1.5 s:
+    ``(points, times)``, one row per separatrix.
+
+    In xi (``xi_array``), which vanishes at infinity and advances by 1 per
+    unit of time, separatrix j is the half-line dir * xi = tau > 0, dir its
+    integration direction (-1 for even j), leaving infinity along arg z =
+    pi j/k.  Each row takes the real tau of dir * xi at its two end
+    circles, on the direction of the row, and a shared geometric grid
+    between them with a ratio of at most FAR_RATIO^k (|xi| ~ |z|^-k/k);
+    Newton z <- z - (xi(z) - dir tau) f(z) solves all rows at once from the
+    leading term xi ~ -1/(k z^k).  A row whose time from the launch would
+    pass ``time_cap`` ends at that time.  Where xi or the field overflows
+    on the launch circle it raises ``SeriesOutOfDomain``.
+    """
+    k, eps = fld.k, fld.epsilon
+    js = np.asarray(js)
+    ang = np.exp(1j * separatrix_directions(k)[js])[:, None]
+    sign = np.where(js % 2 == 0, -1.0, 1.0)[:, None]
+    ends = ang * [0.995 * escape_radius(fld), 1.5 * fld.scale]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = sign * xi_array(k, eps, ends).real
+        if not (np.isfinite(ends[:, 0] ** (k + 1)).all() and (tau > 0).all()):
+            raise SeriesOutOfDomain(f"xi overflows on the launch circle at k = {k}")
+    tau[:, 1] = np.minimum(tau[:, 1], tau[:, 0] + time_cap)
+    n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (k * math.log(FAR_RATIO)))
+    tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
+    target = sign * tau
+    z = _newton(
+        ang * (k * tau) ** (-1.0 / k),
+        lambda z: (xi_array(k, eps, z) - target) * (z ** (k + 1) - eps),
+        "far segment",
+    )
+    return z, tau - tau[:, :1]
+
+
+def _landing_segments(fld: ModelField, entries, time_cap: float):
+    """The chart points of orbits that entered the landing disk of their
+    root: ``entries`` holds ``(z_e, t_e, l, direction)`` per orbit; returns
+    per orbit ``(points, times, termination)`` after z_e.
+
+    With v = z/z_l - 1 the chart of ``_chart_log`` is exact, log g(v) =
+    log g(v_e) + lambda_l direction tau at time t_e + tau, so the points
+    run to |u_l| = capture radius/2 (``LANDED``), or to ``time_cap``
+    (``TIME_CAP``) if that comes first, on an even tau grid spaced by
+    LAND_TURN and LAND_SHRINK.  Newton on log g, v <- v - (log g(v) -
+    target) ((1 + v)^{k+1} - 1)/(k+1) with the residual's phase taken in
+    (-pi, pi], solves every point of every orbit at once from the linear
+    guess v_e e^{lambda_l direction tau}.
+    """
+    if not entries:
+        return []
+    k1 = fld.k + 1
+    sing = singularities(fld)
+    floor = math.log(0.5 * capture_radius(fld) / fld.scale)
+    v_e = np.array([z / sing[l] - 1.0 for z, _, l, _ in entries])
+    log_e = _chart_log(fld.k, v_e)
+    runs = []
+    for (_, t_e, l, direction), start in zip(entries, log_e.tolist()):
+        rate = direction * fld.d_rhs(sing[l])
+        # a root that does not attract lands only within the capture radius
+        span = max(0.0, (floor - start.real) / rate.real) if rate.real < 0 else 0.0
+        stop = Termination.LANDED
+        if t_e + span > time_cap:
+            span, stop = time_cap - t_e, Termination.TIME_CAP
+        n = 0
+        if span > 0:
+            dtau = math.log(LAND_SHRINK) / -rate.real
+            if rate.imag:
+                dtau = min(dtau, LAND_TURN / abs(rate.imag))
+            n = math.ceil(span / dtau)
+        runs.append((rate, span * np.arange(1, n + 1) / n, stop))
+    rates = np.concatenate([np.full(len(tau), rate) for rate, tau, _ in runs])
+    tau = np.concatenate([tau for _, tau, _ in runs])
+    owner = np.repeat(np.arange(len(runs)), [len(tau) for _, tau, _ in runs])
+    target = log_e[owner] + rates * tau
+
+    def step(v):
+        r = _chart_log(fld.k, v) - target
+        r.imag = (r.imag + math.pi) % TWO_PI - math.pi
+        return r * np.expm1(k1 * np.log1p(v)) / k1
+
+    v = _newton(v_e[owner] * np.exp(rates * tau), step, "landing segment")
+    z = sing[[l for _, _, l, _ in entries]][owner] * (1.0 + v)
+    cuts = np.cumsum([len(tau) for _, tau, _ in runs])[:-1]
+    return [
+        (zs, t_e + tau, stop)
+        for zs, (_, t_e, _, _), (_, tau, stop) in zip(np.split(z, cuts), entries, runs)
+    ]
+
+
+def separatrices(fld: ModelField, controls: IntegratorControls | None = None) -> list[Trajectory]:
+    """The 2k separatrices, from the launch circle at 0.995 times the escape
+    radius to within the capture radius of their landing roots.
+
+    Separatrix j leaves infinity along arg z = pi j/k; outgoing ones (even
+    j) run in reversed time, so that every trajectory runs from its launch
+    point towards its landing point, with increasing ``times`` from 0.
+    Each is built from three segments:
+
+    - the far segment (``_far_segment``), on the exact curve Im xi = 0,
+      down to |z| = 1.5 s, s = |eps|^{1/(k+1)};
+    - the transit, ``_dopri`` steps from its last point, which stop on the
+      landing disks of ``lane_radii`` (or on any other stop of the
+      controls, ``boundary_radius`` included).  Its first trial step is the
+      far grid's last time step: the default first step is so short there
+      that the error estimate sits at rounding level and the step sizes
+      that follow would hang on rounding;
+    - the landing segment (``_landing_segments``), on the exact orbit in
+      the Koenigs chart of the landing root, down to |u_l| = capture
+      radius/2 (so |z - z_l| is below the capture radius), or to
+      ``time_cap``, where it stops with ``TIME_CAP`` as an integrated orbit
+      would.
+
+    ``n_accepted``, ``n_rejected`` and ``h_min_seen`` count the transit's
+    steps; the chart points come on top of them.
     """
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
-    launch_radius = 0.995 * escape_radius(fld)
-    out = []
-    for j, ang in enumerate(separatrix_directions(fld.k)):
-        outgoing = j % 2 == 0
-        traj = integrate(
-            fld,
-            launch_radius * cmath.exp(1j * ang),
-            direction=-1 if outgoing else 1,
-            controls=controls,
+    ctl = controls or IntegratorControls()
+    js = np.arange(2 * fld.k)
+    far, far_t = _far_segment(fld, js, ctl.time_cap)
+    radii = {d: lane_radii(fld, d, ctl) for d in (1, -1)}
+    out, landed, entries = [], [], []
+    for j, zs, ts in zip(js.tolist(), far.tolist(), far_t.tolist()):
+        direction = -1 if j % 2 == 0 else 1
+        traj = Trajectory(
+            np.array(zs), np.array(ts), Termination.TIME_CAP,
+            orientation="outgoing" if direction < 0 else "incoming",
         )
-        traj.orientation = "outgoing" if outgoing else "incoming"
         out.append(traj)
+        if ts[-1] >= ctl.time_cap:  # the far segment ran to the cap
+            continue
+        path = ([], [])
+        stop, index, traj.n_accepted, traj.n_rejected, traj.h_min_seen = _dopri(
+            fld, zs[-1], direction, ctl, radii[direction], path, t=ts[-1], h=ts[-1] - ts[-2]
+        )
+        traj.points = np.append(traj.points, path[0])
+        traj.times = np.append(traj.times, path[1])
+        traj.termination = stop
+        if stop is Termination.LANDED:
+            landed.append(traj)
+            entries.append((path[0][-1], path[1][-1], index, direction))
+    for traj, entry, (zs, ts, stop) in zip(
+        landed, entries, _landing_segments(fld, entries, ctl.time_cap)
+    ):
+        traj.points = np.append(traj.points, zs)
+        traj.times = np.append(traj.times, ts)
+        traj.termination = stop
+        traj.landed_index = entry[2] if stop is Termination.LANDED else None
     return out
 
 
@@ -828,8 +996,10 @@ def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
     Orbits seeded on circles around each singularity are integrated both
     ways; each generic orbit joins two singular points, and the collected
     connections must assemble into the trunk.  The attachment is where the
-    separatrix with asymptotic direction arg z = 0 lands in reversed time.
-    All 2(k+1) ``n_angles`` seed orbits and that separatrix run in one
+    separatrix with asymptotic direction arg z = 0 lands in reversed time;
+    its orbit starts where ``separatrices`` starts its transit, at the last
+    point of its far segment (|z| = 1.5 |eps|^{1/(k+1)}).  All 2(k+1)
+    ``n_angles`` seed orbits and that separatrix run in one
     ``landing_lanes`` call; a failure names the orbits that did not land.
     """
     sing = singularities(fld)
@@ -841,7 +1011,7 @@ def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
         for ell in range(k1)
         for m in range(n_angles)
     ]
-    launch = 0.995 * escape_radius(fld)
+    launch = _far_segment(fld, [0], math.inf)[0][0, -1]
     z0 = np.append(np.repeat(seeds, 2), launch)
     index, stop = landing_lanes(fld, z0, [1, -1] * len(seeds) + [-1])
     index = index.tolist()

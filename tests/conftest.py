@@ -243,14 +243,19 @@ def scalar_landing(fld, z0, direction, controls=None):
 
 def classify_point(fld, r, alpha, controls):
     """The label of the boundary sample at angle alpha, one orbit at a time
-    on ``scalar_landing``."""
+    on ``scalar_landing``: an orbit that crosses the disk separates, and one
+    that stops short of both a landing and the boundary raises
+    ``AtBifurcation``."""
     z = r * cmath.exp(1j * alpha)
     radial = (fld.rhs(z) * complex(z).conjugate()).real
     inward = radial < 0
     z_in = z * (1.0 - 1e-9)
-    if scalar_landing(fld, z_in, 1 if inward else -1, controls)[0] is not None:
+    landed, stop = scalar_landing(fld, z_in, 1 if inward else -1, controls)
+    if landed is not None:
         return "incoming" if inward else "outgoing"
-    return "separating"
+    if stop is Termination.HIT_BOUNDARY:
+        return "separating"
+    raise AtBifurcation(f"the orbit at alpha = {alpha:.12g} stopped at {stop.value}")
 
 
 def scalar_separating_regions(fld, r, samples_per_arc=24):
@@ -279,7 +284,10 @@ def scalar_separating_regions(fld, r, samples_per_arc=24):
 
 def scalar_ds_invariant_integrated(fld, n_angles=24):
     """``model.ds_invariant_integrated`` with the seed orbits and the arg
-    z = 0 separatrix run one at a time on ``scalar_landing``."""
+    z = 0 separatrix run one at a time on ``scalar_landing``.  The
+    separatrix is launched on its asymptotic direction at 0.995 times the
+    escape radius, not from the far segment's last point as the code
+    launches it, so the oracle shares no launch with the code."""
     sing = singularities(fld)
     k1 = fld.k + 1
     gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]

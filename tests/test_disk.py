@@ -25,7 +25,14 @@ from parafold.disk import (
     trace_curve,
 )
 from conftest import classify_point, scalar_separating_regions
-from parafold.model import IntegratorControls, ModelField, bifurcation_angles, landing_lanes, periods
+from parafold.model import (
+    AtBifurcation,
+    IntegratorControls,
+    ModelField,
+    bifurcation_angles,
+    landing_lanes,
+    periods,
+)
 from test_model import _sector_reference, _xi_reference
 
 TWO_PI = 2 * math.pi
@@ -492,6 +499,21 @@ class TestSeparatingRegions:
             fallbacks += len(calls) == 2
         assert labels == {"incoming", "outgoing", "separating"}
         assert fallbacks >= 3
+
+    def test_unfinished_orbit_raises(self, monkeypatch):
+        # an orbit out of steps has neither landed nor crossed the disk: the
+        # sample is undecided, not separating, in the code and its oracle
+        def starved(fld, z0, direction, ctl):
+            return landing_lanes(fld, z0, direction, replace(ctl, max_steps=3))
+
+        fld = ModelField(3, 0.5 * cmath.exp(0.4j))
+        r = 1.5 * fld.scale
+        monkeypatch.setattr(disk, "landing_lanes", starved)
+        with pytest.raises(AtBifurcation, match=r"sample at alpha = .* stopped at step_budget"):
+            separating_regions(fld, r, samples_per_arc=6)
+        ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12), max_steps=3)
+        with pytest.raises(AtBifurcation, match="stopped at step_budget"):
+            classify_point(fld, r, 0.1, ctl)
 
     def test_two_samples_per_arc_at_generic_eps(self, monkeypatch):
         # where no sample separates, one call runs the first and the last

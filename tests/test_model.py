@@ -824,6 +824,98 @@ class TestSeparatrices:
                     assert np.isfinite(traj.times[-1])
 
 
+    # the chart segments against Dormand-Prince at rtol 1e-12; both bounds
+    # were fixed before the first run
+    CHART_CASES = [
+        (k, a * cmath.exp(1j * (bifurcation_angles(k)[1] + f * math.pi / k)))
+        for k in range(1, 7)
+        for a, f in ((0.05, 0.3), (1.0, 0.5), (8.0, 0.7))
+    ]
+
+    def test_far_segment_on_the_exact_separatrix(self):
+        # Im xi = 0 to 1e-13 |xi| at every far point, and each far point
+        # where an integrated orbit from the first one is at its time
+        for k, eps in self.CHART_CASES:
+            fld = ModelField(k, eps)
+            far, times = model._far_segment(fld, np.arange(2 * k), math.inf)
+            xi = xi_array(k, eps, far)
+            assert np.all(np.abs(xi.imag) <= 1e-13 * np.abs(xi))
+            assert np.all(np.diff(times) > 0)
+            assert np.abs(np.abs(far[:, 0]) / (0.995 * escape_radius(fld)) - 1).max() < 1e-3
+            assert np.abs(np.abs(far[:, -1]) / (1.5 * fld.scale) - 1).max() < 0.2
+            n = far.shape[1] - 1
+            for j in (0, 1):
+                for m in (n // 2, n):
+                    ctl = IntegratorControls(rtol=1e-12, time_cap=times[j, m])
+                    path = ([], [])
+                    stop, *_ = reference_dopri(
+                        fld, far[j, 0], 1 - 2 * (j % 2 == 0), ctl, [0.0] * (k + 1), path
+                    )
+                    assert stop is Termination.TIME_CAP
+                    assert abs(path[0][-1] - far[j, m]) <= 1e-10 * abs(far[j, m]), (k, eps, j, m)
+
+    def test_landing_segment_follows_the_orbit(self):
+        # from the point where the transit entered the landing disk, the
+        # chart points are where an integrated orbit is at their times
+        for k, eps in self.CHART_CASES:
+            fld = ModelField(k, eps)
+            n_far = model._far_segment(fld, [0], math.inf)[0].shape[1]
+            for j, traj in enumerate(separatrices(fld)[:2]):
+                entry = n_far + traj.n_accepted - 1
+                n = len(traj.points) - 1
+                assert traj.termination is Termination.LANDED and n > entry
+                assert abs(traj.points[-1] - singularities(fld)[traj.landed_index]) < capture_radius(fld)
+                for m in sorted({entry + 1, (entry + n) // 2, n}):
+                    span = traj.times[m] - traj.times[entry]
+                    ctl = IntegratorControls(rtol=1e-12, time_cap=span)
+                    path = ([], [])
+                    stop, *_ = reference_dopri(
+                        fld, traj.points[entry], 1 - 2 * (j % 2 == 0), ctl, [0.0] * (k + 1), path
+                    )
+                    assert stop is Termination.TIME_CAP
+                    assert abs(path[0][-1] - traj.points[m]) <= 1e-10 * fld.scale, (k, eps, j, m)
+
+    def test_time_cap_ends_a_chart_segment(self):
+        # a cap inside the landing segment ends it there, as it would end an
+        # integrated orbit; a cap inside the far segment ends that one
+        fld = ModelField(3, 0.7 * cmath.exp(0.9j))
+        full = separatrices(fld)
+        n_far = model._far_segment(fld, [0], math.inf)[0].shape[1]
+        entry = n_far + full[1].n_accepted - 1
+        cap = 0.5 * (full[1].times[entry] + full[1].times[-1])
+        traj = separatrices(fld, IntegratorControls(time_cap=cap))[1]
+        assert traj.termination is Termination.TIME_CAP and traj.landed_index is None
+        assert traj.times[-1] == pytest.approx(cap, rel=1e-15)
+        np.testing.assert_array_equal(traj.points[: entry + 1], full[1].points[: entry + 1])
+        ctl = IntegratorControls(rtol=1e-12, time_cap=cap - traj.times[entry])
+        path = ([], [])
+        reference_dopri(fld, traj.points[entry], 1, ctl, [0.0] * 4, path)
+        assert abs(path[0][-1] - traj.points[-1]) <= 1e-10 * fld.scale
+        for traj in separatrices(ModelField(1, 1e-6j), IntegratorControls(time_cap=50.0)):
+            assert traj.termination is Termination.TIME_CAP and traj.n_accepted == 0
+            assert traj.times[-1] == pytest.approx(50.0, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_large_k_lands(self, k):
+        # launched at 0.995 (10 s + 10) the first step fell below H_MIN for
+        # k >= 9; the arg z = 0 separatrix lands at the gon's attachment
+        for eps in (0.3 + 0.2j, 2.0 * cmath.exp(1j * (bifurcation_angles(k)[0] + math.pi / (2 * k)))):
+            fld = ModelField(k, eps)
+            seps = separatrices(fld)
+            sing = singularities(fld)
+            assert [t.orientation for t in seps] == ["outgoing", "incoming"] * k
+            for t in seps:
+                assert t.termination is Termination.LANDED
+                assert abs(t.points[-1] - sing[t.landed_index]) < capture_radius(fld)
+                assert np.all(np.diff(t.times) > 0)
+            assert seps[0].landed_index == ds_invariant(fld).attachment
+
+    def test_xi_overflow_raises(self):
+        # (0.995 escape radius)^{k+1} overflows a double from k = 236 on
+        with pytest.raises(SeriesOutOfDomain, match="overflows"):
+            separatrices(ModelField(240, 1.0))
+
+
 class TestDSInvariant:
     def test_k1(self):
         inv = ds_invariant(ModelField(1, cmath.exp(0.4j)))
@@ -885,8 +977,9 @@ class TestDSInvariant:
             assert sum(overlap(a, b) for a, b in pairs) == fld.k
 
     def test_attachment_agrees_with_integration(self):
-        # the arg z = 0 separatrix, launched as in ds_invariant_integrated;
-        # points where that orbit does not land are skipped and counted
+        # the arg z = 0 separatrix, launched at 0.995 times the escape radius
+        # as in conftest.scalar_ds_invariant_integrated; points where that
+        # orbit does not land are skipped and counted
         rng = np.random.default_rng(512)
         checked = skipped = 0
         while checked < 500:
