@@ -30,7 +30,10 @@ its points reach the CLI output, and numpy's complex product and ``abs``
 differ from Python's in the last bit on 44% and 35% of random inputs
 (numpy 2.4.6).  ``separatrices`` (and so ``render.portrait_svg``) steps
 ``_dopri`` only between two charts that give the orbit in closed form:
-xi near infinity and the Koenigs chart of the landing root.  Callers
+xi near infinity and the Koenigs chart of the landing root.  Each chart
+segment is one vectorised Newton solve, started from a series inverse of
+its chart that is built once per k on first use (``_far_start``,
+``_landing_start``).  Callers
 that need only where orbits land
 (``ds_invariant_integrated`` and ``disk.separating_regions``) call
 ``landing_lanes``, which stops each orbit as soon as it enters the
@@ -41,7 +44,9 @@ the linearization disk of ``landing_radii``, which shrinks with
 ``chart_radius``, rho_k(c) d with d the closest root spacing, which does
 not (0.32 d at k = 1, 0.13 d at k = 8).  ``landing_lanes`` hands the last
 ``_TAIL_LANES`` (22) orbits to ``_dopri``, where a numpy pass would cost
-more than their scalar steps.
+more than their scalar steps.  ``ds_invariant_integrated`` seeds its
+orbits in two levels and stops after the first where it finds the k trunk
+edges.
 ``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a start
 point that is not finite or lies within the capture radius.
 """
@@ -57,6 +62,8 @@ from enum import Enum
 from itertools import repeat
 
 import numpy as np
+
+from .series import TruncatedSeries
 
 TWO_PI = 2.0 * math.pi
 
@@ -715,9 +722,11 @@ def separatrix_directions(k: int) -> np.ndarray:
 # rotation and a factor LAND_SHRINK in |u_l| apart (a log spiral in u_l).
 # A Newton solve makes one more sweep once every relative step is below
 # NEWTON_TOL (convergence is quadratic, so after that sweep only rounding
-# is left), and raises after NEWTON_MAX sweeps.
+# is left), and raises after NEWTON_MAX sweeps.  It starts from a series
+# inverse of its chart, truncated at START_ORDER (``_far_start``,
+# ``_landing_start``).
 FAR_RATIO, LAND_TURN, LAND_SHRINK = 1.05, 0.25, 1.3
-NEWTON_TOL, NEWTON_MAX = 1e-9, 40
+NEWTON_TOL, NEWTON_MAX, START_ORDER = 1e-9, 40, 40
 
 
 def _newton(x, step, what):
@@ -731,6 +740,42 @@ def _newton(x, step, what):
     raise StepSizeUnderflow(f"{what}: Newton did not converge in {NEWTON_MAX} sweeps")
 
 
+@functools.cache
+def _far_start(k: int) -> TruncatedSeries:
+    """S_k(X), the series that inverts xi near infinity.
+
+    With c^{k+1} = eps and y = c/z, xi = -(c^{-k}/k) y^k F(y^{k+1}),
+    F(x) = sum_n k x^n / a_n, a_n = (n+1)(k+1) - 1.  Where the leading
+    term z_g solves -1/(k z^k) = xi, the exact point is z_g / S_k(X) with X
+    = eps / z_g^{k+1}, S_k(X) = (R(X)/X)^{1/(k+1)} and R the reversion of
+    T(x) = x F(x)^{(k+1)/k}: raising y^k F = y_g^k to the power (k+1)/k
+    gives T(y^{k+1}) = X.  Built on first use, to order START_ORDER.
+    """
+    n = np.arange(START_ORDER + 2)
+    f = TruncatedSeries(k / ((n + 1) * (k + 1) - 1))
+    t = (f.kth_root(k) ** (k + 1)).shift_up(1)
+    return t.reversion().shift_down(1).kth_root(k + 1)
+
+
+@functools.cache
+def _landing_start(k: int) -> TruncatedSeries:
+    """G_k(x), the series that inverts the normalised Koenigs chart g of
+    ``_chart_log``: g(G_k(x)) = x.
+
+    It is built in w = v/delta, delta = |zeta - 1|, where g(delta w)/delta
+    = w exp(sum_n L_n w^n) with L_n = -(1/n) sum_j zeta^j (delta/(zeta^j -
+    1))^n, whose terms stay below k/n since |zeta^j - 1| >= delta: its
+    reversion H_k has coefficients of order one at any k, and G_k(x) =
+    delta H_k(x/delta).  Built on first use, to order START_ORDER.
+    """
+    delta = 2.0 * math.sin(math.pi / (k + 1))
+    q = _roots_of_unity(k)[:, None]
+    n = np.arange(1, START_ORDER + 1)
+    log_g = TruncatedSeries(np.r_[0.0, -(q * (delta / (q - 1.0)) ** n).sum(axis=0) / n])
+    exp = TruncatedSeries(np.r_[1.0, 1.0 / np.cumprod(n)])
+    return delta * exp.compose(log_g).shift_up(1).reversion().scale_argument(1.0 / delta)
+
+
 def _far_segment(fld: ModelField, js, time_cap: float):
     """Points of the separatrices ``js`` on their exact curves, from the
     launch circle at 0.995 times the escape radius down to |z| = 1.5 s:
@@ -742,10 +787,14 @@ def _far_segment(fld: ModelField, js, time_cap: float):
     pi j/k.  Each row takes the real tau of dir * xi at its two end
     circles, on the direction of the row, and a shared geometric grid
     between them with a ratio of at most FAR_RATIO^k (|xi| ~ |z|^-k/k);
-    Newton z <- z - (xi(z) - dir tau) f(z) solves all rows at once from the
-    leading term xi ~ -1/(k z^k).  A row whose time from the launch would
-    pass ``time_cap`` ends at that time.  Where xi or the field overflows
-    on the launch circle it raises ``SeriesOutOfDomain``.
+    Newton z <- z - (xi(z) - dir tau) f(z) solves all rows at once.  It
+    starts from z_g / S_k(eps / z_g^{k+1}) (``_far_start``), with z_g the
+    root of the leading term xi ~ -1/(k z^k) on the row's direction; on the
+    far grid |eps / z_g^{k+1}| <= 1.5^-(k+1), so the start is exact to
+    rounding and the solve ends after its second sweep.  A row whose time
+    from the launch would pass ``time_cap`` ends at that time.  Where xi or
+    the field overflows on the launch circle it raises
+    ``SeriesOutOfDomain``.
     """
     k, eps = fld.k, fld.epsilon
     js = np.asarray(js)
@@ -760,8 +809,9 @@ def _far_segment(fld: ModelField, js, time_cap: float):
     n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (k * math.log(FAR_RATIO)))
     tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
     target = sign * tau
+    z = ang * (k * tau) ** (-1.0 / k)
     z = _newton(
-        ang * (k * tau) ** (-1.0 / k),
+        z / _far_start(k)(eps / z ** (k + 1)),
         lambda z: (xi_array(k, eps, z) - target) * (z ** (k + 1) - eps),
         "far segment",
     )
@@ -779,8 +829,12 @@ def _landing_segments(fld: ModelField, entries, time_cap: float):
     (``TIME_CAP``) if that comes first, on an even tau grid spaced by
     LAND_TURN and LAND_SHRINK.  Newton on log g, v <- v - (log g(v) -
     target) ((1 + v)^{k+1} - 1)/(k+1) with the residual's phase taken in
-    (-pi, pi], solves every point of every orbit at once from the linear
-    guess v_e e^{lambda_l direction tau}.
+    (-pi, pi], solves every point of every orbit at once.  It starts from
+    the series inverse of the chart, v = G_k(e^target) (``_landing_start``),
+    which leaves the solve two or three sweeps at generic eps.  At a weak
+    focus near a homoclinic ray the entry's |g(v_e)|/delta comes close to
+    the radius of convergence of H_k (0.21 at k = 4, 0.18 at k = 10,
+    against radii of 0.28 and 0.21), and the solve takes up to five.
     """
     if not entries:
         return []
@@ -814,7 +868,7 @@ def _landing_segments(fld: ModelField, entries, time_cap: float):
         r.imag = (r.imag + math.pi) % TWO_PI - math.pi
         return r * np.expm1(k1 * np.log1p(v)) / k1
 
-    v = _newton(v_e[owner] * np.exp(rates * tau), step, "landing segment")
+    v = _newton(_landing_start(fld.k)(np.exp(target)), step, "landing segment")
     z = sing[[l for _, _, l, _ in entries]][owner] * (1.0 + v)
     cuts = np.cumsum([len(tau) for _, tau, _ in runs])[:-1]
     return [
@@ -993,46 +1047,74 @@ def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> 
 def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
     """The invariant recovered purely dynamically.
 
-    Orbits seeded on circles around each singularity are integrated both
-    ways; each generic orbit joins two singular points, and the collected
-    connections must assemble into the trunk.  The attachment is where the
-    separatrix with asymptotic direction arg z = 0 lands in reversed time;
-    its orbit starts where ``separatrices`` starts its transit, at the last
-    point of its far segment (|z| = 1.5 |eps|^{1/(k+1)}).  All 2(k+1)
-    ``n_angles`` seed orbits and that separatrix run in one
-    ``landing_lanes`` call; a failure names the orbits that did not land.
+    Orbits seeded on circles around each singularity, at ``n_angles``
+    angles a circle (the ring), are integrated both ways; each generic
+    orbit joins two singular points, and the collected connections must
+    assemble into the trunk.  The attachment is where the separatrix with
+    asymptotic direction arg z = 0 lands in reversed time; its orbit starts
+    where ``separatrices`` starts its transit, at the last point of its far
+    segment (|z| = 1.5 |eps|^{1/(k+1)}).
+
+    The ring runs in two levels, one ``landing_lanes`` call each.  Level 0
+    takes the angles m = 0, s, 2s, ... with s = ``n_angles`` // 3 (3 a
+    circle at the default 24), together with the separatrix.  If its
+    connections form a path, the function stops there.  That is exact
+    wherever the whole ring yields a trunk: at generic eps the field has
+    exactly k alpha-omega zones, one per trunk edge, so every connection
+    any seed finds is one of those k edges, and a path of k of them is all
+    of them.  Otherwise level 1 runs the other angles of the ring, and the
+    path is read off the connections of the whole ring, as a single level
+    would; a failure names the seed orbits of the ring that did not land.
     """
     sing = singularities(fld)
     k1 = fld.k + 1
     gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
     rho = 0.2 * min(gaps)  # seed circles of a fifth of the closest root spacing
-    seeds = [
-        sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-        for ell in range(k1)
-        for m in range(n_angles)
-    ]
+
+    def seed_orbits(angles):
+        seeds = [
+            sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
+            for ell in range(k1)
+            for m in angles
+        ]
+        return np.repeat(seeds, 2), [1, -1] * len(seeds)
+
+    def trunk(index):
+        edges = {
+            frozenset((fwd, bwd))
+            for fwd, bwd in zip(index[::2], index[1::2])
+            if fwd >= 0 and bwd >= 0 and fwd != bwd
+        }
+        return _walk_path([tuple(sorted(e)) for e in edges], k1)
+
+    step = max(1, n_angles // 3)
+    z0, sign = seed_orbits(range(0, n_angles, step))
     launch = _far_segment(fld, [0], math.inf)[0][0, -1]
-    z0 = np.append(np.repeat(seeds, 2), launch)
-    index, stop = landing_lanes(fld, z0, [1, -1] * len(seeds) + [-1])
-    index = index.tolist()
-    edges = set()
-    for fwd, bwd in zip(index[:-1:2], index[1:-1:2]):
-        if fwd >= 0 and bwd >= 0 and fwd != bwd:
-            edges.add(frozenset((fwd, bwd)))
+    index, stop = landing_lanes(fld, np.append(z0, launch), sign + [-1])
+    attachment, attach_stop = int(index[-1]), stop.pop()
+    index = index[:-1].tolist()
     try:
-        order = _walk_path([tuple(sorted(e)) for e in edges], k1)
-    except AtBifurcation as exc:
-        counts = Counter(stop[:-1])
-        lost = len(stop) - 1 - counts[Termination.LANDED]
-        if not lost:
-            raise
-        why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
-        raise AtBifurcation(
-            f"{exc}; {lost} of {len(stop) - 1} seed orbits did not land ({why})"
-        ) from None
-    if index[-1] < 0:
-        raise AtBifurcation(f"distinguished separatrix failed to land ({stop[-1].value})")
-    return DSInvariant(fld.k, fld.epsilon, order, index[-1]).normalised()
+        order = trunk(index)
+    except AtBifurcation:
+        z0, sign = seed_orbits([m for m in range(n_angles) if m % step])
+        if sign:
+            more, more_stop = landing_lanes(fld, z0, sign)
+            index += more.tolist()
+            stop += more_stop
+        try:
+            order = trunk(index)
+        except AtBifurcation as exc:
+            counts = Counter(stop)
+            lost = len(stop) - counts[Termination.LANDED]
+            if not lost:
+                raise exc from None
+            why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
+            raise AtBifurcation(
+                f"{exc}; {lost} of {len(stop)} seed orbits did not land ({why})"
+            ) from None
+    if attachment < 0:
+        raise AtBifurcation(f"distinguished separatrix failed to land ({attach_stop.value})")
+    return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
 
 
 def apply_transition(order, parity: int):

@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import io
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -282,30 +283,145 @@ def scalar_separating_regions(fld, r, samples_per_arc=24):
     return arcs
 
 
-def scalar_ds_invariant_integrated(fld, n_angles=24):
-    """``model.ds_invariant_integrated`` with the seed orbits and the arg
-    z = 0 separatrix run one at a time on ``scalar_landing``.  The
-    separatrix is launched on its asymptotic direction at 0.995 times the
-    escape radius, not from the far segment's last point as the code
-    launches it, so the oracle shares no launch with the code."""
+def _seed_ring(fld, n_angles):
+    """The seeds of ``ds_invariant_integrated``: a function of (ell, m)
+    giving the seed at angle index m on the circle around root ell."""
     sing = singularities(fld)
     k1 = fld.k + 1
     gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
     rho = 0.2 * min(gaps)
+    return lambda ell, m: sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
+
+
+def scalar_ds_invariant_integrated(fld, n_angles=24):
+    """``model.ds_invariant_integrated`` with the seed orbits and the arg
+    z = 0 separatrix run one at a time on ``scalar_landing``: the angles
+    m = 0, s, 2s, ... (s = n_angles // 3) first, and the other angles of
+    the ring only where those do not give a path.  The separatrix is
+    launched on its asymptotic direction at 0.995 times the escape radius,
+    not from the far segment's last point as the code launches it, so the
+    oracle shares no launch with the code."""
+    seed = _seed_ring(fld, n_angles)
+    k1 = fld.k + 1
+    step = max(1, n_angles // 3)
+    rings = [m for m in range(n_angles) if m % step == 0], [m for m in range(n_angles) if m % step]
     edges = set()
-    for ell in range(k1):
-        for m in range(n_angles):
-            seed = sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-            fwd = scalar_landing(fld, seed, 1)[0]
-            bwd = scalar_landing(fld, seed, -1)[0]
-            if fwd is not None and bwd is not None and fwd != bwd:
-                edges.add(frozenset((fwd, bwd)))
-    order = _walk_path([tuple(sorted(e)) for e in edges], k1)
+    for level, ring in enumerate(rings):
+        for ell in range(k1):
+            for m in ring:
+                fwd = scalar_landing(fld, seed(ell, m), 1)[0]
+                bwd = scalar_landing(fld, seed(ell, m), -1)[0]
+                if fwd is not None and bwd is not None and fwd != bwd:
+                    edges.add(frozenset((fwd, bwd)))
+        try:
+            order = _walk_path([tuple(sorted(e)) for e in edges], k1)
+            break
+        except AtBifurcation:
+            if level:
+                raise
     launch = 0.995 * escape_radius(fld)
     attachment = scalar_landing(fld, launch + 0j, -1)[0]
     if attachment is None:
         raise AtBifurcation("distinguished separatrix failed to land")
     return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
+
+
+def uniform_ds_invariant_integrated(fld, n_angles=24):
+    """``model.ds_invariant_integrated`` as one level: every seed orbit of
+    the ring and the arg z = 0 separatrix in one ``landing_lanes`` call,
+    and the path read off all their connections.  The oracle of the two
+    seed levels, which must agree with it wherever it returns."""
+    seed = _seed_ring(fld, n_angles)
+    k1 = fld.k + 1
+    seeds = [seed(ell, m) for ell in range(k1) for m in range(n_angles)]
+    launch = model._far_segment(fld, [0], math.inf)[0][0, -1]
+    z0 = np.append(np.repeat(seeds, 2), launch)
+    index, stop = model.landing_lanes(fld, z0, [1, -1] * len(seeds) + [-1])
+    index = index.tolist()
+    edges = {
+        frozenset((fwd, bwd))
+        for fwd, bwd in zip(index[:-1:2], index[1:-1:2])
+        if fwd >= 0 and bwd >= 0 and fwd != bwd
+    }
+    try:
+        order = _walk_path([tuple(sorted(e)) for e in edges], k1)
+    except AtBifurcation as exc:
+        counts = Counter(stop[:-1])
+        lost = len(stop) - 1 - counts[Termination.LANDED]
+        if not lost:
+            raise
+        why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
+        raise AtBifurcation(
+            f"{exc}; {lost} of {len(stop) - 1} seed orbits did not land ({why})"
+        ) from None
+    if index[-1] < 0:
+        raise AtBifurcation(f"distinguished separatrix failed to land ({stop[-1].value})")
+    return DSInvariant(fld.k, fld.epsilon, order, index[-1]).normalised()
+
+
+def cold_far_segment(fld, js, time_cap):
+    """``model._far_segment`` with its Newton solve started from the leading
+    term xi ~ -1/(k z^k) alone: the cold-start oracle of its series start."""
+    k, eps = fld.k, fld.epsilon
+    js = np.asarray(js)
+    ang = np.exp(1j * model.separatrix_directions(k)[js])[:, None]
+    sign = np.where(js % 2 == 0, -1.0, 1.0)[:, None]
+    ends = ang * [0.995 * escape_radius(fld), 1.5 * fld.scale]
+    tau = sign * model.xi_array(k, eps, ends).real
+    tau[:, 1] = np.minimum(tau[:, 1], tau[:, 0] + time_cap)
+    n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (k * math.log(model.FAR_RATIO)))
+    tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
+    target = sign * tau
+    z = model._newton(
+        ang * (k * tau) ** (-1.0 / k),
+        lambda z: (model.xi_array(k, eps, z) - target) * (z ** (k + 1) - eps),
+        "far segment",
+    )
+    return z, tau - tau[:, :1]
+
+
+def cold_landing_segments(fld, entries, time_cap):
+    """``model._landing_segments`` with its Newton solve started from the
+    linear chart, v_e e^{lambda_l direction tau}: the cold-start oracle of
+    its series start."""
+    if not entries:
+        return []
+    k1 = fld.k + 1
+    sing = singularities(fld)
+    floor = math.log(0.5 * model.capture_radius(fld) / fld.scale)
+    v_e = np.array([z / sing[l] - 1.0 for z, _, l, _ in entries])
+    log_e = model._chart_log(fld.k, v_e)
+    runs = []
+    for (_, t_e, l, direction), start in zip(entries, log_e.tolist()):
+        rate = direction * fld.d_rhs(sing[l])
+        span = max(0.0, (floor - start.real) / rate.real) if rate.real < 0 else 0.0
+        stop = Termination.LANDED
+        if t_e + span > time_cap:
+            span, stop = time_cap - t_e, Termination.TIME_CAP
+        n = 0
+        if span > 0:
+            dtau = math.log(model.LAND_SHRINK) / -rate.real
+            if rate.imag:
+                dtau = min(dtau, model.LAND_TURN / abs(rate.imag))
+            n = math.ceil(span / dtau)
+        runs.append((rate, span * np.arange(1, n + 1) / n, stop))
+    rates = np.concatenate([np.full(len(tau), rate) for rate, tau, _ in runs])
+    tau = np.concatenate([tau for _, tau, _ in runs])
+    owner = np.repeat(np.arange(len(runs)), [len(tau) for _, tau, _ in runs])
+    target = log_e[owner] + rates * tau
+
+    def step(v):
+        r = model._chart_log(fld.k, v) - target
+        r.imag = (r.imag + math.pi) % TWO_PI - math.pi
+        return r * np.expm1(k1 * np.log1p(v)) / k1
+
+    v = model._newton(v_e[owner] * np.exp(rates * tau), step, "landing segment")
+    z = sing[[l for _, _, l, _ in entries]][owner] * (1.0 + v)
+    cuts = np.cumsum([len(tau) for _, tau, _ in runs])[:-1]
+    return [
+        (zs, t_e + tau, stop)
+        for zs, (_, t_e, _, _), (_, tau, stop) in zip(np.split(z, cuts), entries, runs)
+    ]
 
 
 def run_main(argv):

@@ -308,26 +308,76 @@ class TestGroupCounts:
             assert len(group_tags(k, j)) >= 3
 
 
+def _hermite(ts, zs, dzs, t):
+    """The cubic Hermite interpolant of the nodes (ts, zs) with derivatives
+    dzs, at the times t (within [ts[0], ts[-1]])."""
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    s = (t - ts[i]) / h
+    return (
+        (1 + 2 * s) * (1 - s) ** 2 * zs[i]
+        + s * (1 - s) ** 2 * h * dzs[i]
+        + s * s * (3 - 2 * s) * zs[i + 1]
+        + s * s * (s - 1) * h * dzs[i + 1]
+    )
+
+
 class TestPortraitSymmetry:
     def test_rotation_time_reversal_law(self):
-        # (z, eps, t) -> (e^{i pi/k} z, -e^{i pi/k} eps, -t) maps the
-        # separatrix family onto itself with orientations swapped; checked
-        # on trajectory geometry, not pixels
+        # (z, eps, t) -> (e^{i pi/k} z, -e^{i pi/k} eps, -t) maps separatrix
+        # j onto separatrix j + 1 of the image field with its orientation
+        # swapped.  Checked on the orbits at 28 of the 84 fields k 1..7,
+        # |eps| 0.05/0.5/1/3, arg 0.37/1.1/2.3: the far segments point by
+        # point (their tau grids are deterministic), the landing roots
+        # through the rotation, and each transit point against the other
+        # transit's cubic Hermite interpolant in t with derivatives from the
+        # field.  Transit points do not compare index by index: where the
+        # step error estimate sits at rounding level, rounding changes the
+        # steps and the points slide along the orbit.
         import cmath
         import math
 
-        from parafold.model import ModelField, separatrices
+        from parafold import model
+        from parafold.model import ModelField, separatrices, singularities
 
-        k = 3
-        eps = cmath.exp(0.37j)
-        rot = cmath.exp(1j * math.pi / k)
-        a = separatrices(ModelField(k, eps))
-        b = separatrices(ModelField(k, -rot * eps))
-        for j, traj in enumerate(a):
-            image = b[(j + 1) % (2 * k)]
-            assert image.orientation != traj.orientation
-            n = min(len(traj.points), len(image.points))
-            assert np.abs(rot * traj.points[:n] - image.points[:n]).max() < 1e-6
+        fields = [
+            (k, a, arg)
+            for k in range(1, 8)
+            for a in (0.05, 0.5, 1.0, 3.0)
+            for arg in (0.37, 1.1, 2.3)
+        ]
+        rng = np.random.default_rng(84)
+        for i in sorted(rng.choice(len(fields), size=28, replace=False)):
+            k, a, arg = fields[i]
+            rot = cmath.exp(1j * math.pi / k)
+            fa = ModelField(k, a * cmath.exp(1j * arg))
+            fb = ModelField(k, -rot * fa.epsilon)
+            n_far = model._far_segment(fa, np.arange(2 * k), math.inf)[0].shape[1]
+            sing_a, sing_b = singularities(fa), singularities(fb)
+            seps_a, seps_b = separatrices(fa), separatrices(fb)
+            for j, ta in enumerate(seps_a):
+                tb = seps_b[(j + 1) % (2 * k)]
+                assert ta.orientation != tb.orientation
+                assert ta.termination is tb.termination
+                if ta.landed_index is not None:
+                    image = rot * sing_a[ta.landed_index]
+                    assert np.abs(sing_b - image).argmin() == tb.landed_index
+                far_a, far_b = ta.points[:n_far], tb.points[:n_far]
+                assert np.all(np.abs(rot * far_a - far_b) <= 1e-6 * np.abs(far_a)), (k, a, arg, j)
+                # each transit, from the last far point to the landing disk,
+                # against the other; t runs along tb as along ta, and tb is
+                # stepped in the direction of separatrix j + 1
+                direction = 1 if j % 2 == 0 else -1
+                for p, q, fq, d, r in ((ta, tb, fb, direction, rot), (tb, ta, fa, -direction, 1 / rot)):
+                    tp = p.times[n_far - 1 : n_far + p.n_accepted]
+                    zp = p.points[n_far - 1 : n_far + p.n_accepted]
+                    tq = q.times[n_far - 1 : n_far + q.n_accepted]
+                    zq = q.points[n_far - 1 : n_far + q.n_accepted]
+                    inside = (tp >= tq[0]) & (tp <= tq[-1])
+                    assert np.count_nonzero(inside) > len(tp) // 2, (k, a, arg, j)
+                    est = _hermite(tq, zq, d * fq.rhs(zq), tp[inside])
+                    dev = np.abs(r * zp[inside] - est)
+                    assert np.all(dev <= 1e-6 * np.abs(zp[inside])), (k, a, arg, j)
 
 
 class TestClassify:

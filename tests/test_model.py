@@ -1,17 +1,23 @@
 import cmath
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import (
+    cold_far_segment,
+    cold_landing_segments,
     lane_radii,
     quad_rectify,
     reference_dopri,
     scalar_ds_invariant_integrated,
     scalar_landing,
+    uniform_ds_invariant_integrated,
 )
 from parafold import model
 from parafold.model import (
@@ -910,6 +916,79 @@ class TestSeparatrices:
                 assert np.all(np.diff(t.times) > 0)
             assert seps[0].landed_index == ds_invariant(fld).attachment
 
+    # the series starts against the cold starts of conftest; the bounds, 1e-14
+    # and 3 sweeps, were fixed before the first run
+    START_CASES = [(k, a) for k in range(1, 13) for a in (1e-3, 1.0, 50.0)] + [(24, 1.0), (40, 1.0)]
+
+    def test_series_starts_match_the_cold_starts(self, monkeypatch):
+        # arg eps midway between rays 0 and 1; a sweep is one evaluation of
+        # the Newton step, so a start within NEWTON_TOL takes 2
+        sweeps = []
+        newton = model._newton
+
+        def counted(x, step, what):
+            def stepped(v):
+                sweeps[-1][1] += 1
+                return step(v)
+
+            sweeps.append([what, 0])
+            return newton(x, stepped, what)
+
+        monkeypatch.setattr(model, "_newton", counted)
+        for k, a in self.START_CASES:
+            fld = ModelField(k, a * cmath.exp(1j * (bifurcation_angles(k)[0] + math.pi / (2 * k))))
+            js = np.arange(2 * k)
+            sweeps.clear()
+            far, times = model._far_segment(fld, js, math.inf)
+            seps = separatrices(fld)
+            entries = []
+            for j, traj in enumerate(seps):
+                entry = far.shape[1] + traj.n_accepted - 1
+                if traj.landed_index is not None:
+                    direction = -1 if j % 2 == 0 else 1
+                    entries.append(
+                        (traj.points[entry], traj.times[entry], traj.landed_index, direction)
+                    )
+            assert len(entries) == 2 * k
+            time_cap = IntegratorControls().time_cap
+            landing = model._landing_segments(fld, entries, time_cap)
+            assert sweeps and max(n for _, n in sweeps) <= 3, (k, a, sweeps)
+            cold, cold_times = cold_far_segment(fld, js, math.inf)
+            np.testing.assert_array_equal(times, cold_times)
+            assert np.all(np.abs(far - cold) <= 1e-14 * np.abs(cold)), (k, a)
+            for (zs, ts, stop), (cold_zs, cold_ts, cold_stop) in zip(
+                landing, cold_landing_segments(fld, entries, time_cap)
+            ):
+                assert stop is cold_stop and len(zs) == len(cold_zs)
+                np.testing.assert_array_equal(ts, cold_ts)
+                assert np.all(np.abs(zs - cold_zs) <= 1e-14 * np.abs(cold_zs)), (k, a)
+
+    def test_import_builds_no_series(self):
+        # the start series are built on first use, per k, never at import
+        code = (
+            "import parafold.series as s\n"
+            "built = []\n"
+            "init = s.TruncatedSeries.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "s.TruncatedSeries.__init__ = counted\n"
+            "import parafold.model as m\n"
+            "assert m._far_start.cache_info().currsize == 0\n"
+            "assert m._landing_start.cache_info().currsize == 0\n"
+            "print(len(built))\n"
+        )
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
+
     def test_xi_overflow_raises(self):
         # (0.995 escape radius)^{k+1} overflows a double from k = 236 on
         with pytest.raises(SeriesOutOfDomain, match="overflows"):
@@ -1007,8 +1086,8 @@ class TestDSInvariant:
             ds_invariant(fld)
 
     def test_integrated_matches_scalar_oracle(self):
-        # one lane call against the seed orbits run one at a time, at 42
-        # generic eps for k 1..5 with 6 or 8 seeds a circle
+        # the lane calls of both seed levels against the seed orbits run one
+        # at a time, at 42 generic eps for k 1..5 with 6 or 8 seeds a circle
         rng = np.random.default_rng(4040)
         for n in range(42):
             fld = _generic_field(rng, n % 5 + 1, log_eps=(-0.5, 0.3), margin=5e-2)
@@ -1021,6 +1100,54 @@ class TestDSInvariant:
                 continue
             got = ds_invariant_integrated(fld, n_angles)
             assert (got.order, got.attachment) == (want.order, want.attachment)
+
+    def test_two_levels_match_the_uniform_ring(self, monkeypatch):
+        # the two seed levels against the whole ring in one level
+        # (conftest.uniform_ds_invariant_integrated): at 42 generic fields,
+        # 0.3-0.5 pi/k from the nearest ray, level 0 alone finds the trunk;
+        # within 1e-2 pi/k of a ray level 1 runs, and both return the same
+        # invariant or raise the same error (the thin zones of ROADMAP item 2)
+        calls = []
+        lanes = model.landing_lanes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lanes(*args, **kwargs)
+
+        monkeypatch.setattr(model, "landing_lanes", counted)
+
+        def field(rng, k, lo, hi):
+            offset = rng.uniform(lo, hi) * rng.choice((-1, 1)) * math.pi / k
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset
+            return ModelField(k, 10 ** rng.uniform(-1, 0.5) * cmath.exp(1j * theta))
+
+        rng = np.random.default_rng(1919)
+        for n in range(42):
+            fld = field(rng, n % 6 + 1, 0.3, 0.5)
+            calls.clear()
+            got = ds_invariant_integrated(fld)
+            assert len(calls) == 1, fld
+            want = uniform_ds_invariant_integrated(fld)
+            assert (got.order, got.attachment) == (want.order, want.attachment)
+        rng = np.random.default_rng(19)
+        returned = 0
+        for n in range(12):
+            fld = field(rng, n % 6 + 1, 1e-3, 1e-2)
+            if fld.k not in (3, 4, 5):
+                continue
+            calls.clear()
+            try:
+                got = ds_invariant_integrated(fld)
+            except AtBifurcation as exc:
+                assert len(calls) == 2, fld
+                with pytest.raises(AtBifurcation, match=f"^{re.escape(str(exc))}$"):
+                    uniform_ds_invariant_integrated(fld)
+                continue
+            assert len(calls) == 2, fld
+            want = uniform_ds_invariant_integrated(fld)
+            assert (got.order, got.attachment) == (want.order, want.attachment)
+            returned += 1
+        assert returned >= 2
 
     def test_failure_names_orbits_that_did_not_land(self, monkeypatch):
         # with a budget of 20 steps most seed orbits do not land; at k = 3
