@@ -44,9 +44,8 @@ the linearization disk of ``landing_radii``, which shrinks with
 ``chart_radius``, rho_k(c) d with d the closest root spacing, which does
 not (0.32 d at k = 1, 0.13 d at k = 8).  ``landing_lanes`` hands the last
 ``_TAIL_LANES`` (22) orbits to ``_dopri``, where a numpy pass would cost
-more than their scalar steps.  ``ds_invariant_integrated`` seeds its
-orbits in two levels and stops after the first where it finds the k trunk
-edges.
+more than their scalar steps.  ``ds_invariant_integrated`` reads the
+trunk off where the 2k separatrices land, in one ``landing_lanes`` call.
 ``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a start
 point that is not finite or lies within the capture radius.
 """
@@ -56,7 +55,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -1044,77 +1042,41 @@ def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> 
     return inv
 
 
-def ds_invariant_integrated(fld: ModelField, n_angles: int = 24) -> DSInvariant:
-    """The invariant recovered purely dynamically.
+def ds_invariant_integrated(fld: ModelField) -> DSInvariant:
+    """The invariant recovered purely dynamically, from where the 2k
+    separatrices land.
 
-    Orbits seeded on circles around each singularity, at ``n_angles``
-    angles a circle (the ring), are integrated both ways; each generic
-    orbit joins two singular points, and the collected connections must
-    assemble into the trunk.  The attachment is where the separatrix with
-    asymptotic direction arg z = 0 lands in reversed time; its orbit starts
-    where ``separatrices`` starts its transit, at the last point of its far
-    segment (|z| = 1.5 |eps|^{1/(k+1)}).
+    Separatrix j leaves infinity along arg z = pi j/k, and the sector at
+    infinity between separatrices j and j+1 (mod 2k) is swept by orbits
+    that run from the landing root of the outgoing one to the landing root
+    of the incoming one.  At generic eps the field has exactly k alpha-omega
+    zones, one per trunk edge, and each meets infinity in exactly two such
+    sectors (Douady, Estrada and Sentenac 2005; Branner and Dias 2010).  So
+    the 2k pairs {land(j), land(j+1)} name each of the k trunk edges
+    exactly twice, and the trunk is the path they form.  The attachment is
+    land(0), where the separatrix with asymptotic direction arg z = 0 lands
+    in reversed time.
 
-    The ring runs in two levels, one ``landing_lanes`` call each.  Level 0
-    takes the angles m = 0, s, 2s, ... with s = ``n_angles`` // 3 (3 a
-    circle at the default 24), together with the separatrix.  If its
-    connections form a path, the function stops there.  That is exact
-    wherever the whole ring yields a trunk: at generic eps the field has
-    exactly k alpha-omega zones, one per trunk edge, so every connection
-    any seed finds is one of those k edges, and a path of k of them is all
-    of them.  Otherwise level 1 runs the other angles of the ring, and the
-    path is read off the connections of the whole ring, as a single level
-    would; a failure names the seed orbits of the ring that did not land.
+    All 2k orbits start where ``separatrices`` starts its transits, at the
+    last points of their far segments (|z| = 1.5 |eps|^{1/(k+1)}), in one
+    ``landing_lanes`` call.  ``AtBifurcation`` names each separatrix that
+    did not land with its stop, or the landings if their pairs do not form
+    a path.  Once they do, each edge is named exactly twice: the pairs form
+    a closed walk, which crosses each edge of a path an even number of
+    times, and 2k crossings over k edges leave two for each.
     """
-    sing = singularities(fld)
-    k1 = fld.k + 1
-    gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
-    rho = 0.2 * min(gaps)  # seed circles of a fifth of the closest root spacing
-
-    def seed_orbits(angles):
-        seeds = [
-            sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-            for ell in range(k1)
-            for m in angles
-        ]
-        return np.repeat(seeds, 2), [1, -1] * len(seeds)
-
-    def trunk(index):
-        edges = {
-            frozenset((fwd, bwd))
-            for fwd, bwd in zip(index[::2], index[1::2])
-            if fwd >= 0 and bwd >= 0 and fwd != bwd
-        }
-        return _walk_path([tuple(sorted(e)) for e in edges], k1)
-
-    step = max(1, n_angles // 3)
-    z0, sign = seed_orbits(range(0, n_angles, step))
-    launch = _far_segment(fld, [0], math.inf)[0][0, -1]
-    index, stop = landing_lanes(fld, np.append(z0, launch), sign + [-1])
-    attachment, attach_stop = int(index[-1]), stop.pop()
-    index = index[:-1].tolist()
+    js = range(2 * fld.k)
+    far = _far_segment(fld, js, math.inf)[0][:, -1]
+    index, stop = landing_lanes(fld, far, [1 if j % 2 else -1 for j in js])
+    lost = [f"{j} ({s.value})" for j, s in zip(js, stop) if s is not Termination.LANDED]
+    if lost:
+        raise AtBifurcation(f"separatrices did not land: {', '.join(lost)}")
+    land = index.tolist()
     try:
-        order = trunk(index)
-    except AtBifurcation:
-        z0, sign = seed_orbits([m for m in range(n_angles) if m % step])
-        if sign:
-            more, more_stop = landing_lanes(fld, z0, sign)
-            index += more.tolist()
-            stop += more_stop
-        try:
-            order = trunk(index)
-        except AtBifurcation as exc:
-            counts = Counter(stop)
-            lost = len(stop) - counts[Termination.LANDED]
-            if not lost:
-                raise exc from None
-            why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
-            raise AtBifurcation(
-                f"{exc}; {lost} of {len(stop)} seed orbits did not land ({why})"
-            ) from None
-    if attachment < 0:
-        raise AtBifurcation(f"distinguished separatrix failed to land ({attach_stop.value})")
-    return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
+        order = _walk_path({tuple(sorted(p)) for p in zip(land, land[1:] + land[:1])}, fld.k + 1)
+    except AtBifurcation as exc:
+        raise AtBifurcation(f"{exc}: separatrix landings {land}") from None
+    return DSInvariant(fld.k, fld.epsilon, order, land[0]).normalised()
 
 
 def apply_transition(order, parity: int):

@@ -2,7 +2,6 @@ import cmath
 import contextlib
 import io
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -283,34 +282,30 @@ def scalar_separating_regions(fld, r, samples_per_arc=24):
     return arcs
 
 
-def _seed_ring(fld, n_angles):
-    """The seeds of ``ds_invariant_integrated``: a function of (ell, m)
-    giving the seed at angle index m on the circle around root ell."""
+def scalar_ds_invariant_integrated(fld, n_angles=24):
+    """The invariant from a ring of seed orbits, run one at a time on
+    ``scalar_landing``: orbits from ``n_angles`` points a circle (radius a
+    fifth of the closest root spacing) around each root, integrated both
+    ways; each generic orbit joins two roots, and the connections must form
+    the trunk.  The angles m = 0, s, 2s, ... (s = n_angles // 3) run first,
+    and the other angles only where those connections do not form a path
+    (at generic eps every connection is one of the k trunk edges, so a path
+    of them is the trunk).  The attachment is where the arg z = 0
+    separatrix, launched at 0.995 times the escape radius, lands in
+    reversed time.  The seed-ring oracle of ``model.ds_invariant_integrated``,
+    which shares neither its seeds nor its launch."""
     sing = singularities(fld)
     k1 = fld.k + 1
-    gaps = [abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1)]
-    rho = 0.2 * min(gaps)
-    return lambda ell, m: sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
-
-
-def scalar_ds_invariant_integrated(fld, n_angles=24):
-    """``model.ds_invariant_integrated`` with the seed orbits and the arg
-    z = 0 separatrix run one at a time on ``scalar_landing``: the angles
-    m = 0, s, 2s, ... (s = n_angles // 3) first, and the other angles of
-    the ring only where those do not give a path.  The separatrix is
-    launched on its asymptotic direction at 0.995 times the escape radius,
-    not from the far segment's last point as the code launches it, so the
-    oracle shares no launch with the code."""
-    seed = _seed_ring(fld, n_angles)
-    k1 = fld.k + 1
+    rho = 0.2 * min(abs(sing[i] - sing[j]) for i in range(k1) for j in range(i + 1, k1))
     step = max(1, n_angles // 3)
     rings = [m for m in range(n_angles) if m % step == 0], [m for m in range(n_angles) if m % step]
     edges = set()
     for level, ring in enumerate(rings):
         for ell in range(k1):
             for m in ring:
-                fwd = scalar_landing(fld, seed(ell, m), 1)[0]
-                bwd = scalar_landing(fld, seed(ell, m), -1)[0]
+                seed = sing[ell] + rho * cmath.exp(2j * math.pi * m / n_angles)
+                fwd = scalar_landing(fld, seed, 1)[0]
+                bwd = scalar_landing(fld, seed, -1)[0]
                 if fwd is not None and bwd is not None and fwd != bwd:
                     edges.add(frozenset((fwd, bwd)))
         try:
@@ -319,44 +314,37 @@ def scalar_ds_invariant_integrated(fld, n_angles=24):
         except AtBifurcation:
             if level:
                 raise
-    launch = 0.995 * escape_radius(fld)
-    attachment = scalar_landing(fld, launch + 0j, -1)[0]
+    attachment = scalar_separatrix_landings(fld, [0])[0]
     if attachment is None:
         raise AtBifurcation("distinguished separatrix failed to land")
     return DSInvariant(fld.k, fld.epsilon, order, attachment).normalised()
 
 
-def uniform_ds_invariant_integrated(fld, n_angles=24):
-    """``model.ds_invariant_integrated`` as one level: every seed orbit of
-    the ring and the arg z = 0 separatrix in one ``landing_lanes`` call,
-    and the path read off all their connections.  The oracle of the two
-    seed levels, which must agree with it wherever it returns."""
-    seed = _seed_ring(fld, n_angles)
-    k1 = fld.k + 1
-    seeds = [seed(ell, m) for ell in range(k1) for m in range(n_angles)]
-    launch = model._far_segment(fld, [0], math.inf)[0][0, -1]
-    z0 = np.append(np.repeat(seeds, 2), launch)
-    index, stop = model.landing_lanes(fld, z0, [1, -1] * len(seeds) + [-1])
-    index = index.tolist()
-    edges = {
-        frozenset((fwd, bwd))
-        for fwd, bwd in zip(index[:-1:2], index[1:-1:2])
-        if fwd >= 0 and bwd >= 0 and fwd != bwd
-    }
-    try:
-        order = _walk_path([tuple(sorted(e)) for e in edges], k1)
-    except AtBifurcation as exc:
-        counts = Counter(stop[:-1])
-        lost = len(stop) - 1 - counts[Termination.LANDED]
-        if not lost:
-            raise
-        why = ", ".join(f"{counts[s]} {s.value}" for s in list(Termination)[1:] if counts[s])
-        raise AtBifurcation(
-            f"{exc}; {lost} of {len(stop) - 1} seed orbits did not land ({why})"
-        ) from None
-    if index[-1] < 0:
-        raise AtBifurcation(f"distinguished separatrix failed to land ({stop[-1].value})")
-    return DSInvariant(fld.k, fld.epsilon, order, index[-1]).normalised()
+def scalar_separatrix_landings(fld, js=None):
+    """Where the separatrices ``js`` (all 2k by default) land, one at a
+    time on ``scalar_landing``: separatrix j launched on its asymptotic
+    direction arg z = pi j/k at 0.995 times the escape radius, in reversed
+    time for even j.  A start off the exact separatrix lands where it does,
+    since the orbits of both sectors beside it run to its landing root.
+    None where an orbit does not land."""
+    js = range(2 * fld.k) if js is None else js
+    launch = 0.995 * escape_radius(fld)
+    return [
+        scalar_landing(fld, launch * cmath.exp(1j * math.pi * j / fld.k), 1 if j % 2 else -1)[0]
+        for j in js
+    ]
+
+
+def scalar_separatrix_invariant(fld):
+    """The invariant read off the separatrix landings of
+    ``scalar_separatrix_landings``: the trunk is the path of the 2k pairs
+    {land(j), land(j+1 mod 2k)} and the attachment land(0).  The oracle of
+    ``model.ds_invariant_integrated``, sharing no launch with it."""
+    land = scalar_separatrix_landings(fld)
+    if None in land:
+        raise AtBifurcation(f"separatrix landings {land}")
+    order = _walk_path({tuple(sorted(p)) for p in zip(land, land[1:] + land[:1])}, fld.k + 1)
+    return DSInvariant(fld.k, fld.epsilon, order, land[0]).normalised()
 
 
 def cold_far_segment(fld, js, time_cap):

@@ -17,7 +17,7 @@ from conftest import (
     reference_dopri,
     scalar_ds_invariant_integrated,
     scalar_landing,
-    uniform_ds_invariant_integrated,
+    scalar_separatrix_invariant,
 )
 from parafold import model
 from parafold.model import (
@@ -1030,7 +1030,7 @@ class TestDSInvariant:
             if homoclinic_defect(fld)[0] < 5e-2:
                 continue
             a = ds_invariant(fld)
-            b = ds_invariant_integrated(fld, n_angles=16)
+            b = ds_invariant_integrated(fld)
             assert a.order == b.order and a.attachment == b.attachment
             checked += 1
 
@@ -1086,81 +1086,92 @@ class TestDSInvariant:
             ds_invariant(fld)
 
     def test_integrated_matches_scalar_oracle(self):
-        # the lane calls of both seed levels against the seed orbits run one
-        # at a time, at 42 generic eps for k 1..5 with 6 or 8 seeds a circle
-        rng = np.random.default_rng(4040)
-        for n in range(42):
-            fld = _generic_field(rng, n % 5 + 1, log_eps=(-0.5, 0.3), margin=5e-2)
-            n_angles = (6, 8)[n % 2]
-            try:
-                want = scalar_ds_invariant_integrated(fld, n_angles)
-            except AtBifurcation as exc:
-                with pytest.raises(AtBifurcation, match=re.escape(str(exc))):
-                    ds_invariant_integrated(fld, n_angles)
-                continue
-            got = ds_invariant_integrated(fld, n_angles)
-            assert (got.order, got.attachment) == (want.order, want.attachment)
-
-    def test_two_levels_match_the_uniform_ring(self, monkeypatch):
-        # the two seed levels against the whole ring in one level
-        # (conftest.uniform_ds_invariant_integrated): at 42 generic fields,
-        # 0.3-0.5 pi/k from the nearest ray, level 0 alone finds the trunk;
-        # within 1e-2 pi/k of a ray level 1 runs, and both return the same
-        # invariant or raise the same error (the thin zones of ROADMAP item 2)
-        calls = []
-        lanes = model.landing_lanes
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lanes(*args, **kwargs)
-
-        monkeypatch.setattr(model, "landing_lanes", counted)
-
-        def field(rng, k, lo, hi):
+        # against the seed ring run one orbit at a time, wherever the ring
+        # returns, and against the gon everywhere: 42 generic eps for k
+        # 1..5 with 6 or 8 seeds a circle, 42 at 0.3-0.5 pi/k from the
+        # nearest ray for k 1..6, and 6 within 1e-2 pi/k of a ray for k
+        # 3..5, with 24 (the ring misses a zone at 5 of the 90)
+        def near_ray(rng, k, lo, hi):
             offset = rng.uniform(lo, hi) * rng.choice((-1, 1)) * math.pi / k
             theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset
             return ModelField(k, 10 ** rng.uniform(-1, 0.5) * cmath.exp(1j * theta))
 
+        rng = np.random.default_rng(4040)
+        cases = [
+            (_generic_field(rng, n % 5 + 1, log_eps=(-0.5, 0.3), margin=5e-2), (6, 8)[n % 2])
+            for n in range(42)
+        ]
         rng = np.random.default_rng(1919)
-        for n in range(42):
-            fld = field(rng, n % 6 + 1, 0.3, 0.5)
-            calls.clear()
-            got = ds_invariant_integrated(fld)
-            assert len(calls) == 1, fld
-            want = uniform_ds_invariant_integrated(fld)
-            assert (got.order, got.attachment) == (want.order, want.attachment)
+        cases += [(near_ray(rng, n % 6 + 1, 0.3, 0.5), 24) for n in range(42)]
         rng = np.random.default_rng(19)
-        returned = 0
-        for n in range(12):
-            fld = field(rng, n % 6 + 1, 1e-3, 1e-2)
-            if fld.k not in (3, 4, 5):
-                continue
-            calls.clear()
+        fields = [near_ray(rng, n % 6 + 1, 1e-3, 1e-2) for n in range(12)]
+        cases += [(fld, 24) for fld in fields if fld.k in (3, 4, 5)]
+        assert len(cases) == 90
+        compared = 0
+        for fld, n_angles in cases:
+            got = ds_invariant_integrated(fld)
+            gon = ds_invariant(fld)
+            assert (got.order, got.attachment) == (gon.order, gon.attachment), fld
             try:
-                got = ds_invariant_integrated(fld)
-            except AtBifurcation as exc:
-                assert len(calls) == 2, fld
-                with pytest.raises(AtBifurcation, match=f"^{re.escape(str(exc))}$"):
-                    uniform_ds_invariant_integrated(fld)
+                want = scalar_ds_invariant_integrated(fld, n_angles)
+            except AtBifurcation:
                 continue
-            assert len(calls) == 2, fld
-            want = uniform_ds_invariant_integrated(fld)
-            assert (got.order, got.attachment) == (want.order, want.attachment)
-            returned += 1
-        assert returned >= 2
+            assert (got.order, got.attachment) == (want.order, want.attachment), fld
+            compared += 1
+        assert compared >= 80
+
+    def test_integrated_matches_separatrix_oracle(self):
+        # all 2k separatrices, each launched at 0.995 times the escape
+        # radius and landed one at a time, against the lanes from the ends
+        # of the far segments, and both against the gon: 15 generic eps for
+        # each k 1..8
+        rng = np.random.default_rng(2020)
+        for k in range(1, 9):
+            for _ in range(15):
+                fld = _generic_field(rng, k, log_eps=(-1.0, 0.5))
+                want = scalar_separatrix_invariant(fld)
+                got = ds_invariant_integrated(fld)
+                gon = ds_invariant(fld)
+                assert (got.order, got.attachment) == (want.order, want.attachment), fld
+                assert (got.order, got.attachment) == (gon.order, gon.attachment), fld
+
+    @pytest.mark.parametrize(
+        "k, eps",
+        [
+            (4, 0.373426 + 0.927660j),  # 1e-2 past ray 1
+            (7, -0.35283645794670165 + 1.5462713090622942j),  # a weak focus at root 0
+            (8, 0.3 + 0.2j),  # homoclinic defect 6.4e-4
+        ],
+    )
+    def test_validate_finds_thin_zones(self, k, eps):
+        # near a ray some alpha-omega zones are thin and a root can be a
+        # weak focus; every zone still meets infinity between two
+        # separatrices
+        fld = ModelField(k, eps)
+        inv = ds_invariant(fld, validate=True)
+        gon = ds_invariant(fld)
+        assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
 
     def test_failure_names_orbits_that_did_not_land(self, monkeypatch):
-        # with a budget of 20 steps most seed orbits do not land; at k = 3
-        # the seed circle (0.2 d) lies outside the chart disk (0.17 d)
+        # with a budget of 20 steps from |z| = 1.5 s no separatrix lands
         monkeypatch.setattr(model, "IntegratorControls", lambda: IntegratorControls(max_steps=20))
         with pytest.raises(AtBifurcation) as exc:
             ds_invariant_integrated(ModelField(3, 1.0))
-        lost = re.fullmatch(
-            r"integrated connections do not form a trunk; "
-            r"(\d+) of 192 seed orbits did not land \((\d+) step_budget\)",
-            str(exc.value),
+        assert str(exc.value) == "separatrices did not land: " + ", ".join(
+            f"{j} (step_budget)" for j in range(6)
         )
-        assert lost and lost[1] == lost[2] and int(lost[1]) > 96
+
+    def test_failure_names_the_landings(self, monkeypatch):
+        # landings whose pairs miss root 2 of k = 2: no trunk
+        def lanes(fld, z0, direction):
+            return np.array([0, 1, 0, 1]), [Termination.LANDED] * 4
+
+        monkeypatch.setattr(model, "landing_lanes", lanes)
+        with pytest.raises(AtBifurcation) as exc:
+            ds_invariant_integrated(ModelField(2, 1.0))
+        assert str(exc.value) == (
+            "integrated connections do not form a trunk: separatrix landings [0, 1, 0, 1]"
+        )
 
     def test_validate_compares_attachment(self, monkeypatch):
         fld = ModelField(2, 1.0)

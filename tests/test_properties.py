@@ -1,18 +1,22 @@
-"""Property tests: CLI exit codes on fuzzed JSON, and series identities.
+"""Property tests: CLI exit codes on fuzzed JSON, the separatrix landings
+of the model field, and series identities.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
+import cmath
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_main
+from conftest import run_main, scalar_separatrix_landings
+from parafold.model import ModelField, bifurcation_angles, ds_invariant
 from parafold.series import TruncatedSeries, series_distance
 from parafold.unfolding import EigenvalueFunction, canonicalize
 
@@ -111,6 +115,32 @@ def test_cli_exit_codes_on_structured_documents(doc_path, doc):
 @given(doc=any_json)
 def test_cli_exit_codes_on_arbitrary_json(doc_path, doc):
     check_cli(doc_path, doc)
+
+
+# ---------------------------------------------------------------------------
+# separatrix landings of z' = z^{k+1} - eps at generic eps
+# ---------------------------------------------------------------------------
+
+
+@IDENTITY
+@given(
+    k=st.integers(1, 8),
+    ray=st.integers(0, 15),
+    offset=st.floats(0.05, 0.95),
+    log_abs=st.floats(-1.0, 0.5),
+)
+def test_separatrix_landings_name_each_trunk_edge_twice(k, ray, offset, log_abs):
+    # each of the k alpha-omega zones meets infinity in two of the 2k
+    # sectors between consecutive separatrices, so the pairs {land(j),
+    # land(j+1)} are the gon's trunk edges, each twice
+    theta = bifurcation_angles(k)[ray % (2 * k)] + offset * math.pi / k
+    fld = ModelField(k, 10**log_abs * cmath.exp(1j * theta))
+    land = scalar_separatrix_landings(fld)
+    assert None not in land
+    order = ds_invariant(fld).order
+    trunk = [tuple(sorted(e)) for e in zip(order, order[1:])]
+    pairs = [tuple(sorted(p)) for p in zip(land, land[1:] + land[:1])]
+    assert Counter(pairs) == dict.fromkeys(trunk, 2)
 
 
 # ---------------------------------------------------------------------------
