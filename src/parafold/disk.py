@@ -554,8 +554,10 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     An orbit that crosses the disk stops at ``hit_boundary``.  Any other
     stop short of a landing (``time_cap``, ``step_budget``, ``escaped``)
     leaves the sample undecided and raises ``AtBifurcation``, naming its
-    angle and the stop.
+    angle and the stop.  ``samples_per_arc`` below 1 raises ``ValueError``.
     """
+    if samples_per_arc < 1:
+        raise ValueError(f"samples_per_arc must be at least 1, got {samples_per_arc}")
     ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
     ends = np.append(cuts[1:], cuts[0] + TWO_PI)

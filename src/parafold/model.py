@@ -7,47 +7,41 @@ combinatorial answer can be cross-checked dynamically.  The Douady-Sentenac
 invariant, trunk and attachment, is read off the period-gon alone; its
 integrated counterpart ``ds_invariant_integrated`` is the oracle.
 
-Two Dormand-Prince 5(4) kernels do all integration under one contract:
-the scalar ``_dopri`` steps one orbit and the lane kernel ``_dopri_lanes``
-steps many together as numpy arrays with the scalar arithmetic.  Each
-orbit carries a row of k+1 landing radii and lands at the nearest root
-z_l with |z - z_l| <= its radius; the kernels test the stops in the order
-of ``Termination`` (landed, hit_boundary, escaped, time_cap, step_budget)
-and raise ``StepSizeUnderflow`` below the step ``H_MIN``.  A step reuses
-the last stage of an accepted step as the first of the next, so it costs
-six field evaluations; ``Trajectory`` counts accepted and rejected steps
-and the smallest accepted step.  The scalar step writes the field out in
-each stage, carries |z| from step to step so that one ``abs(z5)`` serves
-the error norm and the boundary and escape stops, and compares where it
-would call ``min`` and ``max``, with their NaN choices.  It searches the
-landing disks only when ||z| - s| <= r_max + 1e-12 (|z| + s), with s =
-|eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >= ||z| - |z_l||
-and |z_l| is s to a few ulps, so no disk is missed.  Every sum keeps its
-order, so the steps are bit for bit those of the plain loop.
-``integrate`` follows an orbit on ``_dopri`` down to the capture radius
-1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a singular point:
-its points reach the CLI output, and numpy's complex product and ``abs``
-differ from Python's in the last bit on 44% and 35% of random inputs
-(numpy 2.4.6).  ``separatrices`` (and so ``render.portrait_svg``) steps
-``_dopri`` only between two charts that give the orbit in closed form:
-xi near infinity and the Koenigs chart of the landing root.  Each chart
-segment is one vectorised Newton solve, started from a series inverse of
-its chart that is built once per k on first use (``_far_start``,
-``_landing_start``).  Callers
-that need only where orbits land
-(``ds_invariant_integrated`` and ``disk.separating_regions``) call
-``landing_lanes``, which stops each orbit as soon as it enters the
+One Dormand-Prince 5(4) kernel, ``_dopri``, does all integration.  It
+steps one orbit, which carries a row of k+1 landing radii and lands at
+the nearest root z_l with |z - z_l| <= its radius; it tests the stops in
+the order of ``Termination`` (landed, hit_boundary, escaped, time_cap,
+step_budget) and raises ``StepSizeUnderflow`` below the step ``H_MIN``.
+A step reuses the last stage of an accepted step as the first of the
+next, so it costs six field evaluations; ``Trajectory`` counts accepted
+and rejected steps and the smallest accepted step.  The step writes the
+field out in each stage, carries |z| from step to step so that one
+``abs(z5)`` serves the error norm and the boundary and escape stops, and
+compares where it would call ``min`` and ``max``, with their NaN choices.
+It searches the landing disks only when ||z| - s| <= r_max + 1e-12 (|z| +
+s), with s = |eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >=
+||z| - |z_l|| and |z_l| is s to a few ulps, so no disk is missed.  Every
+sum keeps its order, so the steps are bit for bit those of the plain
+loop.  ``integrate`` follows an orbit down to the capture radius 1e-6
+min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a singular point.
+``separatrices`` (and so ``render.portrait_svg``) steps ``_dopri`` only
+between two charts that give the orbit in closed form: xi near infinity
+and the Koenigs chart of the landing root.  Each chart segment is one
+vectorised Newton solve, started from a series inverse of its chart that
+is built once per k on first use (``_far_start``, ``_landing_start``).
+Callers that need only where orbits land (``ds_invariant_integrated`` and
+``disk.separating_regions``) call ``landing_lanes``, which runs
+``_dopri`` once per orbit and stops it as soon as it enters the
 certified disk |z - z_l| <= rho_l of a root z_l attracting in its
 direction (``lane_radii``).  rho_l is the larger of two certified radii:
 the linearization disk of ``landing_radii``, which shrinks with
 |Re lambda_l|/|lambda_l| near the homoclinic rays, and the chart disk of
 ``chart_radius``, rho_k(c) d with d the closest root spacing, which does
-not (0.32 d at k = 1, 0.13 d at k = 8).  ``landing_lanes`` hands the last
-``_TAIL_LANES`` (22) orbits to ``_dopri``, where a numpy pass would cost
-more than their scalar steps.  ``ds_invariant_integrated`` reads the
-trunk off where the 2k separatrices land, in one ``landing_lanes`` call.
-``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a start
-point that is not finite or lies within the capture radius.
+not (0.32 d at k = 1, 0.13 d at k = 8).  ``ds_invariant_integrated``
+reads the trunk off where the 2k separatrices land, in one
+``landing_lanes`` call.  ``integrate`` and ``landing_lanes`` refuse, with
+``ValueError``, a start point that is not finite or lies within the
+capture radius.
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -226,7 +219,7 @@ def is_homoclinic(fld: ModelField, tol: float = 1e-9):
 
 
 class Termination(str, Enum):
-    """Why an orbit stopped, in the order both kernels test the stops."""
+    """Why an orbit stopped, in the order ``_dopri`` tests the stops."""
 
     LANDED = "landed"
     HIT_BOUNDARY = "hit_boundary"
@@ -296,27 +289,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
 )
 # absolute error tolerance, largest first step, largest and smallest step of
-# the kernels
+# the kernel
 ATOL, H_INIT, H_MAX, H_MIN = 1e-13, 1e-3, 1.0, 1e-14
-# the tableau by columns for _dopri_lanes: the sums it forms are, in order,
-# the inputs of stages 2..6, z5 and z4, and the field value of stage j
-# enters sums j-1.. (b2 = e2 = 0, so p2 only the stage inputs).  Complex
-# with zero imaginary part, a coefficient multiplies as Python's float does.
-_COLUMNS = tuple(
-    np.array(col, dtype=complex)[:, None]
-    for col in (
-        (_A21, _A31, _A41, _A51, _A61, _B1, _E1),
-        (_A32, _A42, _A52, _A62),
-        (_A43, _A53, _A63, _B3, _E3),
-        (_A54, _A64, _B4, _E4),
-        (_A65, _B5, _E5),
-        (_B6, _E6),
-        (_E7,),
-    )
-)
 
 
-def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None):
+def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
     """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires.
 
     ``radii`` holds a landing radius per singular point: an accepted point
@@ -325,8 +302,9 @@ def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None)
     z4 and z5 are formed as in the plain tableau loop (not from the weight
     differences), so the steps equal that loop's bit for bit.  Accepted
     points and times are appended to ``path = (points, times)`` when given.
-    An orbit taken over from ``_dopri_lanes`` starts at time ``t`` with the
-    step ``h`` and the ``steps`` left of ``ctl.max_steps``.  Returns
+    The orbit starts at time ``t``, and with the step ``h`` when given (a
+    separatrix transit starts where its far segment ends).  It makes at most
+    ``ctl.max_steps`` attempts, accepted or rejected.  Returns
     ``(termination, landed_index, n_accepted, n_rejected, h_min_seen)``.
     The field carries an overflow guard: absurd trial stages force a step
     rejection.  The module docstring gives the landing band.
@@ -351,7 +329,7 @@ def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None)
     h_seen = math.inf
     stop = Termination.STEP_BUDGET
     landed = None
-    for _ in range(ctl.max_steps if steps is None else steps):
+    for _ in range(ctl.max_steps):
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
         if H_MAX < h:
@@ -409,124 +387,6 @@ def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None)
             factor = 0.2
         h *= factor if factor < 5.0 else 5.0
     return stop, landed, n_acc, n_rej, h_seen
-
-
-# at or below this many live lanes a numpy pass costs more than the scalar
-# steps it replaces, so _dopri_lanes hands them over: a pass over 20 lanes
-# costs about 22 scalar steps and one over 24 lanes about 23 (k = 2..6,
-# 2-vCPU x86-64 host, numpy 2.4.6)
-_TAIL_LANES = 22
-
-
-def _dopri_lanes(fld, z0, direction, ctl, radii):
-    """``_dopri`` for many landing-only orbits at once, one lane per orbit.
-
-    Lane i starts at ``z0[i]``, steps in ``direction[i]`` and lands as
-    ``_dopri`` does with the landing radii ``radii[i]``.  Each lane keeps
-    its own t and h and stops on the scalar kernel's rules and in its
-    order; a step below ``H_MIN`` in any live lane raises
-    ``StepSizeUnderflow``.  Every live lane makes one attempt a pass, so
-    the lanes share the count of ``max_steps``.  The arithmetic is
-    ``_dopri``'s on arrays: numpy's complex sums, its products by a real and
-    its complex powers above the square round as Python's do, the square
-    and the moduli are written out as Python forms them, and the step
-    factor goes through Python's float power.  Finished lanes are compacted
-    out; once at most ``_TAIL_LANES`` remain, ``_dopri`` finishes each from
-    its z, t, h and remaining steps.  Returns ``(index, stop)``: the landing
-    index of each lane or -1, and the list of their ``Termination``.
-    """
-    k1 = fld.k + 1
-    eps = fld.epsilon
-    z_big = 1e120 ** (1.0 / k1)
-    big_sq = 0.99 * z_big**2
-    power = np.complex128(k1)  # a complex exponent skips numpy's int dispatch
-    sing = singularities(fld)
-
-    def modulus(w):
-        return np.hypot(w.real, w.imag)
-
-    def f(w):
-        if k1 == 2:  # numpy's complex square rounds unlike Python's product
-            x, y = w.real, w.imag
-            xy = x * y
-            out = np.empty_like(w)
-            out.real = x * x - y * y
-            out.imag = xy + xy
-        else:
-            out = np.power(w, power)
-        out -= eps
-        # the overflow guard of _dopri, screened by sum |w|^2 <= 0.99 z_big^2
-        if not np.dot(w.view(float), w.view(float)) <= big_sq:
-            out[modulus(w) > z_big] = 1e120
-        return out
-
-    rtol, h_min = ctl.rtol, H_MIN
-    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
-    reach = escape if boundary is None else min(boundary, escape)
-    n = len(z0)
-    index = np.full(n, -1)
-    stops = list(Termination)  # a lane holds its stop as a position in this list
-    stop = np.full(n, 4)  # STEP_BUDGET, unless another stop fires
-    lane = np.arange(n)
-    z = np.array(z0, dtype=complex)
-    sign = np.array(direction, dtype=complex)
-    t = np.zeros(n)
-    steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1 = f(z)
-        # fmin and fmax drop a NaN where _dopri's min and max do
-        h = np.fmin(H_INIT, 1e-2 / (1.0 + modulus(p1)))
-        az = modulus(z)
-        while len(lane) > _TAIL_LANES and steps < ctl.max_steps:
-            if np.count_nonzero(h < h_min):
-                i = int((h < h_min).argmax())
-                raise StepSizeUnderflow(f"step size {h[i]:g} below floor at t={t[i]:g}")
-            h = np.minimum(np.minimum(h, H_MAX), time_cap - t)
-            hd = h * sign
-            # each sum gains its terms left to right, as _dopri adds them
-            sums = _COLUMNS[0] * p1
-            for j in range(1, 7):
-                stage = z + hd * sums[j - 1]
-                p7 = f(stage)
-                sums[j : j + len(_COLUMNS[j])] += _COLUMNS[j] * p7
-            z5 = stage
-            z4 = z + hd * sums[6]
-            az5 = modulus(z5)
-            err = modulus(z5 - z4) / (ATOL + rtol * np.maximum(az, az5))
-            ok = err <= 1.0
-            np.add(t, h, out=t, where=ok)
-            np.copyto(z, z5, where=ok)
-            np.copyto(p1, p7, where=ok)
-            np.copyto(az, az5, where=ok)
-            factor = 0.9 * np.fromiter(map(pow, (err + 1e-300).tolist(), repeat(-0.2)), float)
-            h *= np.fmin(5.0, np.fmax(0.2, factor))
-            steps += 1
-            # the stops of _dopri, on accepted lanes only
-            dist = modulus(z[:, None] - sing)
-            inside = dist <= radii
-            landed = np.logical_or.reduce(inside, axis=1)
-            landed &= ok
-            done = landed | (az >= reach) | (t >= time_cap)
-            done &= ok
-            if np.count_nonzero(done):
-                index[lane[landed]] = np.where(inside, dist, np.inf)[landed].argmin(axis=1)
-                far = np.where(az >= escape, 2, 3)  # ESCAPED or TIME_CAP
-                if boundary is not None:
-                    far = np.where(az >= boundary, 1, far)  # HIT_BOUNDARY
-                stop[lane[done]] = np.where(landed, 0, far)[done]  # or LANDED
-                keep = ~done
-                lane, z, sign, t, h, p1, az, radii = (
-                    a[keep] for a in (lane, z, sign, t, h, p1, az, radii)
-                )
-    if steps < ctl.max_steps:
-        state = zip(lane, z.tolist(), sign.real, t.tolist(), h.tolist(), radii)
-        for i, zi, di, ti, hi, rad in state:
-            term, landed, _, _, _ = _dopri(
-                fld, zi, int(di), ctl, rad, t=ti, h=hi, steps=ctl.max_steps - steps
-            )
-            index[i] = -1 if landed is None else landed
-            stop[i] = stops.index(term)
-    return index, [stops[s] for s in stop.tolist()]
 
 
 def _check_start(fld: ModelField, z0):
@@ -692,13 +552,13 @@ def landing_lanes(
     direction,
     controls: IntegratorControls | None = None,
 ) -> tuple[np.ndarray, list[Termination]]:
-    """Where the orbits of the points ``z0`` land, stepped together.
+    """Where the orbits of the points ``z0`` land, one ``_dopri`` run each.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
-    stops as soon as it enters the certified disk (``lane_radii``) of a
-    root that attracts in its direction.  Returns ``(index, stop)``: the
-    landing index of each orbit or -1, and the list of the ``Termination``
-    of each.
+    has its own ``max_steps`` budget and stops as soon as it enters the
+    certified disk (its row of ``lane_radii``) of a root that attracts in
+    its direction.  Returns ``(index, stop)``: the landing index of each
+    orbit or -1, and the list of the ``Termination`` of each.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     direction = np.broadcast_to(direction, z0.shape)
@@ -706,7 +566,14 @@ def landing_lanes(
         raise ValueError("direction must be +1 or -1")
     _check_start(fld, z0)
     ctl = controls or IntegratorControls()
-    return _dopri_lanes(fld, z0, direction, ctl, lane_radii(fld, direction, ctl))
+    index, stops = np.full(len(z0), -1), []
+    rows = zip(z0.tolist(), direction.tolist(), lane_radii(fld, direction, ctl))
+    for i, (z, d, radii) in enumerate(rows):
+        stop, landed, _, _, _ = _dopri(fld, z, d, ctl, radii)
+        if landed is not None:
+            index[i] = landed
+        stops.append(stop)
+    return index, stops
 
 
 def separatrix_directions(k: int) -> np.ndarray:

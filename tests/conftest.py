@@ -138,7 +138,7 @@ def recurrence_reciprocal(c):
     return np.convolve(inv, corr)[: n + 1]
 
 
-def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, steps=None):
+def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
     """The scalar kernel ``model._dopri`` as it stood before its field was
     written out in each stage, |z| carried between steps and the landing
     disks searched only near the circle of the roots: the oracle of that
@@ -166,7 +166,7 @@ def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, st
     h_seen = math.inf
     stop = Termination.STEP_BUDGET
     landed = None
-    for _ in range(ctl.max_steps if steps is None else steps):
+    for _ in range(ctl.max_steps):
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
         h = min(h, H_MAX, time_cap - t)
@@ -232,9 +232,10 @@ def reference_coords(canvas, points):
 
 
 def scalar_landing(fld, z0, direction, controls=None):
-    """Landing index (or None) of the orbit of z0 on the scalar kernel
-    ``model._dopri`` alone, with the landing radii of ``landing_lanes``,
-    and its ``Termination``: the oracle of the lane kernel."""
+    """Landing index (or None) of the orbit of z0 on ``model._dopri``
+    alone, with the landing radii of ``landing_lanes``, and its
+    ``Termination``: one orbit, past the batching and the input checks of
+    ``landing_lanes``, for the one-orbit-at-a-time oracles below."""
     ctl = controls or IntegratorControls()
     radii = lane_radii(fld, direction, ctl)
     term, landed, _, _, _ = model._dopri(fld, z0, direction, ctl, radii)

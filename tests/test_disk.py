@@ -535,6 +535,17 @@ class TestSeparatingRegions:
             assert len(arcs) == 2 * k
             assert {a.label for a in arcs} == {"incoming", "outgoing"}
 
+    @pytest.mark.parametrize("samples_per_arc", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, monkeypatch, samples_per_arc):
+        # refused by value before any tangency solve
+        def refuse(*args):
+            raise AssertionError("separating_regions solved for the tangencies")
+
+        monkeypatch.setattr(disk, "tangency_angles", refuse)
+        message = f"samples_per_arc must be at least 1, got {samples_per_arc}"
+        with pytest.raises(ValueError, match=message):
+            separating_regions(ModelField(3, 0.5), 1.5, samples_per_arc)
+
     def test_separating_samples_run_from_the_arc_ends(self):
         # every sample of every arc in one lane call, near the rays: the
         # separating samples of an arc form a run at each end of it (either

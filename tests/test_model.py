@@ -16,7 +16,6 @@ from conftest import (
     quad_rectify,
     reference_dopri,
     scalar_ds_invariant_integrated,
-    scalar_landing,
     scalar_separatrix_invariant,
 )
 from parafold import model
@@ -484,8 +483,8 @@ class TestScalarKernel:
         assert seen == set(Termination)
 
     def test_takeover_arguments(self):
-        # an orbit handed over mid-flight, as _dopri_lanes hands its tail:
-        # a start time, a step and the steps left
+        # an orbit started mid-flight, as separatrices starts a transit
+        # where its far segment ends: a start time and a step
         rng = np.random.default_rng(1415)
         for k in range(1, 8):
             fld = _generic_field(rng, k)
@@ -494,23 +493,21 @@ class TestScalarKernel:
                 z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
                 t = float(rng.uniform(0.0, 1.0))
                 h = float(10.0 ** rng.uniform(-5.0, 0.5))
-                steps = int(rng.integers(5, 400))
                 radii = landing_radii(fld)
                 (got, got_path), (ref, ref_path) = self._both(
-                    fld, z0, direction, ctl, radii, t=t, h=h, steps=steps
+                    fld, z0, direction, ctl, radii, t=t, h=h
                 )
                 assert got == ref
                 assert got_path == ref_path
-                assert got[2] + got[3] <= steps
 
     def test_underflow_message(self, monkeypatch):
-        # the orbit of TestIntegrate.test_underflow_at_same_step, and a
-        # take-over whose first step is below the floor
+        # the orbit of TestIntegrate.test_underflow_at_same_step, and one
+        # started mid-flight with a first step below the floor
         fld = ModelField(3, cmath.exp(-2.1j))
         radii = [capture_radius(fld)] * 4
         ctl = IntegratorControls()
         monkeypatch.setattr(model, "H_MIN", 9.5e-4)
-        for takeover in ({}, {"t": 2.5, "h": 1e-4, "steps": 10}):
+        for takeover in ({}, {"t": 2.5, "h": 1e-4}):
             messages = []
             for kernel in (model._dopri, reference_dopri):
                 with pytest.raises(StepSizeUnderflow) as exc:
@@ -707,36 +704,8 @@ class TestChartDisk:
 
 
 class TestLandingLanes:
-    """The lane kernel against the scalar kernel, orbit by orbit."""
-
-    CONTROLS = (
-        lambda fld, rng: None,
-        lambda fld, rng: IntegratorControls(boundary_radius=fld.scale * rng.uniform(1.2, 2.0)),
-        lambda fld, rng: IntegratorControls(time_cap=rng.uniform(0.05, 0.5)),
-        lambda fld, rng: IntegratorControls(max_steps=int(rng.integers(10, 200))),
-    )
-
-    def test_matches_scalar_kernel(self):
-        # 40 lanes a call, so the lanes step together before the last 16
-        # are handed to the scalar kernel with the steps left; both
-        # directions, every stop
-        rng = np.random.default_rng(1010)
-        n = 0
-        seen = set()
-        for call in range(21):
-            k = call % 7 + 1
-            fld = ModelField(k, rng.uniform(0.1, 3.0) * cmath.exp(2j * math.pi * rng.random()))
-            ctl = self.CONTROLS[call % 4](fld, rng)
-            z0 = (rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)) * fld.scale
-            direction = rng.choice([1, -1], 40)
-            index, stop = landing_lanes(fld, z0, direction, ctl)
-            for z, d, i, s in zip(z0, direction.tolist(), index, stop):
-                landed, why = scalar_landing(fld, z, d, ctl)
-                assert (i, s) == (-1 if landed is None else landed, why)
-                seen.add(why)
-                n += 1
-        assert n >= 800
-        assert seen == set(Termination)
+    """``landing_lanes``: one ``_dopri`` run per orbit, behind the checks
+    of its entry point."""
 
     def test_one_direction_for_all(self):
         fld = ModelField(3, 0.7j)
@@ -745,31 +714,24 @@ class TestLandingLanes:
         assert index.tolist() == [landing_lanes(fld, z, -1)[0][0] for z in z0]
 
     def test_underflow_in_the_lanes(self, monkeypatch):
-        # the orbit of test_underflow_at_same_step in more lanes than the
-        # scalar tail takes: the numpy pass stops with the scalar message
+        # the orbit of test_underflow_at_same_step on 30 equal orbits: the
+        # first stops with the message of integrate
         fld = ModelField(3, cmath.exp(-2.1j))
         monkeypatch.setattr(model, "H_MIN", 9.5e-4)
         with pytest.raises(StepSizeUnderflow) as ref:
             integrate(fld, -1.68 + 0.46j, 1)
         with pytest.raises(StepSizeUnderflow) as got:
-            landing_lanes(fld, np.full(model._TAIL_LANES + 8, -1.68 + 0.46j), 1)
+            landing_lanes(fld, np.full(30, -1.68 + 0.46j), 1)
         assert str(got.value) == str(ref.value)
 
     def test_non_finite_start_as_scalar(self):
-        # a NaN start shrinks its step to the floor on either kernel, in the
-        # numpy pass while more lanes live than the scalar tail takes; the
-        # entry points refuse a NaN or infinite start before either runs
+        # a NaN start shrinks its step to the floor in the kernel; the entry
+        # points refuse a NaN or infinite start before it runs
         fld = ModelField(2, 1.0)
-        ctl = IntegratorControls()
         nan = complex(math.nan, 1.0)
-        n = model._TAIL_LANES + 8
-        z0 = np.r_[np.linspace(0.2, 0.5, n - 1), nan]
-        radii = np.full((n, 3), capture_radius(fld))
-        with pytest.raises(StepSizeUnderflow) as ref:
-            model._dopri(fld, nan, 1, ctl, radii[-1])
-        with pytest.raises(StepSizeUnderflow) as got:
-            model._dopri_lanes(fld, z0, np.ones(n), ctl, radii)
-        assert str(got.value) == str(ref.value)
+        z0 = np.linspace(0.2, 0.5, 30)
+        with pytest.raises(StepSizeUnderflow):
+            model._dopri(fld, nan, 1, IntegratorControls(), [capture_radius(fld)] * 3)
         for bad in (nan, complex(math.inf, 0.0), complex(0.3, -math.inf)):
             message = re.escape(f"z0 = {bad} is not finite")
             with pytest.raises(ValueError, match=message):
@@ -1079,7 +1041,6 @@ class TestDSInvariant:
             raise AssertionError("ds_invariant integrated an orbit")
 
         monkeypatch.setattr(model, "landing_lanes", refuse)
-        monkeypatch.setattr(model, "_dopri_lanes", refuse)
         monkeypatch.setattr(model, "_dopri", refuse)
         assert ds_invariant(ModelField(2, 1.0)).attachment == 0
         for fld in _near_ray_fields(ks=(1, 4), abs_eps=(1.0,)):
@@ -1134,6 +1095,17 @@ class TestDSInvariant:
                 gon = ds_invariant(fld)
                 assert (got.order, got.attachment) == (want.order, want.attachment), fld
                 assert (got.order, got.attachment) == (gon.order, gon.attachment), fld
+
+    @pytest.mark.parametrize("k", [12, 16, 24])
+    @pytest.mark.parametrize("abs_eps", [0.5, 2.0])
+    def test_validate_at_large_k(self, k, abs_eps):
+        # 2k separatrices, more orbits than the oracle tests above run, at
+        # arg eps midway between two rays
+        theta = bifurcation_angles(k)[1] + 0.5 * math.pi / k
+        fld = ModelField(k, abs_eps * cmath.exp(1j * theta))
+        inv = ds_invariant(fld, validate=True)
+        gon = ds_invariant(fld)
+        assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
 
     @pytest.mark.parametrize(
         "k, eps",
