@@ -7,11 +7,9 @@ from .model import (
     IntegratorControls,
     ModelField,
     PeriodGon,
-    TauModel,
     Termination,
     Trajectory,
     bifurcation_angles,
-    build_tau_model,
     ds_invariant,
     ds_transition,
     integrate,

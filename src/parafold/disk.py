@@ -94,22 +94,29 @@ def tangency_angles(k: int, eps, r: float) -> TangencySet:
 
     All seeds, and all rows when ``eps`` is a 1-D array, run as one masked
     Newton iteration; each seed stops on its own once its step is below
-    1e-15.  A row with r^{k+1} <= |eps| raises ``NewtonDivergence`` naming
-    this condition, for the first such row, before any Newton step: the
-    circle then does not enclose the roots, and ``tangency_times`` has no
-    series there.  A seed whose derivative vanishes, which leaves its basin
-    or whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported
-    for the first such seed in row order.
+    1e-15.  Before any Newton step, an r whose r^{k+1} is not a finite
+    positive float raises ``NewtonDivergence`` naming k and r, and so does
+    the first row with r^{k+1} <= |eps|, naming this condition: the circle
+    then does not enclose the roots, and ``tangency_times`` has no series
+    there.  A seed whose derivative vanishes, which leaves its basin or
+    whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported for
+    the first such seed in row order.
     """
+    try:
+        r_k1 = float(r) ** (k + 1)
+    except OverflowError:
+        r_k1 = math.inf
+    if not 0.0 < r_k1 < math.inf:
+        raise NewtonDivergence(f"r^{k + 1} is not a finite positive float at k = {k}, r = {r:g}")
     seeds = tangency_seeds(k)
     basin = math.pi / (2 * k)
     rho, phi = _polar(k, r, np.asarray(eps)[..., None])
-    inside = np.abs(np.ravel(eps)) >= r ** (k + 1)
+    inside = np.abs(np.ravel(eps)) >= r_k1
     if np.count_nonzero(inside):
         abs_eps = abs(np.ravel(eps)[np.argmax(inside)])
         raise NewtonDivergence(
             f"the {2 * k} tangencies need r^{k + 1} > |eps|, got r^{k + 1} = "
-            f"{r ** (k + 1):.6g} <= |eps| = {abs_eps:.6g}"
+            f"{r_k1:.6g} <= |eps| = {abs_eps:.6g}"
         )
     a = np.empty(rho.shape[:-1] + seeds.shape)
     a[...] = seeds

@@ -80,10 +80,6 @@ class SeriesOutOfDomain(ValueError):
     """Series branch of the rectifying coordinate evaluated inside its cut."""
 
 
-class RadiusTooSmall(ValueError):
-    """Eyelet radius below the geometric lower bound of the strip model."""
-
-
 @dataclass(frozen=True)
 class ModelField:
     """The vector field z' = z^{k+1} - eps."""
@@ -136,9 +132,7 @@ class PeriodGon:
 
     ``vertices[l]`` is the vertex between the sides of singularities l and
     l+1 (half-integer index l+1/2 in the usual convention); consecutive
-    differences along sides are the negated periods.  For the model field
-    the sides close up exactly and ``gap`` is 0; period data extracted from
-    an unfolding carries a nonzero gap and no closed polygon.
+    differences along sides are the negated periods.
     """
 
     k: int
@@ -146,14 +140,11 @@ class PeriodGon:
     singularities: np.ndarray
     eigenvalues: np.ndarray
     periods: np.ndarray
-    vertices: np.ndarray | None
-    gap: complex = 0.0
+    vertices: np.ndarray
 
     @property
     def scale(self):
-        if self.vertices is not None:
-            return float(np.abs(self.vertices).max())
-        return float(np.abs(self.periods).max())
+        return float(np.abs(self.vertices).max())
 
     def side(self, ell):
         """Endpoints (start, end) of the side carrying singularity ``ell``."""
@@ -175,7 +166,6 @@ def periods(fld: ModelField) -> PeriodGon:
         eigenvalues=eig,
         periods=mu,
         vertices=vertices,
-        gap=0.0,
     )
 
 
@@ -852,6 +842,12 @@ def _walk_path(edges, n_vertices):
     return tuple(order)
 
 
+def outward_normal(a: complex, b: complex) -> complex:
+    """Right-hand unit normal of the directed side a -> b: outward for a
+    counterclockwise polygon."""
+    return -1j * (b - a) / abs(b - a)
+
+
 def _gon_attachment(fld: ModelField, gon: PeriodGon) -> int:
     """Landing index of the separatrix with asymptotic direction arg z = 0.
 
@@ -1119,95 +1115,3 @@ def sector_index(fld: ModelField, z):
     if np.ndim(z) == 0:
         return int(ell), bool(on_slit)
     return ell, on_slit
-
-
-# ---------------------------------------------------------------------------
-# the tau-model translation surface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TauModel:
-    """Polygon-with-strips model of the rectified surface.
-
-    2(k+1) vertices alternate long sides (the negated periods, by increasing
-    argument, so the polygon runs counterclockwise) and short gap sides;
-    half-infinite strips sit orthogonally on the long sides; eyelet disks of
-    radius R are removed at the short-side midpoints.  The strip on the side
-    -mu points along its right-hand normal i mu/|mu| (``strip_axes``), also
-    at k = 1, where both long sides pass through the centre.
-    """
-
-    k: int
-    vertices: np.ndarray  # 2(k+1) polygon vertices, centred
-    periods: np.ndarray  # the periods in construction order
-    gap: complex
-    eyelet_radius: float
-    strip_axes: np.ndarray  # i mu/|mu|, the outward unit normal of each long side
-    eyelet_centers: np.ndarray
-
-    @property
-    def long_sides(self):
-        return [(self.vertices[2 * i], self.vertices[2 * i + 1]) for i in range(self.k + 1)]
-
-    @property
-    def short_sides(self):
-        n = 2 * (self.k + 1)
-        return [
-            (self.vertices[(2 * i + 1) % n], self.vertices[(2 * i + 2) % n])
-            for i in range(self.k + 1)
-        ]
-
-    def closure_residual(self):
-        side_sum = (self.k + 1) * self.gap - np.sum(self.periods)
-        return abs(side_sum)
-
-
-def outward_normal(a: complex, b: complex) -> complex:
-    """Right-hand unit normal of the directed side a -> b: outward for a
-    counterclockwise polygon."""
-    return -1j * (b - a) / abs(b - a)
-
-
-def build_tau_model(gon: PeriodGon, eyelet_radius: float) -> TauModel:
-    """Assemble the 2(k+1)-gon with strips and eyelets from period data.
-
-    For a nonzero gap the radius must exceed (3/4)|a| cot(pi/(2(k+1))), the
-    bound that keeps the crossing point of consecutive strip boundaries
-    inside the removed disk; the pure model (gap 0) accepts any R > 0.
-    """
-    k = gon.k
-    k1 = k + 1
-    a = complex(gon.gap)
-    if eyelet_radius <= 0:
-        raise RadiusTooSmall("eyelet radius must be positive")
-    if a != 0:
-        bound = 0.75 * abs(a) / math.tan(math.pi / (2 * k1))
-        if eyelet_radius <= bound:
-            raise RadiusTooSmall(f"eyelet radius must exceed {bound:g}")
-    neg = -gon.periods
-    order = np.argsort(np.angle(neg))
-    mu_sorted = gon.periods[order]
-    verts = np.empty(2 * k1, dtype=complex)
-    cur = 0j
-    for i in range(k1):
-        verts[2 * i] = cur
-        cur += -mu_sorted[i]
-        verts[2 * i + 1] = cur
-        cur += a
-    verts -= verts.mean()
-    axes = np.empty(k1, dtype=complex)
-    centers = np.empty(k1, dtype=complex)
-    for i in range(k1):
-        axes[i] = outward_normal(verts[2 * i], verts[2 * i + 1])
-        s0, s1 = verts[(2 * i + 1) % (2 * k1)], verts[(2 * i + 2) % (2 * k1)]
-        centers[i] = 0.5 * (s0 + s1)
-    return TauModel(
-        k=k,
-        vertices=verts,
-        periods=mu_sorted,
-        gap=a,
-        eyelet_radius=eyelet_radius,
-        strip_axes=axes,
-        eyelet_centers=centers,
-    )

@@ -60,6 +60,7 @@ def star_svg(k: int, eps: complex, r: float, size: int = 800) -> str:
     strip_length = 1.6 * scale
     win = 1.15 * (scale + strip_length) / 1.6
     canvas = SvgCanvas(size=size, window=(-win, win, -win, win))
+    tset = tangency_times(tangency_angles(k, eps, r))
     k1 = k + 1
     # strips: two half-lines orthogonal to each side, from its endpoints
     for ell in range(k1):
@@ -77,7 +78,6 @@ def star_svg(k: int, eps: complex, r: float, size: int = 800) -> str:
     for ell in range(k1):
         pts = eyelet_points(fld, r, ell, n=200)
         canvas.polyline(pts, stroke=svgfig.COLOR_MARKER, width=1.0, cls="eyelet")
-    tset = tangency_times(tangency_angles(k, eps, r))
     for t in tset.t_values:
         canvas.dot(t, radius_px=3.5, cls="tangency")
     return canvas.tostring()

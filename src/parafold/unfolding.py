@@ -326,36 +326,6 @@ def residue_sum(ef: EigenvalueFunction) -> TruncatedSeries:
     return TruncatedSeries((k + 1) * u.coefficients[idx])
 
 
-def gap_function(ef: EigenvalueFunction) -> TruncatedSeries:
-    """a(eps) = 2 pi i A(eps) / (k+1): the closing defect of the period polygon."""
-    return residue_sum(ef) * (2j * math.pi / (ef.k + 1))
-
-
-def unfolding_periods(ef: EigenvalueFunction, eps: complex):
-    """Period data of an unfolding at a fixed parameter value.
-
-    Returns the periods 2 pi i / lambda(delta_j) at the k+1 roots and the
-    gap a(eps); with a nonzero gap there is no closed period-gon, the
-    tau-model polygon takes over.
-    """
-    from .model import ModelField, PeriodGon, singularities
-
-    k = ef.k
-    roots = singularities(ModelField(k, eps))
-    lam_vals = np.array([ef.lam(d) for d in roots])
-    mu = 2j * math.pi / lam_vals
-    a_eps = complex(gap_function(ef)(eps))
-    return PeriodGon(
-        k=k,
-        epsilon=eps,
-        singularities=roots,
-        eigenvalues=lam_vals,
-        periods=mu,
-        vertices=None,
-        gap=a_eps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------

@@ -85,10 +85,35 @@ class TestExitCodes:
         assert run_cli(["frobnicate"]).returncode == 2
 
     def test_numerical_failure(self, tmp_path):
-        # star with r below the root disk: series branch undefined
+        # star with r below the root disk: the tangency solve, run before
+        # the eyelets, names the condition on r
         out = tmp_path / "x.svg"
         res = run_cli(["star", "--k", "2", "--eps", "1", "--r", "0.5", "--out", str(out)])
         assert res.returncode == 3
+        assert "tangencies need r^3 > |eps|" in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--k", "700", "--eps", "1", "--r", "3"],
+            ["star", "--k", "2", "--eps", "1", "--r", "1e200"],
+            ["star", "--k", "3", "--eps", "1e300", "--r", "1e80"],
+            ["bifdiagram", "--k", "2", "--r", "1e200"],
+            ["bifdiagram", "--k", "2", "--r", "1e-200"],
+        ],
+        ids=" ".join,
+    )
+    def test_radius_power_out_of_range(self, argv, tmp_path, monkeypatch):
+        # r^{k+1} overflows or underflows a float: one error line, no
+        # traceback or numpy warning
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_main([*argv, "--out", "x.svg"])
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("error: r^") and "is not a finite positive float" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_semantic_mismatch(self, family_files, tmp_path):
         other = tmp_path / "k3.json"

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,17 @@ class TestTangencyAngles:
         for j, pair in ((1, (0, 2)), (3, (1, 3)), (5, (0, 2))):
             with pytest.raises(NewtonDivergence, match=r"tangencies need r\^4 > \|eps\|"):
                 trace_curve(3, 0.3, CurveTag(j=j, pair=pair, side=1))
+
+    def test_radius_power_out_of_range(self):
+        # r^{k+1} must be a finite positive float: an overflow (also as an
+        # exact int power) or an underflow to 0 is refused before Newton runs
+        cases = ((700, 3.0), (700, 3), (2, 1e200), (3, 1e80), (2, 1e-200), (2, np.float64(1e-200)))
+        for k, r in cases:
+            message = rf"r\^{k + 1} is not a finite positive float at k = {k}, r = "
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NewtonDivergence, match=message):
+                    tangency_angles(k, 1.0, r)
 
 
 class TestTangencyTimes:

@@ -29,13 +29,11 @@ from parafold.model import (
     IntegratorControls,
     ModelField,
     PathThroughSingularity,
-    RadiusTooSmall,
     SeriesOutOfDomain,
     StepSizeUnderflow,
     Termination,
     apply_transition,
     bifurcation_angles,
-    build_tau_model,
     capture_radius,
     chart_radius,
     ds_invariant,
@@ -248,7 +246,6 @@ class TestPeriods:
         expect = 2j * np.pi / 3 * gon.singularities
         assert np.abs(gon.periods - expect).max() < 1e-14
         assert abs(gon.periods.sum()) < 1e-14
-        assert abs(gon.gap) == 0.0
 
     def test_vertex_spacing_k1(self):
         gon = periods(ModelField(1, cmath.exp(0.7j)))
@@ -1321,64 +1318,3 @@ class TestXiArray:
             _sector_reference(fld, complex("nan"))
         with pytest.raises(ValueError, match="non-finite"):
             sector_index(fld, np.array([1.0, complex("nan")]))
-
-
-class TestTauModel:
-    def test_model_field_degenerates_to_period_gon(self):
-        gon = periods(ModelField(2, 1.0))
-        tm = build_tau_model(gon, 0.4)
-        assert tm.closure_residual() < 1e-14
-        shorts = [abs(b - a) for a, b in tm.short_sides]
-        assert max(shorts) < 1e-14
-        widths = sorted(abs(mu) for mu in tm.periods)
-        assert np.allclose(widths, sorted(np.abs(gon.periods)))
-
-    def test_vertices_match_period_gon(self):
-        gon = periods(ModelField(3, cmath.exp(0.9j)))
-        tm = build_tau_model(gon, 0.1)
-        tips = np.array([v for i, v in enumerate(tm.vertices) if i % 2 == 1])
-        dist = np.abs(tips[:, None] - gon.vertices[None, :]).min(axis=1).max()
-        assert dist < 1e-12
-
-    def test_nonzero_gap_closes(self):
-        from parafold.series import TruncatedSeries
-        from parafold.unfolding import EigenvalueFunction, gap_function, unfolding_periods
-
-        k = 2
-        lam = TruncatedSeries.monomial(k, 30, k + 1.0) + TruncatedSeries.monomial(2 * k, 30, k + 1.0)
-        ef = EigenvalueFunction(k, lam)
-        a0 = gap_function(ef)(0.0)
-        assert abs(a0 - 2j * math.pi * (-1.0) / (k + 1)) < 1e-12
-        gon = unfolding_periods(ef, 0.01 * cmath.exp(0.4j))
-        assert abs(gon.gap) > 1e-3
-        tm = build_tau_model(gon, 10.0)
-        assert tm.closure_residual() < 1e-10
-        with pytest.raises(RadiusTooSmall):
-            build_tau_model(gon, 1e-6)
-
-    def test_strip_axes_fixed_by_orientation(self):
-        # at k = 1 both long sides of a gap gon pass through its centre, so
-        # only the direction of each side can fix its strip axis
-        from parafold.series import TruncatedSeries
-        from parafold.unfolding import EigenvalueFunction, unfolding_periods
-
-        rng = np.random.default_rng(46)
-        for k in range(1, 6):
-            for _ in range(12):
-                c = np.zeros(30, dtype=complex)
-                c[k] = k + 1.0
-                n = 29 - k
-                c[k + 1 :] = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) * 0.6 ** np.arange(1, n + 1)
-                eps = 10 ** rng.uniform(-3, -1) * cmath.exp(2j * math.pi * rng.random())
-                gon = unfolding_periods(EigenvalueFunction(k, TruncatedSeries(c)), eps)
-                assert abs(gon.gap) > 1e-6
-                tm = build_tau_model(gon, 1.0 + abs(gon.gap) / math.tan(math.pi / (2 * k + 2)))
-                want = 1j * tm.periods / np.abs(tm.periods)
-                assert np.abs(tm.strip_axes - want).max() <= 1e-12
-
-    def test_strips_point_outward(self):
-        gon = periods(ModelField(4, cmath.exp(1.7j)))
-        tm = build_tau_model(gon, 0.2)
-        for (a, b), n_hat in zip(tm.long_sides, tm.strip_axes):
-            mid = 0.5 * (a + b)
-            assert (n_hat * np.conj(mid)).real > 0

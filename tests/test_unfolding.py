@@ -17,12 +17,10 @@ from parafold.unfolding import (
     equivalent_fixed_parameter,
     equivalent_full,
     factor_family,
-    gap_function,
     is_model_equivalent,
     model_eigenvalue_function,
     realize,
     residue_sum,
-    unfolding_periods,
 )
 
 
@@ -307,15 +305,6 @@ class TestResidueSum:
             zeta = cmath.exp(2j * math.pi * i / (k + 1))
             Ai = residue_sum(ef.precompose_root(zeta))
             assert np.abs(Ai.coefficients - A0.coefficients).max() < 1e-12
-
-    def test_gap_function(self):
-        k = 2
-        lam = TruncatedSeries.monomial(k, 30, k + 1.0) + TruncatedSeries.monomial(2 * k, 30, k + 1.0)
-        ef = EigenvalueFunction(k, lam)
-        a = gap_function(ef)
-        assert abs(a(0.0) - 2j * math.pi * (-1.0) / (k + 1)) < 1e-12
-        gon = unfolding_periods(ef, 0.01)
-        assert abs(gon.periods.sum() - 2j * math.pi * complex(residue_sum(ef)(0.01))) < 1e-9
 
 
 class TestCanonicalize:
