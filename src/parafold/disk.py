@@ -41,6 +41,18 @@ class RootLoss(RuntimeError):
     """Curve continuation failed to bracket the next root."""
 
 
+def _radius_power(k: int, r: float) -> float:
+    """r^{k+1} as a float; where it is not a finite positive float,
+    ``NewtonDivergence`` naming k and r."""
+    try:
+        r_k1 = float(r) ** (k + 1)
+    except OverflowError:
+        r_k1 = math.inf
+    if not 0.0 < r_k1 < math.inf:
+        raise NewtonDivergence(f"r^{k + 1} is not a finite positive float at k = {k}, r = {r:g}")
+    return r_k1
+
+
 def _polar(k: int, r: float, eps):
     """(rho, phi) with eps / r^{k+1} = rho e^{i phi}."""
     return np.abs(eps) / r ** (k + 1), np.angle(eps)
@@ -57,8 +69,10 @@ def tangency_equation(k: int, r: float, eps, alpha):
     """E(x, y, alpha) = cos(k*alpha) - (x cos alpha + y sin alpha)/r^{k+1}.
 
     Zeroes are the boundary angles where the field is tangent to the circle
-    |z| = r.
+    |z| = r.  An r whose r^{k+1} is not a finite positive float raises
+    ``NewtonDivergence``, as in ``tangency_angles``.
     """
+    _radius_power(k, r)
     return _tangency_terms(k, *_polar(k, r, eps), np.asarray(alpha))[0]
 
 
@@ -102,12 +116,7 @@ def tangency_angles(k: int, eps, r: float) -> TangencySet:
     whose residual exceeds 1e-11 raises ``NewtonDivergence``, reported for
     the first such seed in row order.
     """
-    try:
-        r_k1 = float(r) ** (k + 1)
-    except OverflowError:
-        r_k1 = math.inf
-    if not 0.0 < r_k1 < math.inf:
-        raise NewtonDivergence(f"r^{k + 1} is not a finite positive float at k = {k}, r = {r:g}")
+    r_k1 = _radius_power(k, r)
     seeds = tangency_seeds(k)
     basin = math.pi / (2 * k)
     rho, phi = _polar(k, r, np.asarray(eps)[..., None])
@@ -197,8 +206,11 @@ def eyelet_diameter(fld: ModelField, r: float, ell: int, n: int = 256) -> float:
 
 
 def eyelet_reference_radius(k: int, r: float) -> float:
-    """Limit radius 1/(k r^k) of the eyelets as eps -> 0."""
-    return 1.0 / (k * r**k)
+    """Limit radius 1/(k r^k) of the eyelets as eps -> 0.  An r whose
+    r^{k+1} is not a finite positive float raises ``NewtonDivergence``, as
+    in ``tangency_angles``."""
+    _radius_power(k, r)
+    return 1.0 / (k * float(r) ** k)
 
 
 SELECTIONS = ("top-top", "bottom-bottom", "top-bottom", "bottom-top")

@@ -267,14 +267,21 @@ class TestTangencyAngles:
 
     def test_radius_power_out_of_range(self):
         # r^{k+1} must be a finite positive float: an overflow (also as an
-        # exact int power) or an underflow to 0 is refused before Newton runs
+        # exact int power) or an underflow to 0 is refused before Newton
+        # runs, and alike by the tangency equation and the eyelet radius
         cases = ((700, 3.0), (700, 3), (2, 1e200), (3, 1e80), (2, 1e-200), (2, np.float64(1e-200)))
+        calls = (
+            lambda k, r: tangency_angles(k, 1.0, r),
+            lambda k, r: tangency_equation(k, r, 1.0, 0.1),
+            lambda k, r: eyelet_reference_radius(k, r),
+        )
         for k, r in cases:
             message = rf"r\^{k + 1} is not a finite positive float at k = {k}, r = "
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(NewtonDivergence, match=message):
-                    tangency_angles(k, 1.0, r)
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(NewtonDivergence, match=message):
+                        call(k, r)
 
 
 class TestTangencyTimes:

@@ -16,9 +16,11 @@ from conftest import (
     quad_rectify,
     reference_dopri,
     scalar_ds_invariant_integrated,
+    scalar_landing,
     scalar_separatrix_invariant,
 )
 from parafold import model
+from parafold.disk import tangency_angles
 from parafold.model import (
     ATOL,
     H_INIT,
@@ -701,7 +703,7 @@ class TestChartDisk:
 
 
 class TestLandingLanes:
-    """``landing_lanes``: one ``_dopri`` run per orbit, behind the checks
+    """``landing_lanes``: one ``_march`` run per orbit, behind the checks
     of its entry point."""
 
     def test_one_direction_for_all(self):
@@ -711,15 +713,46 @@ class TestLandingLanes:
         assert index.tolist() == [landing_lanes(fld, z, -1)[0][0] for z in z0]
 
     def test_underflow_in_the_lanes(self, monkeypatch):
-        # the orbit of test_underflow_at_same_step on 30 equal orbits: the
-        # first stops with the message of integrate
+        # with no Newton sweep allowed every step is rejected and halved:
+        # the first of 30 equal orbits stops once its step falls below
+        # MARCH_FLOOR of its nominal step, at the start (t = 0)
         fld = ModelField(3, cmath.exp(-2.1j))
-        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
-        with pytest.raises(StepSizeUnderflow) as ref:
-            integrate(fld, -1.68 + 0.46j, 1)
+        monkeypatch.setattr(model, "MARCH_SWEEPS", 0)
         with pytest.raises(StepSizeUnderflow) as got:
             landing_lanes(fld, np.full(30, -1.68 + 0.46j), 1)
-        assert str(got.value) == str(ref.value)
+        pattern = r"marching step (\S+) below 1e-09 of its nominal (\S+) at t=0"
+        found = re.fullmatch(pattern, str(got.value))
+        assert found, str(got.value)
+        ratio = float(found[1]) / float(found[2])
+        assert 0.5e-9 <= ratio < 1e-9
+
+    def test_matches_scalar_landing(self):
+        # every sample of boundary circles taken as separating_regions takes
+        # them, 8 an arc, k 1..8, 1e-4 to 1e-1 from a homoclinic ray and r/s
+        # in 1.03..3: the marcher against _dopri one orbit at a time, stop
+        # and landing index alike, orbits that cross the disk included
+        rng = np.random.default_rng(2323)
+        counts = dict.fromkeys(Termination, 0)
+        for k in range(1, 9):
+            for _ in range(4):
+                offset = 10 ** rng.uniform(-4, -1) * rng.choice([-1, 1])
+                theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset
+                fld = ModelField(k, 10 ** rng.uniform(-1, 0.5) * cmath.exp(1j * theta))
+                r = fld.scale * rng.uniform(1.03, 3.0)
+                cuts = np.sort(tangency_angles(k, fld.epsilon, r).angles)
+                ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+                alphas = np.concatenate([np.linspace(a, b, 10)[1:-1] for a, b in zip(cuts, ends)])
+                zs = r * np.exp(1j * alphas) * (1.0 - 1e-9)
+                direction = np.where((fld.rhs(zs) * np.conj(zs)).real < 0, 1, -1)
+                ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
+                index, stops = landing_lanes(fld, zs, direction, ctl)
+                for z, d, got, stop in zip(zs.tolist(), direction.tolist(), index.tolist(), stops):
+                    landed, want = scalar_landing(fld, z, d, ctl)
+                    assert (stop, got) == (want, -1 if landed is None else landed), (fld, r, z)
+                    counts[stop] += 1
+        assert sum(counts.values()) == 2304
+        assert counts[Termination.HIT_BOUNDARY] > 400
+        assert counts[Termination.LANDED] + counts[Termination.HIT_BOUNDARY] == 2304
 
     def test_non_finite_start_as_scalar(self):
         # a NaN start shrinks its step to the floor in the kernel; the entry
@@ -1104,6 +1137,15 @@ class TestDSInvariant:
         gon = ds_invariant(fld)
         assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
 
+    def test_validate_below_the_dopri_floor(self):
+        # at k = 100 the first step of a separatrix from 1.5 s takes about
+        # 7e-20 of time, far below _dopri's floor H_MIN; the marcher's floor
+        # is relative to its own nominal step
+        fld = ModelField(100, 0.3 + 0.2j)
+        inv = ds_invariant(fld, validate=True)
+        gon = ds_invariant(fld)
+        assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
+
     @pytest.mark.parametrize(
         "k, eps",
         [
@@ -1122,8 +1164,11 @@ class TestDSInvariant:
         assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
 
     def test_failure_names_orbits_that_did_not_land(self, monkeypatch):
-        # with a budget of 20 steps from |z| = 1.5 s no separatrix lands
-        monkeypatch.setattr(model, "IntegratorControls", lambda: IntegratorControls(max_steps=20))
+        # with a budget of one step from |z| = 1.5 s no separatrix lands: a
+        # step ends at least 0.55 times as far from the nearest root as it
+        # starts, 0.27 s here, outside every landing disk (radius 0.25 s
+        # at most)
+        monkeypatch.setattr(model, "IntegratorControls", lambda: IntegratorControls(max_steps=1))
         with pytest.raises(AtBifurcation) as exc:
             ds_invariant_integrated(ModelField(3, 1.0))
         assert str(exc.value) == "separatrices did not land: " + ", ".join(
