@@ -20,7 +20,6 @@ from .model import (
     TWO_PI,
     AtBifurcation,
     DegenerateParameter,
-    IntegratorControls,
     ModelField,
     Termination,
     bifurcation_angles,
@@ -577,7 +576,7 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     """
     if samples_per_arc < 1:
         raise ValueError(f"samples_per_arc must be at least 1, got {samples_per_arc}")
-    ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
+    boundary = r * (1.0 - 1e-12)
     cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
     ends = np.append(cuts[1:], cuts[0] + TWO_PI)
     alphas = [np.linspace(a0, a1, samples_per_arc + 2)[1:-1] for a0, a1 in zip(cuts, ends)]
@@ -590,7 +589,7 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     stops = [Termination.LANDED] * len(zs)
 
     def run(samples):
-        for i, stop in zip(samples, landing_lanes(fld, starts[samples], sign[samples], ctl)[1]):
+        for i, stop in zip(samples, landing_lanes(fld, starts[samples], sign[samples], boundary)[1]):
             stops[i] = stop
 
     run(np.unique(end_samples))

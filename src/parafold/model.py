@@ -9,22 +9,23 @@ integrated counterpart ``ds_invariant_integrated`` is the oracle.
 
 Two kernels step orbits.  ``_dopri``, the one Dormand-Prince 5(4)
 kernel, steps every orbit whose points are kept.  It steps one orbit,
-which carries a row of k+1 landing radii and lands at the nearest root
-z_l with |z - z_l| <= its radius; it tests the stops in the order of
-``Termination`` (landed, hit_boundary, escaped, time_cap, step_budget)
-and raises ``StepSizeUnderflow`` below the step ``H_MIN``.  A step
-reuses the last stage of an accepted step as the first of the next, so
-it costs six field evaluations; ``Trajectory`` counts accepted and
-rejected steps and the smallest accepted step.  The step writes the
+which carries a row of k+1 landing radii; it tests the stops in the
+order of ``Termination`` (landed, hit_boundary, escaped, time_cap,
+step_budget) and raises ``StepSizeUnderflow`` below the step ``H_MIN``.
+A step reuses the last stage of an accepted step as the first of the
+next, so it costs six field evaluations; ``Trajectory`` counts accepted
+and rejected steps and the smallest accepted step.  The step writes the
 field out in each stage, carries |z| from step to step so that one
 ``abs(z5)`` serves the error norm and the boundary and escape stops, and
 compares where it would call ``min`` and ``max``, with their NaN choices.
-It searches the landing disks only when ||z| - s| <= r_max + 1e-12 (|z| +
-s), with s = |eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >=
-||z| - |z_l|| and |z_l| is s to a few ulps, so no disk is missed.  Every
-sum keeps its order, so the steps are bit for bit those of the plain
-loop.  ``integrate`` follows an orbit down to the capture radius 1e-6
-min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a singular point.
+It tests for a landing only when ||z| - s| <= r_max + 1e-12 (|z| + s),
+with s = |eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >=
+||z| - |z_l|| and |z_l| is s to a few ulps, so no disk is missed.  Both
+kernels land z at the root z_l nearest in angle if |z - z_l| <= radii[l]:
+each radius is below half the closest root spacing, so no other disk can
+hold z.  Every sum keeps its order, so the steps are bit for bit those
+of the plain loop.  ``integrate`` follows an orbit down to the capture
+radius 1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a root.
 ``separatrices`` (and so ``render.portrait_svg``) steps ``_dopri`` only
 between two charts that give the orbit in closed form: xi near infinity
 and the Koenigs chart of the landing root.  Each chart segment is one
@@ -36,7 +37,8 @@ orbit in the rectifying coordinate t = int dz/f, where every orbit is a
 horizontal line (``_march``): a step solves t(z_n) = t(z) + dir tau by
 Newton, with steps set by the geometry of the roots rather than by an
 error estimate, about 12 an orbit against about 90 ``_dopri`` attempts.
-It stops an orbit as soon as it enters the certified disk |z - z_l| <=
+It takes a boundary radius, no ``IntegratorControls`` (``_march``), and
+stops an orbit as soon as it enters the certified disk |z - z_l| <=
 rho_l of a root z_l attracting in its direction (``lane_radii``).  rho_l
 is the larger of two certified radii: the linearization disk of
 ``landing_radii``, which shrinks with |Re lambda_l|/|lambda_l| near the
@@ -173,38 +175,39 @@ def periods(fld: ModelField) -> PeriodGon:
     )
 
 
-def homoclinic_defect(fld: ModelField, gon: PeriodGon | None = None):
+def _unit_periods(fld: ModelField) -> PeriodGon:
+    """The period-gon of eps/|eps|.  z = s w, s = |eps|^{1/(k+1)}, maps the
+    field to s^k (w^{k+1} - eps/|eps|), so the gon of eps is s^{-k} times
+    this one: the same normalised heights, at any |eps| a float holds."""
+    if fld.epsilon == 0:
+        raise DegenerateParameter("eps = 0")
+    return periods(ModelField(fld.k, fld.epsilon / abs(fld.epsilon)))
+
+
+def homoclinic_defect(fld: ModelField, gon: PeriodGon | None = None) -> float:
     """Distance (on normalised heights) from the vertical-symmetry locus.
 
-    Returns ``(defect, pairs)`` where pairs are the vertex index pairs at
-    (nearly) equal height.  Symmetry of the period-gon about the imaginary
-    axis is the homoclinic criterion; for k = 1 the symmetric position with
-    both vertices on the axis has no equal-height pair, so the on-axis
-    defect is included there.
+    Symmetry of the period-gon (``_unit_periods`` unless given) about the
+    imaginary axis is the homoclinic criterion: the defect is the smallest
+    gap between two sorted vertex heights.  For k = 1 the symmetric
+    position with both vertices on the axis has no equal-height pair, so
+    the on-axis defect is included there.
     """
-    gon = periods(fld) if gon is None else gon
-    v = gon.vertices
-    scale = gon.scale
-    k1 = fld.k + 1
-    heights = v.imag / scale
-    best = math.inf
-    pairs = []
-    for i in range(k1):
-        for j in range(i + 1, k1):
-            d = abs(heights[i] - heights[j])
-            best = min(best, d)
-            pairs.append(((i, j), d))
+    gon = _unit_periods(fld) if gon is None else gon
+    h = sorted((gon.vertices.imag / gon.scale).tolist())
+    best = min(b - a for a, b in zip(h, h[1:]))
     if fld.k == 1:
-        best = min(best, float(np.abs(v.real).min()) / scale)
-    return best, pairs
+        best = min(best, float(np.abs(gon.vertices.real).min()) / gon.scale)
+    return best
 
 
 def is_homoclinic(fld: ModelField, tol: float = 1e-9):
     """Whether arg(eps) sits on a homoclinic ray, with witness vertex pairs."""
-    defect, pairs = homoclinic_defect(fld)
-    flagged = defect <= tol
-    witnesses = [p for p, d in pairs if d <= tol] if flagged else []
-    return flagged, witnesses
+    gon = _unit_periods(fld)
+    if not homoclinic_defect(fld, gon) <= tol:
+        return False, []
+    n, h = fld.k + 1, (gon.vertices.imag / gon.scale).tolist()
+    return True, [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i] - h[j]) <= tol]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +294,8 @@ ATOL, H_INIT, H_MAX, H_MIN = 1e-13, 1e-3, 1.0, 1e-14
 def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
     """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires.
 
-    ``radii`` holds a landing radius per singular point: an accepted point
-    within ``radii[l]`` of z_l lands at the nearest such root.  The field is
+    ``radii`` holds a landing radius per singular point, for the landing
+    rule of the module docstring.  The field is
     direction-free and the step is ``h * direction``; negation is exact, and
     z4 and z5 are formed as in the plain tableau loop (not from the weight
     differences), so the steps equal that loop's bit for bit.  Accepted
@@ -308,9 +311,10 @@ def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
     eps = fld.epsilon
     z_big = 1e120 ** (1.0 / k1)
     big = complex(1e120)
-    disks = list(zip(range(k1), singularities(fld).tolist(), map(float, radii)))
+    sing = singularities(fld).tolist()
+    arc, offset = TWO_PI / k1, fld.theta() / k1
     s = fld.scale
-    r_max = max(radius for _, _, radius in disks)
+    r_max = max(radii)
     rtol, h_min = ctl.rtol, H_MIN
     time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
     if path is not None:
@@ -359,12 +363,9 @@ def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
                 add_z(z)
                 add_t(t)
             if abs(az - s) <= r_max + 1e-12 * (az + s):
-                for idx, centre, radius in disks:
-                    d = abs(z - centre)
-                    if d <= radius and (landed is None or d < best):
-                        landed, best = idx, d
-                if landed is not None:
-                    stop = Termination.LANDED
+                ell = round((cmath.phase(z) - offset) / arc) % k1
+                if abs(z - sing[ell]) <= radii[ell]:
+                    landed, stop = ell, Termination.LANDED
                     break
             if boundary is not None and az >= boundary:
                 stop = Termination.HIT_BOUNDARY
@@ -520,24 +521,23 @@ def chart_radius(k: int, c: float) -> float:
     return _chart_ratio(k, step) if step > 0 else 0.0
 
 
-def lane_radii(fld: ModelField, direction, ctl: IntegratorControls) -> np.ndarray:
-    """The landing radii ``landing_lanes`` gives orbits stepped in
-    ``direction`` (+1 or -1, or an array of them): a row of k+1 radii per
-    direction.
+def lane_radii(fld: ModelField, direction: int, boundary_radius=None) -> np.ndarray:
+    """The row of k+1 landing radii ``landing_lanes`` gives orbits stepped
+    in ``direction``, +1 or -1.
 
     A root that attracts in the direction, i.e. direction * Re lambda_l < 0,
     gets max(``landing_radii``, ``chart_radius`` d); the others get none.
     With a ``boundary_radius`` R the disks stay inside that circle: the
     first is cut back to R - s and c to (R - s)/d.  No radius is below the
-    capture radius.
+    capture radius, and each is below half the root spacing d.
     """
     d = 2.0 * fld.scale * math.sin(math.pi / (fld.k + 1))
     rho, c = landing_radii(fld), CHART_C
-    if ctl.boundary_radius is not None:
-        room = ctl.boundary_radius - fld.scale
+    if boundary_radius is not None:
+        room = boundary_radius - fld.scale
         rho, c = np.minimum(rho, room), min(c, room / d)
     rho = np.maximum(rho, chart_radius(fld.k, c) * d)
-    attracting = np.multiply.outer(direction, fld.d_rhs(singularities(fld)).real) < 0
+    attracting = direction * fld.d_rhs(singularities(fld)).real < 0
     return np.maximum(np.where(attracting, rho, 0.0), capture_radius(fld))
 
 
@@ -558,9 +558,11 @@ _GAUSS = (
 # most that angle); it accepts a chord up to MARCH_ROOT_MAX (< 1/2) times
 # that distance.  Newton stops once a correction is below MARCH_TOL of
 # the chord and gives up after MARCH_SWEEPS sweeps; a step halved below
-# MARCH_FLOOR of its nominal time raises ``StepSizeUnderflow``.
+# MARCH_FLOOR of its nominal time raises ``StepSizeUnderflow``.  An orbit
+# stops after MARCH_STEPS attempts or MARCH_TIME_CAP in its own time unit.
 MARCH_ROOT, MARCH_ROOT_MAX, MARCH_TURN = 0.35, 0.45, 1.0
 MARCH_TOL, MARCH_SWEEPS, MARCH_FLOOR = 1e-6, 8, 1e-9
+MARCH_TIME_CAP, MARCH_STEPS = 1e4, 200_000
 
 
 def _chord_newton(z, zn, h, k1, eps):
@@ -582,7 +584,7 @@ def _chord_newton(z, zn, h, k1, eps):
     return None
 
 
-def _march(fld, z0, direction, ctl, radii):
+def _march(fld, z0, direction, boundary, radii):
     """March the orbit of z0 in the rectifying coordinate t = int dz/f
     until a stop fires: ``(termination, landed_index)``.
 
@@ -595,25 +597,25 @@ def _march(fld, z0, direction, ctl, radii):
     a chord of at most MARCH_ROOT_MAX < 1/2 times the distance from z to
     the nearest root ensures.  The nominal step aims the predicted chord
     at MARCH_ROOT times that distance and at most MARCH_TURN / |f'/f|, so
-    the rule stays at rounding level at any k.  With a ``boundary_radius``
+    the rule stays at rounding level at any k.  With a ``boundary`` radius
     R the chord is also at most about sqrt(R (R - |z|)), and a step is
     rejected where the arc, which bends at most |f'/f| |Delta z|^2 / 8
     away from its chord, could pass R between two points inside it.  A
     step whose solve does not settle within MARCH_SWEEPS sweeps, or whose
     chord is too long, is halved, and one halved below MARCH_FLOOR of its
     nominal time raises ``StepSizeUnderflow``; every attempt counts
-    against ``max_steps``.  The stops are tested at z0 and after each
-    step, in the order of ``Termination``.  The disks of a row of
-    ``lane_radii`` are disjoint (each radius is below half the root
-    spacing), so only the nearest root's disk is tested.  ``rtol`` is not
-    read.
+    against MARCH_STEPS.  The time cap is MARCH_TIME_CAP s^{-k}, infinite
+    where that overflows: z = s w, s = |eps|^{1/(k+1)}, maps the field to
+    s^k (w^{k+1} - eps/|eps|), so z at time s^{-k} tau is s w(tau), and
+    the cap, like the steps, is the same in w at every |eps|.  The stops
+    are tested at z0 and after each step, in the order of ``Termination``,
+    with the landing rule of the module docstring.
     """
     k, k1 = fld.k, fld.k + 1
     eps = fld.epsilon
     sing = singularities(fld).tolist()
-    radii = [float(r) for r in radii]
     arc, offset = TWO_PI / k1, fld.theta() / k1
-    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
+    time_cap, escape = MARCH_TIME_CAP / fld.scale**k, escape_radius(fld)
     z, t, n = complex(z0), 0.0, 0
     while True:
         az = abs(z)
@@ -653,7 +655,7 @@ def _march(fld, z0, direction, ctl, radii):
             tau = time_cap - t
         nominal = tau
         while True:
-            if n == ctl.max_steps:
+            if n == MARCH_STEPS:
                 return Termination.STEP_BUDGET, None
             n += 1
             zn = z + tau * v * (1.0 + tau * (c1 + tau * (c2 + tau * c3)))
@@ -681,29 +683,27 @@ def landing_lanes(
     fld: ModelField,
     z0,
     direction,
-    controls: IntegratorControls | None = None,
+    boundary_radius: float | None = None,
 ) -> tuple[np.ndarray, list[Termination]]:
     """Where the orbits of the points ``z0`` land, one ``_march`` run each.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
-    has its own ``max_steps`` budget and stops as soon as it enters the
-    certified disk (its row of ``lane_radii``) of a root that attracts in
-    its direction.  A start at or outside ``boundary_radius`` stops at
-    ``hit_boundary`` before any step.  ``rtol`` is ignored: the marcher
-    sets its steps by the geometry of the roots and solves each to
-    rounding.  Returns ``(index, stop)``: the landing index of each orbit
-    or -1, and the list of the ``Termination`` of each.
+    has its own budget of MARCH_STEPS attempts and its time cap (see
+    ``_march``), and stops as soon as it enters the certified disk (its
+    row of ``lane_radii``) of a root that attracts in its direction.  A
+    start at or outside ``boundary_radius`` stops at ``hit_boundary``
+    before any step.  Returns ``(index, stop)``: the landing index of each
+    orbit or -1, and the list of the ``Termination`` of each.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     direction = np.broadcast_to(direction, z0.shape)
     if not np.isin(direction, (1, -1)).all():
         raise ValueError("direction must be +1 or -1")
     _check_start(fld, z0)
-    ctl = controls or IntegratorControls()
+    radii = {d: lane_radii(fld, d, boundary_radius).tolist() for d in (1, -1)}
     index, stops = np.full(len(z0), -1), []
-    rows = zip(z0.tolist(), direction.tolist(), lane_radii(fld, direction, ctl))
-    for i, (z, d, radii) in enumerate(rows):
-        stop, landed = _march(fld, z, d, ctl, radii)
+    for i, (z, d) in enumerate(zip(z0.tolist(), direction.tolist())):
+        stop, landed = _march(fld, z, d, boundary_radius, radii[d])
         if landed is not None:
             index[i] = landed
         stops.append(stop)
@@ -907,7 +907,7 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
     ctl = controls or IntegratorControls()
     js = np.arange(2 * fld.k)
     far, far_t = _far_segment(fld, js, ctl.time_cap)
-    radii = {d: lane_radii(fld, d, ctl) for d in (1, -1)}
+    radii = {d: lane_radii(fld, d, ctl.boundary_radius).tolist() for d in (1, -1)}
     out, landed, entries = [], [], []
     for j, zs, ts in zip(js.tolist(), far.tolist(), far_t.tolist()):
         direction = -1 if j % 2 == 0 else 1
@@ -1030,11 +1030,12 @@ def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> 
     the vertices of the regular gon alternate between its left and right
     chains when their heights are distinct, so an upward sweep meets each
     side at its lower end.  The attachment is ``_gon_attachment``.  Both
-    need only the distinct heights that ``is_homoclinic`` checks.  With
-    ``validate=True`` both must agree with ``ds_invariant_integrated``.
+    need only the distinct heights that ``is_homoclinic`` checks, so the
+    gon is that of eps/|eps| (``_unit_periods``).  With ``validate=True``
+    both must agree with ``ds_invariant_integrated``.
     """
-    gon = periods(fld)
-    if homoclinic_defect(fld, gon)[0] <= tol:
+    gon = _unit_periods(fld)
+    if homoclinic_defect(fld, gon) <= tol:
         raise AtBifurcation("arg eps lies on a homoclinic ray")
     spans = [sorted((a.imag, b.imag)) for a, b in map(gon.side, range(fld.k + 1))]
     order = tuple(sorted(range(fld.k + 1), key=spans.__getitem__))

@@ -237,7 +237,7 @@ def scalar_landing(fld, z0, direction, controls=None):
     ``Termination``: one orbit, past the batching and the input checks of
     ``landing_lanes``, for the one-orbit-at-a-time oracles below."""
     ctl = controls or IntegratorControls()
-    radii = lane_radii(fld, direction, ctl)
+    radii = lane_radii(fld, direction, ctl.boundary_radius)
     term, landed, _, _, _ = model._dopri(fld, z0, direction, ctl, radii)
     return landed, term
 

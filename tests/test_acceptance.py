@@ -105,7 +105,7 @@ def homoclinic_flip_angles(k, n_grid=720):
     from parafold.model import homoclinic_defect
 
     def defect(theta):
-        return homoclinic_defect(ModelField(k, cmath.exp(1j * theta)))[0]
+        return homoclinic_defect(ModelField(k, cmath.exp(1j * theta)))
 
     thetas = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
     values = np.array([defect(t) for t in thetas])

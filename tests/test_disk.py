@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parafold import disk
+from parafold import disk, model
 from parafold.disk import (
     CurveTag,
     NewtonDivergence,
@@ -471,6 +471,18 @@ class TestSeparatingRegions:
         arcs = separating_regions(ModelField(4, 0.05 * cmath.exp(1j * theta)), 1.0, samples_per_arc=8)
         assert any(a.label == "separating" for a in arcs)
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_labels_at_every_abs_eps(self, k):
+        # z = s w maps the field to s^k (w^{k+1} - eps/|eps|) and the circle
+        # of radius 1.8 s to that of 1.8: the labels of |eps| = 1, in order
+        def labels(abs_eps):
+            fld = ModelField(k, abs_eps * cmath.exp(0.37j))
+            return [a.label for a in separating_regions(fld, 1.8 * fld.scale, 8)]
+
+        want = labels(1.0)
+        for abs_eps in (1e-100, 1e-20, 1e-9, 1e-6, 1e-2, 1e3, 1e6):
+            assert labels(abs_eps) == want, abs_eps
+
     def test_locally_constant_labels(self):
         fld1 = ModelField(3, 0.05)
         fld2 = ModelField(3, 0.05 * (1 + 1e-6))
@@ -494,9 +506,9 @@ class TestSeparatingRegions:
         # and the second call runs the rest of their arcs
         calls = []
 
-        def counted(fld, z0, direction, ctl):
+        def counted(fld, z0, direction, boundary_radius):
             calls.append(len(z0))
-            return landing_lanes(fld, z0, direction, ctl)
+            return landing_lanes(fld, z0, direction, boundary_radius)
 
         monkeypatch.setattr(disk, "landing_lanes", counted)
         rng = np.random.default_rng(600 + samples_per_arc)
@@ -522,12 +534,9 @@ class TestSeparatingRegions:
     def test_unfinished_orbit_raises(self, monkeypatch):
         # an orbit out of steps has neither landed nor crossed the disk: the
         # sample is undecided, not separating, in the code and its oracle
-        def starved(fld, z0, direction, ctl):
-            return landing_lanes(fld, z0, direction, replace(ctl, max_steps=3))
-
         fld = ModelField(3, 0.5 * cmath.exp(0.4j))
         r = 1.5 * fld.scale
-        monkeypatch.setattr(disk, "landing_lanes", starved)
+        monkeypatch.setattr(model, "MARCH_STEPS", 3)
         with pytest.raises(AtBifurcation, match=r"sample at alpha = .* stopped at step_budget"):
             separating_regions(fld, r, samples_per_arc=6)
         ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12), max_steps=3)
@@ -539,9 +548,9 @@ class TestSeparatingRegions:
         # sample of each of the 2k arcs, whatever samples_per_arc is
         calls = []
 
-        def counted(fld, z0, direction, ctl):
+        def counted(fld, z0, direction, boundary_radius):
             calls.append(len(z0))
-            return landing_lanes(fld, z0, direction, ctl)
+            return landing_lanes(fld, z0, direction, boundary_radius)
 
         monkeypatch.setattr(disk, "landing_lanes", counted)
         rng = np.random.default_rng(61)
@@ -583,8 +592,8 @@ class TestSeparatingRegions:
             alphas = np.concatenate([np.linspace(a, b, spa + 2)[1:-1] for a, b in zip(cuts, ends)])
             zs = r * np.exp(1j * alphas)
             inward = (fld.rhs(zs) * np.conj(zs)).real < 0
-            ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
-            index, _ = landing_lanes(fld, zs * (1.0 - 1e-9), np.where(inward, 1, -1), ctl)
+            boundary = r * (1.0 - 1e-12)
+            index, _ = landing_lanes(fld, zs * (1.0 - 1e-9), np.where(inward, 1, -1), boundary)
             for row in (index >= 0).reshape(2 * k, spa):
                 marks = "".join("L" if x else "S" for x in row)
                 assert "S" not in marks.strip("S"), marks

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -196,7 +197,7 @@ def _generic_field(rng, k, log_eps=(-1.0, 0.0), margin=1e-2):
     while True:
         eps = 10 ** rng.uniform(*log_eps) * cmath.exp(2j * math.pi * rng.random())
         fld = ModelField(k, eps)
-        if homoclinic_defect(fld)[0] > margin:
+        if homoclinic_defect(fld) > margin:
             return fld
 
 
@@ -470,7 +471,7 @@ class TestScalarKernel:
                         else:
                             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
                         if lanes:
-                            radii = lane_radii(fld, direction, ctl)
+                            radii = lane_radii(fld, direction, ctl.boundary_radius)
                         else:
                             radii = [capture_radius(fld)] * (k + 1)
                         (got, got_path), (ref, ref_path) = self._both(fld, z0, direction, ctl, radii)
@@ -532,13 +533,14 @@ class TestLandingIndex:
         while n < 240:
             k = int(rng.integers(1, 7))
             fld = _generic_field(rng, k, log_eps=(-1.0, 0.5))
-            ctl = None
+            bound = None
             if n % 4 == 0:  # as separating_regions runs it, inside a boundary circle
-                ctl = IntegratorControls(boundary_radius=fld.scale * rng.uniform(1.2, 2.0))
+                bound = fld.scale * rng.uniform(1.2, 2.0)
             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
             direction = int(rng.choice([1, -1]))
+            ctl = IntegratorControls(boundary_radius=bound)
             expect = integrate(fld, z0, direction, ctl).landed_index
-            index = landing_lanes(fld, z0, direction, ctl)[0][0]
+            index = landing_lanes(fld, z0, direction, bound)[0][0]
             assert index == (-1 if expect is None else expect)
             landed += expect is not None
             n += 1
@@ -690,16 +692,13 @@ class TestChartDisk:
             d = _spacing(fld)
             re_lam = fld.d_rhs(singularities(fld)).real
             for bound in (None, fld.scale * rng.uniform(1.01, 1.5)):
-                ctl = IntegratorControls(boundary_radius=bound)
                 room = math.inf if bound is None else bound - fld.scale
                 chart = chart_radius(k, min(model.CHART_C, room / d)) * d
                 disk = np.maximum(np.minimum(landing_radii(fld), room), chart)
                 for direction in (1, -1):
                     want = np.where(direction * re_lam < 0, disk, capture_radius(fld))
-                    assert np.array_equal(lane_radii(fld, direction, ctl), want)
+                    assert np.array_equal(lane_radii(fld, direction, bound), want)
                     assert np.all(want[direction * re_lam < 0] <= room)
-                rows = lane_radii(fld, np.array([1, -1, 1]), ctl)
-                assert np.array_equal(rows[1], lane_radii(fld, -1, ctl))
 
 
 class TestLandingLanes:
@@ -745,7 +744,7 @@ class TestLandingLanes:
                 zs = r * np.exp(1j * alphas) * (1.0 - 1e-9)
                 direction = np.where((fld.rhs(zs) * np.conj(zs)).real < 0, 1, -1)
                 ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12))
-                index, stops = landing_lanes(fld, zs, direction, ctl)
+                index, stops = landing_lanes(fld, zs, direction, ctl.boundary_radius)
                 for z, d, got, stop in zip(zs.tolist(), direction.tolist(), index.tolist(), stops):
                     landed, want = scalar_landing(fld, z, d, ctl)
                     assert (stop, got) == (want, -1 if landed is None else landed), (fld, r, z)
@@ -1019,7 +1018,7 @@ class TestDSInvariant:
             k = int(rng.integers(1, 7))
             theta = float(rng.uniform(0, TWO_PI))
             fld = ModelField(k, cmath.exp(1j * theta))
-            if homoclinic_defect(fld)[0] < 5e-2:
+            if homoclinic_defect(fld) < 5e-2:
                 continue
             a = ds_invariant(fld)
             b = ds_invariant_integrated(fld)
@@ -1137,6 +1136,32 @@ class TestDSInvariant:
         gon = ds_invariant(fld)
         assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_validate_at_every_abs_eps(self, k):
+        # z = s w maps the field to s^k (w^{k+1} - eps/|eps|): the landings,
+        # and so the integrated invariant, are those of |eps| = 1, with the
+        # marcher's time cap in the field's own time unit
+        gon = ds_invariant(ModelField(k, cmath.exp(0.37j)))
+        for abs_eps in (1e-100, 1e-20, 1e-9, 1e-6, 1e-2, 1e3, 1e6):
+            inv = ds_invariant(ModelField(k, abs_eps * cmath.exp(0.37j)), validate=True)
+            assert (inv.order, inv.attachment) == (gon.order, gon.attachment), abs_eps
+
+    def test_gon_where_the_periods_overflow(self):
+        # at k = 30 and |eps| = 1e-320 the periods scale as |eps|^{-30/31},
+        # past the largest float; the gon of eps/|eps| does not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = ds_invariant(ModelField(30, 1e-320j))
+            unit = ds_invariant(ModelField(30, 1j))
+        assert (tiny.order, tiny.attachment) == (unit.order, unit.attachment)
+
+    def test_lanes_where_the_time_unit_overflows(self):
+        # s^{-k} overflows a float at k = 30 and |eps| = 1e-320: the time
+        # cap is infinite and the orbit stops on a typed error
+        fld = ModelField(30, 1e-320j)
+        with pytest.raises(StepSizeUnderflow):
+            landing_lanes(fld, 1.5 * fld.scale, 1)
+
     def test_validate_below_the_dopri_floor(self):
         # at k = 100 the first step of a separatrix from 1.5 s takes about
         # 7e-20 of time, far below _dopri's floor H_MIN; the marcher's floor
@@ -1168,7 +1193,7 @@ class TestDSInvariant:
         # step ends at least 0.55 times as far from the nearest root as it
         # starts, 0.27 s here, outside every landing disk (radius 0.25 s
         # at most)
-        monkeypatch.setattr(model, "IntegratorControls", lambda: IntegratorControls(max_steps=1))
+        monkeypatch.setattr(model, "MARCH_STEPS", 1)
         with pytest.raises(AtBifurcation) as exc:
             ds_invariant_integrated(ModelField(3, 1.0))
         assert str(exc.value) == "separatrices did not land: " + ", ".join(
