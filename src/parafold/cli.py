@@ -24,7 +24,6 @@ from .model import (
     SeriesOutOfDomain,
     StepSizeUnderflow,
     ds_invariant,
-    separatrices,
     singularities,
 )
 from .normal_forms import NotCanonical, polynomial_nf, rational_nf
@@ -120,15 +119,14 @@ def _write_text(path, text):
 
 
 def cmd_portrait(args):
-    svg = render.portrait_svg(
-        k=args.k, eps=args.eps, radius=args.radius, seed=args.seed, samples=args.samples
-    )
+    # the JSON export holds the separatrices the SVG draws
+    svg, seps = render._portrait(args.k, args.eps, args.radius, args.seed, args.samples)
     _write_text(args.out, svg)
     if args.json_out:
-        fld = ModelField(args.k, args.eps)
+        sing = singularities(ModelField(args.k, args.eps))
         data = {
-            "singularities": [_complex_dict(z) for z in singularities(fld)],
-            "separatrices": [t.to_dict() for t in separatrices(fld)],
+            "singularities": [_complex_dict(z) for z in sing],
+            "separatrices": [t.to_dict() for t in seps],
         }
         _write_text(args.json_out, _dump(data))
     return 0

@@ -545,46 +545,77 @@ class BoundaryArc:
         }
 
 
-def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> list[BoundaryArc]:
-    """Classify the boundary circle into incoming/outgoing/separating arcs.
+#: relative margin of the band certificate of ``separating_regions``: a tip
+#: fits its band, and a sample clears a threshold of the band rule, only by
+#: more than this fraction of the band's height
+BAND_MARGIN = 1e-6
 
-    The 2k exact tangency angles cut the circle into arcs on which the field
-    points strictly inward or outward; each arc is subsampled and the orbit
-    through a sample is run inside the disk to its first exit or landing.
-    Entering orbits that land label their samples ``incoming``, exiting
-    orbits born at a singularity label theirs ``outgoing`` and orbits that
-    cross the disk label ``separating``.
 
-    One ``landing_lanes`` call runs the first and the last sample of every
-    arc.  Where both land, every sample of the arc takes the label of its
-    own direction; a second call runs the other samples of each arc with a
-    separating end.  Why the ends decide: in t = int dz/f every orbit is a
-    horizontal line and each alpha-omega zone a horizontal strip, and the
-    outside of the disk meets a zone as two bumps, one at each of the
-    zone's two ends at infinity.  An entering orbit is a horizontal ray to
-    the right from a point of the left bump (an exiting one, in reversed
-    time, to the left), and it separates only if it meets the zone's other
-    bump.  For convex bumps the heights at which it does form one interval,
-    and that interval ends at the arc's tangency point.  So the separating
-    samples of an arc form a run at each end of it, never a run in the
-    middle.  The arcs are those of running every sample.
+def _band_labels(fld: ModelField, tset: TangencySet, zs, inward, samples_per_arc: int):
+    """The labels of the samples ``zs`` read off the period-gon's bands, or
+    None where the certificate of ``separating_regions`` fails.
 
-    An orbit that crosses the disk stops at ``hit_boundary``.  Any other
-    stop short of a landing (``time_cap``, ``step_budget``, ``escaped``)
-    leaves the sample undecided and raises ``AtBifurcation``, naming its
-    angle and the stop.  ``samples_per_arc`` below 1 raises ``ValueError``.
+    ``tset`` holds the 2k tangencies sorted by angle; the samples of arc
+    n, between tips n and n+1 (mod 2k), are the n-th run of
+    ``samples_per_arc`` in ``zs``, and ``inward`` gives their directions.
     """
-    if samples_per_arc < 1:
-        raise ValueError(f"samples_per_arc must be at least 1, got {samples_per_arc}")
+    k = fld.k
+    n_tips = 2 * k
+    try:
+        tset = tangency_times(tset)
+        y = xi_array(k, fld.epsilon, zs).imag
+    except ValueError:  # eps = 0, or r within rounding of s: left to the orbits
+        return None
+    v = periods(fld).vertices
+    t, ell = tset.t_values, tset.vertex_index
+    depth = (t - v[ell]).imag
+    down = depth < 0
+    if np.count_nonzero(down == np.roll(down, -1)):  # consecutive tips alternate
+        return None
+    # the band of a tip runs from its vertex to the next vertex below it
+    # (a hanging tip) or above it (a standing one); its partner is the tip
+    # at that vertex that points the other way
+    by_height = np.argsort(v.imag)
+    rank = np.empty(k + 1, dtype=int)
+    rank[by_height] = np.arange(k + 1)
+    other_rank = rank[ell] + np.where(down, -1, 1)
+    if np.count_nonzero((other_rank < 0) | (other_rank > k)):  # a band is missing
+        return None
+    other = by_height[other_rank]
+    slot = np.full(2 * (k + 1), -1)
+    slot[2 * ell + down] = np.arange(n_tips)
+    if np.count_nonzero(slot >= 0) != n_tips:  # two tips share a slot
+        return None
+    partner = slot[2 * other + ~down]
+    height = np.abs(v.imag[ell] - v.imag[other])
+    margin = BAND_MARGIN * height
+    if not np.all(np.abs(depth) < height - margin):  # every tip fits its band
+        return None
+    # the tip of a sample is the end of its arc whose depth has its sign
+    n = np.repeat(np.arange(n_tips), samples_per_arc)
+    n1 = (n + 1) % n_tips
+    m = np.where(down[n] == (y < 0), n, n1)
+    p = partner[m]
+    reach = np.abs(y) - (height[m] - np.abs(depth[p]))
+    side = (t[p] - t[m]).real
+    if not np.all(np.abs(reach) > margin[m]):
+        return None
+    reaches = reach > 0
+    if not np.all(np.abs(side[reaches]) > margin[m][reaches]):
+        return None
+    separating = reaches & ((side > 0) == inward)
+    return np.where(separating, "separating", np.where(inward, "incoming", "outgoing")).tolist()
+
+
+def _marched_labels(fld: ModelField, r: float, alphas, zs, inward, samples_per_arc: int):
+    """The labels of the samples ``zs``, at angles ``alphas``, from their
+    landing orbits: one
+    ``landing_lanes`` call on the end samples of every arc, and one on the
+    other samples of each arc with a separating end."""
     boundary = r * (1.0 - 1e-12)
-    cuts = np.sort(tangency_angles(fld.k, fld.epsilon, r).angles)
-    ends = np.append(cuts[1:], cuts[0] + TWO_PI)
-    alphas = [np.linspace(a0, a1, samples_per_arc + 2)[1:-1] for a0, a1 in zip(cuts, ends)]
-    zs = [r * cmath.exp(1j * a) for a in np.concatenate(alphas)]
-    inward = [(fld.rhs(z) * z.conjugate()).real < 0 for z in zs]
     starts = np.array([z * (1.0 - 1e-9) for z in zs])
     sign = np.where(inward, 1, -1)
-    grid = np.arange(len(zs)).reshape(len(cuts), samples_per_arc)
+    grid = np.arange(len(zs)).reshape(-1, samples_per_arc)
     end_samples = grid[:, [0, -1]]
     stops = [Termination.LANDED] * len(zs)
 
@@ -597,16 +628,91 @@ def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> 
     rest = grid[~landed[end_samples].all(axis=1), 1:-1].ravel()
     if rest.size:
         run(rest)
-    for alpha, stop in zip(np.concatenate(alphas).tolist(), stops):
+    for alpha, stop in zip(alphas, stops):
         if stop not in (Termination.LANDED, Termination.HIT_BOUNDARY):
             raise AtBifurcation(
                 f"the orbit of the sample at alpha = {alpha % TWO_PI:.12g} stopped at "
                 f"{stop.value}, neither landed nor crossed the disk"
             )
-    labels = [
+    return [
         ("incoming" if w else "outgoing") if stop is Termination.LANDED else "separating"
         for w, stop in zip(inward, stops)
     ]
+
+
+def separating_regions(fld: ModelField, r: float, samples_per_arc: int = 24) -> list[BoundaryArc]:
+    """Classify the boundary circle into incoming/outgoing/separating arcs.
+
+    The 2k exact tangency angles cut the circle into arcs on which the field
+    points strictly inward or outward; each arc is subsampled, and a sample
+    is labelled by the orbit through it inside the disk.  Entering orbits
+    that land label their samples ``incoming``, exiting orbits born at a
+    singularity label theirs ``outgoing`` and orbits that cross the disk
+    label ``separating``.  Arc ends are the midpoints between samples of
+    different labels.
+
+    In t = int dz/f every orbit is a horizontal line, running to the right
+    in forward time, and each alpha-omega zone is a horizontal strip.  Each
+    tangency point (a tip) z_m has the position t_m (``tangency_times``),
+    vertex v[l_m] of the period-gon and depth d_m = Im xi(z_m): it hangs
+    down from its vertex if d_m < 0 and stands up from it otherwise.  The
+    band of a tip runs from its vertex to the next vertex height below it
+    (hanging) or above it (standing), of height H_m, and its partner m' is
+    the tip at that other vertex pointing the other way.  A sample z on the
+    arc between tips n and n+1 belongs to the one whose depth has the sign
+    of Im xi(z), m, and is ``separating`` if and only if it reaches the
+    partner's bump, |Im xi(z)| >= H_m - |d_m'|, and the partner lies on its
+    side: Re t_m' > Re t_m for an inward sample, which runs right, and <
+    for an outward one, which runs left in reversed time.
+
+    Why it holds where it is certified.  Each arc between two consecutive
+    crossings of the circle by the separatrices through infinity, the
+    zeros of Im xi, holds exactly one tip, so every eyelet bump is
+    horizontally convex.  The bands between consecutive vertex heights
+    split the heights among the k zones.  When every tip fits its band, the
+    only bumps a line in a band can meet are the two at that band's edge
+    vertices.  This holds in the gon and after each wrap round a strip,
+    because the other corner images of a strip lie a whole side-height
+    away.  Near a homoclinic ray, or with r close to |eps|^{1/(k+1)}, a
+    band is thinner than the eyelets: the separatrices then wrap round a
+    strip and come back near infinity, and the rule fails.  So the rule
+    runs only under its certificate: consecutive tips alternate in the sign
+    of their depth, each (vertex, up or down) slot holds one tip, every
+    tip's band exists, every tip fits its band, |d_m| < H_m, and no sample
+    sits within BAND_MARGIN H_m of a threshold of the rule, in height or
+    in the side test.  A certified call runs no orbit.
+
+    Elsewhere the orbits run (``landing_lanes``).  One call runs the first
+    and the last sample of every arc.  Where both land, every sample of the
+    arc takes the label of its own direction; a second call runs the other
+    samples of each arc with a separating end.  Why the ends decide: the
+    outside of the disk meets a zone as two bumps, one at each of the
+    zone's two ends at infinity, and an entering orbit (an exiting one, in
+    reversed time) separates only if it meets the zone's other bump.  For
+    convex bumps the heights at which it does form one interval, and that
+    interval ends at the arc's tangency point.  So the separating samples
+    of an arc form a run at each end of it, never a run in the middle.  An
+    orbit that crosses the disk stops at ``hit_boundary``.  Any other stop
+    short of a landing (``time_cap``, ``step_budget``, ``escaped``) leaves
+    the sample undecided and raises ``AtBifurcation``, naming its angle and
+    the stop.  Both paths give the arcs of running every sample.
+
+    ``samples_per_arc`` below 1 raises ``ValueError``.
+    """
+    if samples_per_arc < 1:
+        raise ValueError(f"samples_per_arc must be at least 1, got {samples_per_arc}")
+    tset = tangency_angles(fld.k, fld.epsilon, r)
+    cuts = tset.angles
+    ends = np.append(cuts[1:], cuts[0] + TWO_PI)
+    alphas = [np.linspace(a0, a1, samples_per_arc + 2)[1:-1] for a0, a1 in zip(cuts, ends)]
+    flat = np.concatenate(alphas).tolist()
+    zs = [r * cmath.exp(1j * a) for a in flat]
+    inward = [(fld.rhs(z) * z.conjugate()).real < 0 for z in zs]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a band that leaves the float range fails the certificate
+        labels = _band_labels(fld, tset, np.array(zs), np.array(inward), samples_per_arc)
+    if labels is None:
+        labels = _marched_labels(fld, r, flat, zs, inward, samples_per_arc)
     arcs = []
     for n, (a0, a1, arc_alphas) in enumerate(zip(cuts, ends, alphas)):
         arc_labels = labels[n * samples_per_arc : (n + 1) * samples_per_arc]

@@ -31,12 +31,13 @@ between two charts that give the orbit in closed form: xi near infinity
 and the Koenigs chart of the landing root.  Each chart segment is one
 vectorised Newton solve, started from a series inverse of its chart that
 is built once per k on first use (``_far_start``, ``_landing_start``).
-Callers that need only where orbits land (``ds_invariant_integrated`` and
-``disk.separating_regions``) call ``landing_lanes``.  It marches each
-orbit in the rectifying coordinate t = int dz/f, where every orbit is a
-horizontal line (``_march``): a step solves t(z_n) = t(z) + dir tau by
-Newton, with steps set by the geometry of the roots rather than by an
-error estimate, about 12 an orbit against about 90 ``_dopri`` attempts.
+Callers that need only where orbits land (``ds_invariant_integrated``, and
+``disk.separating_regions`` where its band certificate fails) call
+``landing_lanes``.  It marches each orbit in the rectifying coordinate
+t = int dz/f, where every orbit is a horizontal line (``_march``): a
+step solves t(z_n) = t(z) + dir tau by Newton, with steps set by the
+geometry of the roots rather than by an error estimate, about 12 an
+orbit against about 90 ``_dopri`` attempts.
 It takes a boundary radius, no ``IntegratorControls`` (``_march``), and
 stops an orbit as soon as it enters the certified disk |z - z_l| <=
 rho_l of a root z_l attracting in its direction (``lane_radii``).  rho_l
@@ -45,9 +46,9 @@ is the larger of two certified radii: the linearization disk of
 homoclinic rays, and the chart disk of ``chart_radius``, rho_k(c) d with
 d the closest root spacing, which does not (0.32 d at k = 1, 0.13 d at
 k = 8).  ``ds_invariant_integrated`` reads the trunk off where the 2k
-separatrices land, in one ``landing_lanes`` call.  ``integrate`` and
-``landing_lanes`` refuse, with ``ValueError``, a start point that is not
-finite or lies within the capture radius.
+separatrices of the field of eps/|eps| land, in one ``landing_lanes``
+call.  ``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a
+start point that is not finite or lies within the capture radius.
 """
 
 from __future__ import annotations
@@ -175,13 +176,19 @@ def periods(fld: ModelField) -> PeriodGon:
     )
 
 
-def _unit_periods(fld: ModelField) -> PeriodGon:
-    """The period-gon of eps/|eps|.  z = s w, s = |eps|^{1/(k+1)}, maps the
-    field to s^k (w^{k+1} - eps/|eps|), so the gon of eps is s^{-k} times
-    this one: the same normalised heights, at any |eps| a float holds."""
+def _unit_field(fld: ModelField) -> ModelField:
+    """The field of eps/|eps|.  z = s w, s = |eps|^{1/(k+1)}, maps the field
+    to s^k (w^{k+1} - eps/|eps|): orbits to orbits, each root to the root
+    of its index, and the gon of eps to s^k times the gon of eps/|eps|."""
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
-    return periods(ModelField(fld.k, fld.epsilon / abs(fld.epsilon)))
+    return ModelField(fld.k, fld.epsilon / abs(fld.epsilon))
+
+
+def _unit_periods(fld: ModelField) -> PeriodGon:
+    """The period-gon of eps/|eps| (``_unit_field``): the same normalised
+    heights as the gon of eps, at any |eps| a float holds."""
+    return periods(_unit_field(fld))
 
 
 def homoclinic_defect(fld: ModelField, gon: PeriodGon | None = None) -> float:
@@ -775,46 +782,66 @@ def _landing_start(k: int) -> TruncatedSeries:
     return delta * exp.compose(log_g).shift_up(1).reversion().scale_argument(1.0 / delta)
 
 
-def _far_segment(fld: ModelField, js, time_cap: float):
-    """Points of the separatrices ``js`` on their exact curves, from the
-    launch circle at 0.995 times the escape radius down to |z| = 1.5 s:
-    ``(points, times)``, one row per separatrix.
+def _far_ends(fld: ModelField, js):
+    """The rows of the separatrices ``js`` at their two end circles, the
+    launch circle at 0.995 times the escape radius and |z| = 1.5 s:
+    ``(ang, sign, tau)``, one row per separatrix.
 
     In xi (``xi_array``), which vanishes at infinity and advances by 1 per
-    unit of time, separatrix j is the half-line dir * xi = tau > 0, dir its
-    integration direction (-1 for even j), leaving infinity along arg z =
-    pi j/k.  Each row takes the real tau of dir * xi at its two end
-    circles, on the direction of the row, and a shared geometric grid
-    between them with a ratio of at most FAR_RATIO^k (|xi| ~ |z|^-k/k);
-    Newton z <- z - (xi(z) - dir tau) f(z) solves all rows at once.  It
-    starts from z_g / S_k(eps / z_g^{k+1}) (``_far_start``), with z_g the
-    root of the leading term xi ~ -1/(k z^k) on the row's direction; on the
-    far grid |eps / z_g^{k+1}| <= 1.5^-(k+1), so the start is exact to
-    rounding and the solve ends after its second sweep.  A row whose time
-    from the launch would pass ``time_cap`` ends at that time.  Where xi or
+    unit of time, separatrix j is the half-line sign * xi = tau > 0, sign
+    its integration direction (-1 for even j), leaving infinity along arg z
+    = pi j/k, the direction ``ang``.  Each row takes the real tau of sign *
+    xi at its two end circles, on the direction of the row.  Where xi or
     the field overflows on the launch circle it raises
     ``SeriesOutOfDomain``.
     """
-    k, eps = fld.k, fld.epsilon
+    k = fld.k
     js = np.asarray(js)
     ang = np.exp(1j * separatrix_directions(k)[js])[:, None]
     sign = np.where(js % 2 == 0, -1.0, 1.0)[:, None]
     ends = ang * [0.995 * escape_radius(fld), 1.5 * fld.scale]
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = sign * xi_array(k, eps, ends).real
+        tau = sign * xi_array(k, fld.epsilon, ends).real
         if not (np.isfinite(ends[:, 0] ** (k + 1)).all() and (tau > 0).all()):
             raise SeriesOutOfDomain(f"xi overflows on the launch circle at k = {k}")
-    tau[:, 1] = np.minimum(tau[:, 1], tau[:, 0] + time_cap)
-    n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (k * math.log(FAR_RATIO)))
-    tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
+    return ang, sign, tau
+
+
+def _far_points(fld: ModelField, ang, sign, tau):
+    """The points sign * xi = tau of the rows of ``_far_ends``, one column
+    per time of ``tau``.
+
+    Newton z <- z - (xi(z) - sign tau) f(z) solves all points at once.  It
+    starts from z_g / S_k(eps / z_g^{k+1}) (``_far_start``), with z_g the
+    root of the leading term xi ~ -1/(k z^k) on the row's direction; from
+    |z| = 1.5 s out |eps / z_g^{k+1}| <= 1.5^-(k+1), so the start is exact
+    to rounding and the solve ends after its second sweep.
+    """
+    k, eps = fld.k, fld.epsilon
     target = sign * tau
     z = ang * (k * tau) ** (-1.0 / k)
-    z = _newton(
+    return _newton(
         z / _far_start(k)(eps / z ** (k + 1)),
         lambda z: (xi_array(k, eps, z) - target) * (z ** (k + 1) - eps),
         "far segment",
     )
-    return z, tau - tau[:, :1]
+
+
+def _far_segment(fld: ModelField, js, time_cap: float):
+    """Points of the separatrices ``js`` on their exact curves, from the
+    launch circle at 0.995 times the escape radius down to |z| = 1.5 s:
+    ``(points, times)``, one row per separatrix.
+
+    Each row runs from its tau at the launch circle to its tau at 1.5 s
+    (``_far_ends``), on a shared geometric grid with a ratio of at most
+    FAR_RATIO^k (|xi| ~ |z|^-k/k), solved by ``_far_points``.  A row whose
+    time from the launch would pass ``time_cap`` ends at that time.
+    """
+    ang, sign, tau = _far_ends(fld, js)
+    tau[:, 1] = np.minimum(tau[:, 1], tau[:, 0] + time_cap)
+    n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (fld.k * math.log(FAR_RATIO)))
+    tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
+    return _far_points(fld, ang, sign, tau), tau - tau[:, :1]
 
 
 def _landing_segments(fld: ModelField, entries, time_cap: float):
@@ -1065,17 +1092,21 @@ def ds_invariant_integrated(fld: ModelField) -> DSInvariant:
     land(0), where the separatrix with asymptotic direction arg z = 0 lands
     in reversed time.
 
-    All 2k orbits start where ``separatrices`` starts its transits, at the
-    last points of their far segments (|z| = 1.5 |eps|^{1/(k+1)}), in one
-    ``landing_lanes`` call.  ``AtBifurcation`` names each separatrix that
+    The separatrices land on the field of eps/|eps| (``_unit_field``),
+    whose landings are those of eps at any |eps| a float holds.  All 2k
+    orbits start where ``separatrices`` starts its transits, at the inner
+    ends of their far segments (|z| = 1.5 s, ``_far_ends``), solved on
+    their own (``_far_points``), in one ``landing_lanes`` call.  ``AtBifurcation`` names each separatrix that
     did not land with its stop, or the landings if their pairs do not form
     a path.  Once they do, each edge is named exactly twice: the pairs form
     a closed walk, which crosses each edge of a path an even number of
     times, and 2k crossings over k edges leave two for each.
     """
+    unit = _unit_field(fld)
     js = range(2 * fld.k)
-    far = _far_segment(fld, js, math.inf)[0][:, -1]
-    index, stop = landing_lanes(fld, far, [1 if j % 2 else -1 for j in js])
+    ang, sign, tau = _far_ends(unit, js)
+    far = _far_points(unit, ang, sign, tau[:, 1:])[:, 0]
+    index, stop = landing_lanes(unit, far, [1 if j % 2 else -1 for j in js])
     lost = [f"{j} ({s.value})" for j, s in zip(js, stop) if s is not Termination.LANDED]
     if lost:
         raise AtBifurcation(f"separatrices did not land: {', '.join(lost)}")

@@ -29,6 +29,11 @@ from .svgfig import SvgCanvas
 def portrait_svg(k: int, eps: complex, radius: float = 1.5, seed: int = 0, samples: int = 40,
                  size: int = 800) -> str:
     """Phase portrait: singular points, the 2k separatrices, random orbits."""
+    return _portrait(k, eps, radius, seed, samples, size)[0]
+
+
+def _portrait(k, eps, radius, seed, samples, size=800):
+    """``portrait_svg`` and the separatrices it draws: ``(svg, separatrices)``."""
     fld = ModelField(k, eps)
     canvas = SvgCanvas(size=size, window=(-radius, radius, -radius, radius))
     rng = np.random.default_rng(seed)
@@ -41,14 +46,15 @@ def portrait_svg(k: int, eps: complex, radius: float = 1.5, seed: int = 0, sampl
         for direction in (1, -1):
             traj = integrate(fld, z0, direction, ctl)
             canvas.polyline(traj.points, stroke=svgfig.COLOR_GENERIC, width=0.8, cls="orbit")
-    for traj in separatrices(fld, controls=ctl):
+    seps = separatrices(fld, controls=ctl)
+    for traj in seps:
         color = svgfig.COLOR_OUTGOING if traj.orientation == "outgoing" else svgfig.COLOR_INCOMING
         canvas.polyline(
             traj.points, stroke=color, width=1.6, cls=f"separatrix-{traj.orientation[:3]}"
         )
     for z in sing:
         canvas.dot(z, radius_px=5.0, cls="singularity")
-    return canvas.tostring()
+    return canvas.tostring(), seps
 
 
 def star_svg(k: int, eps: complex, r: float, size: int = 800) -> str:

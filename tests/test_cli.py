@@ -281,6 +281,26 @@ class TestPortrait:
         assert all(t["termination"].startswith("landed:") for t in data["separatrices"])
         assert all(len(p) == 2 for t in data["separatrices"] for p in t["points"])
 
+    def test_json_holds_the_drawn_separatrices(self, tmp_path):
+        # the JSON export and the SVG come from one separatrices call, with
+        # the portrait's controls: each exported separatrix has the point
+        # count of its polyline
+        out = tmp_path / "p.svg"
+        jout = tmp_path / "p.json"
+        res = run_cli(
+            ["portrait", "--k", "2", "--eps", "0.5+0.2i", "--samples", "2",
+             "--out", str(out), "--json-out", str(jout)]
+        )
+        assert res.returncode == 0
+        drawn = [
+            len(line.split('points="')[1].split('"')[0].split())
+            for line in out.read_text().splitlines()
+            if 'class="separatrix-' in line
+        ]
+        exported = [len(t["points"]) for t in json.loads(jout.read_text())["separatrices"]]
+        assert exported == drawn
+        assert len(drawn) == 4
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from parafold.model import (
     AtBifurcation,
     IntegratorControls,
     ModelField,
+    StepSizeUnderflow,
     bifurcation_angles,
     landing_lanes,
     periods,
@@ -500,10 +501,11 @@ class TestSeparatingRegions:
 
     @pytest.mark.parametrize("samples_per_arc", [6, 8, 24])
     def test_matches_scalar_oracle(self, monkeypatch, samples_per_arc):
-        # the arc-end lane calls against every sample classified on its own
-        # by the scalar kernel: the same arcs, bit for bit, for k 1..8; k 8
-        # and a circle at 1.05 s close to a ray, where end samples separate
-        # and the second call runs the rest of their arcs
+        # the band labels and the arc-end lane calls against every sample
+        # classified on its own by the scalar kernel: the same arcs, bit for
+        # bit, for k 1..8; near a ray and on a circle at 1.05 s the
+        # certificate fails, the arc-end call runs, end samples separate and
+        # the second call runs the rest of their arcs
         calls = []
 
         def counted(fld, z0, direction, boundary_radius):
@@ -513,7 +515,7 @@ class TestSeparatingRegions:
         monkeypatch.setattr(disk, "landing_lanes", counted)
         rng = np.random.default_rng(600 + samples_per_arc)
         labels = set()
-        fallbacks = 0
+        banded = marched = fallbacks = 0
         cases = [(k, k % 2, 1.2, 2.0) for k in range(1, 8)] + [(8, 1, 1.2, 2.0), (3, 1, 1.05, 1.05)]
         for k, near, lo, hi in cases:
             # near a homoclinic ray separating arcs open
@@ -526,15 +528,21 @@ class TestSeparatingRegions:
             got = [(a.alpha_start, a.alpha_end, a.label) for a in arcs]
             assert got == scalar_separating_regions(fld, r, samples_per_arc)
             labels.update(label for _, _, label in got)
-            assert calls[0] == 4 * k and len(calls) <= 2
-            fallbacks += len(calls) == 2
+            if not calls:  # certified: read off the bands
+                banded += 1
+            else:
+                assert calls[0] == 4 * k and len(calls) <= 2
+                marched += 1
+                fallbacks += len(calls) == 2
         assert labels == {"incoming", "outgoing", "separating"}
-        assert fallbacks >= 3
+        assert banded and marched
+        assert fallbacks >= 2
 
     def test_unfinished_orbit_raises(self, monkeypatch):
         # an orbit out of steps has neither landed nor crossed the disk: the
-        # sample is undecided, not separating, in the code and its oracle
-        fld = ModelField(3, 0.5 * cmath.exp(0.4j))
+        # sample is undecided, not separating, in the code and its oracle;
+        # 0.05 from ray 0 the band certificate fails and the orbits run
+        fld = ModelField(3, 0.5 * cmath.exp(0.05j))
         r = 1.5 * fld.scale
         monkeypatch.setattr(model, "MARCH_STEPS", 3)
         with pytest.raises(AtBifurcation, match=r"sample at alpha = .* stopped at step_budget"):
@@ -543,9 +551,44 @@ class TestSeparatingRegions:
         with pytest.raises(AtBifurcation, match="stopped at step_budget"):
             classify_point(fld, r, 0.1, ctl)
 
-    def test_two_samples_per_arc_at_generic_eps(self, monkeypatch):
-        # where no sample separates, one call runs the first and the last
-        # sample of each of the 2k arcs, whatever samples_per_arc is
+    def test_no_landing_call_at_generic_eps(self, monkeypatch):
+        # midway between two rays every tip fits its band: the labels are
+        # read off the bands, whatever samples_per_arc is, and no orbit runs
+        def refuse(*args):
+            raise AssertionError("separating_regions ran a landing orbit")
+
+        monkeypatch.setattr(disk, "landing_lanes", refuse)
+        rng = np.random.default_rng(61)
+        for k in range(1, 8):
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + 0.5 * math.pi / k
+            fld = ModelField(k, rng.uniform(0.3, 1.0) * cmath.exp(1j * theta))
+            arcs = separating_regions(fld, 1.5 * fld.scale, samples_per_arc=24)
+            assert len(arcs) == 2 * k
+            assert {a.label for a in arcs} == {"incoming", "outgoing"}
+
+    def test_bands_outside_the_float_range(self):
+        # at k = 30 and |eps| = 1e-320 the gon overflows a float: the
+        # certificate fails without a warning, and the orbits run into the
+        # marcher's typed error, as they did before the bands
+        fld = ModelField(30, 1e-320j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeUnderflow):
+                separating_regions(fld, 1.8 * fld.scale, 8)
+
+    def test_bands_match_the_marcher(self, monkeypatch):
+        # seeded fields from 1e-5 to 0.98 of the gap from a ray, on either
+        # side, |eps| in 10^[-1.5, 0.5], r/s in [1.02, 3]: where the
+        # certificate holds, the band labels give the arcs of the landing
+        # orbits, bit for bit; near the rays the certificate fails
+        rng = np.random.default_rng(63)
+        cases = []
+        for _ in range(60):
+            k = int(rng.integers(1, 9))
+            offset = 10 ** rng.uniform(-5, math.log10(0.98)) * rng.choice([-1, 1])
+            theta = bifurcation_angles(k)[rng.integers(2 * k)] + offset * math.pi / k
+            fld = ModelField(k, 10 ** rng.uniform(-1.5, 0.5) * cmath.exp(1j * theta))
+            cases.append((fld, fld.scale * rng.uniform(1.02, 3.0), int(rng.choice([1, 2, 6, 8, 24]))))
         calls = []
 
         def counted(fld, z0, direction, boundary_radius):
@@ -553,15 +596,16 @@ class TestSeparatingRegions:
             return landing_lanes(fld, z0, direction, boundary_radius)
 
         monkeypatch.setattr(disk, "landing_lanes", counted)
-        rng = np.random.default_rng(61)
-        for k in range(1, 8):
-            theta = bifurcation_angles(k)[rng.integers(2 * k)] + 0.5 * math.pi / k
-            fld = ModelField(k, rng.uniform(0.3, 1.0) * cmath.exp(1j * theta))
+        banded = []
+        for fld, r, spa in cases:
             calls.clear()
-            arcs = separating_regions(fld, 1.5 * fld.scale, samples_per_arc=24)
-            assert calls == [4 * k]
-            assert len(arcs) == 2 * k
-            assert {a.label for a in arcs} == {"incoming", "outgoing"}
+            arcs = separating_regions(fld, r, spa)
+            if not calls:
+                banded.append((fld, r, spa, arcs))
+        monkeypatch.setattr(disk, "_band_labels", lambda *args: None)
+        for fld, r, spa, arcs in banded:
+            assert arcs == separating_regions(fld, r, spa), (fld, r, spa)
+        assert 15 <= len(banded) <= len(cases) - 15
 
     @pytest.mark.parametrize("samples_per_arc", [0, -1])
     def test_rejects_fewer_than_one_sample(self, monkeypatch, samples_per_arc):

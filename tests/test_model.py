@@ -851,6 +851,17 @@ class TestSeparatrices:
                     assert stop is Termination.TIME_CAP
                     assert abs(path[0][-1] - far[j, m]) <= 1e-10 * abs(far[j, m]), (k, eps, j, m)
 
+    def test_inner_ends_solved_alone(self):
+        # ds_invariant_integrated solves only the inner end circle: the
+        # points of the far grid's last column, to rounding
+        for k, eps in self.CHART_CASES:
+            fld = ModelField(k, eps)
+            js = np.arange(2 * k)
+            ang, sign, tau = model._far_ends(fld, js)
+            inner = model._far_points(fld, ang, sign, tau[:, 1:])[:, 0]
+            grid = model._far_segment(fld, js, math.inf)[0][:, -1]
+            assert np.abs(inner / grid - 1).max() < 1e-14, (k, eps)
+
     def test_landing_segment_follows_the_orbit(self):
         # from the point where the transit entered the landing disk, the
         # chart points are where an integrated orbit is at their times
@@ -1154,6 +1165,13 @@ class TestDSInvariant:
             tiny = ds_invariant(ModelField(30, 1e-320j))
             unit = ds_invariant(ModelField(30, 1j))
         assert (tiny.order, tiny.attachment) == (unit.order, unit.attachment)
+
+    def test_validate_where_the_periods_overflow(self):
+        # the separatrices land on the field of eps/|eps|, so at k = 30 and
+        # |eps| = 1e-320 xi does not overflow on the launch circle
+        inv = ds_invariant(ModelField(30, 1e-320j), validate=True)
+        unit = ds_invariant(ModelField(30, 1j))
+        assert (inv.order, inv.attachment) == (unit.order, unit.attachment)
 
     def test_lanes_where_the_time_unit_overflows(self):
         # s^{-k} overflows a float at k = 30 and |eps| = 1e-320: the time
