@@ -1,54 +1,43 @@
 """Geometry and dynamics of the model field z' = z^{k+1} - eps on the sphere.
 
 The module computes the exact combinatorial-geometric data (singularities,
-periods, period-gon, homoclinic angles, zig-zag invariant) and provides an
-adaptive complex-plane integrator for trajectories and separatrices, so every
-combinatorial answer can be cross-checked dynamically.  The Douady-Sentenac
-invariant, trunk and attachment, is read off the period-gon alone; its
-integrated counterpart ``ds_invariant_integrated`` is the oracle.
+periods, period-gon, homoclinic angles, zig-zag invariant) and follows
+trajectories and separatrices, so every combinatorial answer can be
+cross-checked dynamically.  The Douady-Sentenac invariant, trunk and
+attachment, is read off the period-gon alone; its integrated counterpart
+``ds_invariant_integrated`` is the oracle.
 
-Two kernels step orbits.  ``_dopri``, the one Dormand-Prince 5(4)
-kernel, steps every orbit whose points are kept.  It steps one orbit,
-which carries a row of k+1 landing radii; it tests the stops in the
-order of ``Termination`` (landed, hit_boundary, escaped, time_cap,
-step_budget) and raises ``StepSizeUnderflow`` below the step ``H_MIN``.
-A step reuses the last stage of an accepted step as the first of the
-next, so it costs six field evaluations; ``Trajectory`` counts accepted
-and rejected steps and the smallest accepted step.  The step writes the
-field out in each stage, carries |z| from step to step so that one
-``abs(z5)`` serves the error norm and the boundary and escape stops, and
-compares where it would call ``min`` and ``max``, with their NaN choices.
-It tests for a landing only when ||z| - s| <= r_max + 1e-12 (|z| + s),
-with s = |eps|^{1/(k+1)} and r_max the largest radius: |z - z_l| >=
-||z| - |z_l|| and |z_l| is s to a few ulps, so no disk is missed.  Both
-kernels land z at the root z_l nearest in angle if |z - z_l| <= radii[l]:
-each radius is below half the closest root spacing, so no other disk can
-hold z.  Every sum keeps its order, so the steps are bit for bit those
-of the plain loop.  ``integrate`` follows an orbit down to the capture
-radius 1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``) of a root.
-``separatrices`` (and so ``render.portrait_svg``) steps ``_dopri`` only
-between two charts that give the orbit in closed form: xi near infinity
-and the Koenigs chart of the landing root.  Each chart segment is one
-vectorised Newton solve, started from a series inverse of its chart that
-is built once per k on first use (``_far_start``, ``_landing_start``).
+One kernel steps orbits, ``_march``.  It marches an orbit in the
+rectifying coordinate t = int dz/f, where every orbit is a horizontal
+line: a step solves t(z_n) = t(z) + dir tau by Newton, with steps set by
+the geometry of the roots rather than by an error estimate.  It tests the
+stops in the order of ``Termination`` (landed, hit_boundary, escaped,
+time_cap, step_budget), and stops an orbit as soon as it enters the
+certified disk |z - z_l| <= rho_l of a root z_l attracting in its
+direction (``lane_radii``).  rho_l is the larger of two certified radii:
+the linearization disk of ``landing_radii``, which shrinks with |Re
+lambda_l|/|lambda_l| near the homoclinic rays, and the chart disk of
+``chart_radius``, rho_k(c) d with d the closest root spacing, which does
+not (0.32 d at k = 1, 0.13 d at k = 8).  z lands at the root z_l nearest
+in angle if |z - z_l| <= radii[l]: each radius is below half the closest
+root spacing, so no other disk can hold z.
+
 Callers that need only where orbits land (``ds_invariant_integrated``, and
 ``disk.separating_regions`` where its band certificate fails) call
-``landing_lanes``.  It marches each orbit in the rectifying coordinate
-t = int dz/f, where every orbit is a horizontal line (``_march``): a
-step solves t(z_n) = t(z) + dir tau by Newton, with steps set by the
-geometry of the roots rather than by an error estimate, about 12 an
-orbit against about 90 ``_dopri`` attempts.
-It takes a boundary radius, no ``IntegratorControls`` (``_march``), and
-stops an orbit as soon as it enters the certified disk |z - z_l| <=
-rho_l of a root z_l attracting in its direction (``lane_radii``).  rho_l
-is the larger of two certified radii: the linearization disk of
-``landing_radii``, which shrinks with |Re lambda_l|/|lambda_l| near the
-homoclinic rays, and the chart disk of ``chart_radius``, rho_k(c) d with
-d the closest root spacing, which does not (0.32 d at k = 1, 0.13 d at
-k = 8).  ``ds_invariant_integrated`` reads the trunk off where the 2k
-separatrices of the field of eps/|eps| land, in one ``landing_lanes``
-call.  ``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a
-start point that is not finite or lies within the capture radius.
+``landing_lanes``, which keeps no points.  A drawn orbit keeps the points
+of its steps, with ``IntegratorControls.sag`` the most an arc may bend
+away from its chord, and ends on the exact orbit in the Koenigs chart of
+its landing root (``_landing_segments``), down to half the capture radius
+1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``): ``integrate`` marches
+from its start, and ``separatrices`` (and so ``render.portrait_svg``)
+from the end of a far segment on the exact curve in xi near infinity.
+Each chart segment is one vectorised Newton solve, started from a series
+inverse of its chart that is built once per k on first use
+(``_far_start``, ``_landing_start``).  ``ds_invariant_integrated`` reads
+the trunk off where the 2k separatrices of the field of eps/|eps| land,
+in one ``landing_lanes`` call.  ``integrate`` and ``landing_lanes``
+refuse, with ``ValueError``, a start point that is not finite or lies
+within the capture radius.
 """
 
 from __future__ import annotations
@@ -75,7 +64,8 @@ class AtBifurcation(RuntimeError):
 
 
 class StepSizeUnderflow(RuntimeError):
-    """The adaptive integrator could not meet the tolerance."""
+    """A marching step fell below its floor or met a field that overflows a
+    float, or a chart solve did not converge."""
 
 
 class PathThroughSingularity(ValueError):
@@ -223,8 +213,7 @@ def is_homoclinic(fld: ModelField, tol: float = 1e-9):
 
 
 class Termination(str, Enum):
-    """Why an orbit stopped, in the order ``_dopri`` and ``_march`` test
-    the stops."""
+    """Why an orbit stopped, in the order ``_march`` tests the stops."""
 
     LANDED = "landed"
     HIT_BOUNDARY = "hit_boundary"
@@ -235,7 +224,13 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    rtol: float = 1e-10
+    """The stops and the drawing bound of ``integrate`` and ``separatrices``.
+
+    ``sag`` is the most an arc may bend away from the chord between two
+    kept points, or None for the geometric steps of ``_march`` alone.
+    """
+
+    sag: float | None = None
     boundary_radius: float | None = None  # e.g. the disk radius r, if restricted
     time_cap: float = 1e4
     max_steps: int = 200_000
@@ -253,12 +248,12 @@ def escape_radius(fld: ModelField) -> float:
 
 @dataclass
 class Trajectory:
-    """An integrated orbit and why it stopped.
+    """An orbit and why it stopped.
 
-    ``n_accepted`` and ``n_rejected`` count the kernel's steps (one point
-    per accepted step; a separatrix adds the points of its two chart
-    segments, see ``separatrices``) and ``h_min_seen`` is the smallest
-    accepted step.
+    ``n_accepted`` counts the steps ``_march`` kept, one point each (the
+    chart points of the landing segment, and the far points of a
+    separatrix, come on top), ``n_rejected`` its halved attempts, and
+    ``h_min_seen`` is the smallest time tau of a kept step.
     """
 
     points: np.ndarray
@@ -280,118 +275,6 @@ class Trajectory:
         }
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I, II.5)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-# 5th-order weights; they are also the last row of A, so the 7th stage is the
-# field at the new point and opens the next step (first same as last)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# embedded 4th-order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
-)
-# absolute error tolerance, largest first step, largest and smallest step of
-# the kernel
-ATOL, H_INIT, H_MAX, H_MIN = 1e-13, 1e-3, 1.0, 1e-14
-
-
-def _dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
-    """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires.
-
-    ``radii`` holds a landing radius per singular point, for the landing
-    rule of the module docstring.  The field is
-    direction-free and the step is ``h * direction``; negation is exact, and
-    z4 and z5 are formed as in the plain tableau loop (not from the weight
-    differences), so the steps equal that loop's bit for bit.  Accepted
-    points and times are appended to ``path = (points, times)`` when given.
-    The orbit starts at time ``t``, and with the step ``h`` when given (a
-    separatrix transit starts where its far segment ends).  It makes at most
-    ``ctl.max_steps`` attempts, accepted or rejected.  Returns
-    ``(termination, landed_index, n_accepted, n_rejected, h_min_seen)``.
-    The field carries an overflow guard: absurd trial stages force a step
-    rejection.  The module docstring gives the landing band.
-    """
-    k1 = fld.k + 1
-    eps = fld.epsilon
-    z_big = 1e120 ** (1.0 / k1)
-    big = complex(1e120)
-    sing = singularities(fld).tolist()
-    arc, offset = TWO_PI / k1, fld.theta() / k1
-    s = fld.scale
-    r_max = max(radii)
-    rtol, h_min = ctl.rtol, H_MIN
-    time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
-    if path is not None:
-        add_z, add_t = path[0].append, path[1].append
-    z = complex(z0)
-    az = abs(z)
-    p1 = big if az > z_big else z**k1 - eps
-    if h is None:
-        h = min(H_INIT, 1e-2 / (1.0 + abs(p1)))
-    n_acc = n_rej = 0
-    h_seen = math.inf
-    stop = Termination.STEP_BUDGET
-    landed = None
-    for _ in range(ctl.max_steps):
-        if h < h_min:
-            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
-        if H_MAX < h:
-            h = H_MAX
-        if time_cap - t < h:
-            h = time_cap - t
-        hd = h * direction
-        w = z + hd * (_A21 * p1)
-        p2 = big if abs(w) > z_big else w**k1 - eps
-        w = z + hd * (_A31 * p1 + _A32 * p2)
-        p3 = big if abs(w) > z_big else w**k1 - eps
-        w = z + hd * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-        p4 = big if abs(w) > z_big else w**k1 - eps
-        w = z + hd * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-        p5 = big if abs(w) > z_big else w**k1 - eps
-        w = z + hd * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-        p6 = big if abs(w) > z_big else w**k1 - eps
-        z5 = z + hd * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-        az5 = abs(z5)
-        p7 = big if az5 > z_big else z5**k1 - eps
-        z4 = z + hd * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
-        err = abs(z5 - z4) / (ATOL + rtol * (az5 if az5 > az else az))
-        if err <= 1.0:
-            t += h
-            z = z5
-            az = az5
-            p1 = p7
-            n_acc += 1
-            if h < h_seen:
-                h_seen = h
-            if path is not None:
-                add_z(z)
-                add_t(t)
-            if abs(az - s) <= r_max + 1e-12 * (az + s):
-                ell = round((cmath.phase(z) - offset) / arc) % k1
-                if abs(z - sing[ell]) <= radii[ell]:
-                    landed, stop = ell, Termination.LANDED
-                    break
-            if boundary is not None and az >= boundary:
-                stop = Termination.HIT_BOUNDARY
-                break
-            if az >= escape:
-                stop = Termination.ESCAPED
-                break
-            if t >= time_cap:
-                stop = Termination.TIME_CAP
-                break
-        else:
-            n_rej += 1
-        factor = 0.9 * (err + 1e-300) ** -0.2
-        if not factor > 0.2:
-            factor = 0.2
-        h *= factor if factor < 5.0 else 5.0
-    return stop, landed, n_acc, n_rej, h_seen
-
-
 def _check_start(fld: ModelField, z0):
     """Refuse a start point (or array of them) that is not finite or that
     lies within the capture radius of a singular point."""
@@ -410,28 +293,39 @@ def integrate(
     direction: int = 1,
     controls: IntegratorControls | None = None,
 ) -> Trajectory:
-    """Adaptive RK5(4) integration of z' = z^{k+1} - eps until a stop fires.
+    """The orbit of z0 under z' = z^{k+1} - eps until a stop fires.
 
-    ``direction = -1`` integrates in reversed time.  Times are the
-    (positive, increasing) integration parameter.  The trajectory lands
-    once it comes within the capture radius of a singular point.
+    ``direction = -1`` follows it in reversed time.  Times are the
+    (positive, increasing) time along the orbit.  ``_march`` keeps its
+    points until the orbit enters the landing disk (``lane_radii``) of a
+    root that attracts in its direction; ``_landing_segments`` then gives
+    the rest of the orbit in the Koenigs chart of that root, down to |u_l|
+    = capture radius/2, so the trajectory lands within the capture radius
+    of the root.  ``controls.sag`` bounds the bend of every arc between two
+    points, marched or charted.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     _check_start(fld, z0)
     ctl = controls or IntegratorControls()
-    radii = [capture_radius(fld)] * (fld.k + 1)
-    zs = [complex(z0)]
-    ts = [0.0]
-    termination, landed, n_acc, n_rej, h_seen = _dopri(fld, z0, direction, ctl, radii, (zs, ts))
+    zs, ts = [complex(z0)], [0.0]
+    radii = lane_radii(fld, direction, ctl.boundary_radius).tolist()
+    stop, landed, n_acc, n_rej, tau_min = _march(fld, z0, direction, radii, ctl, (zs, ts))
+    points, times = np.array(zs), np.array(ts)
+    if stop is Termination.LANDED:
+        entry = (zs[-1], ts[-1], landed, direction)
+        ((chart, chart_t, stop),) = _landing_segments(fld, [entry], ctl.time_cap, ctl.sag)
+        points, times = np.append(points, chart), np.append(times, chart_t)
+        if stop is not Termination.LANDED:
+            landed = None
     return Trajectory(
-        points=np.array(zs),
-        times=np.array(ts),
-        termination=termination,
+        points=points,
+        times=times,
+        termination=stop,
         landed_index=landed,
         n_accepted=n_acc,
         n_rejected=n_rej,
-        h_min_seen=h_seen,
+        h_min_seen=tau_min,
     )
 
 
@@ -563,11 +457,14 @@ _GAUSS = (
 # A marching step aims its chord at MARCH_ROOT times the distance to the
 # nearest root, and at most MARCH_TURN over |f'/f| (the orbit turns by at
 # most that angle); it accepts a chord up to MARCH_ROOT_MAX (< 1/2) times
-# that distance.  Newton stops once a correction is below MARCH_TOL of
+# that distance.  Under a sag bound it aims the bend of its arc at
+# MARCH_SAG times the bound, so that the bend at the far end of the step
+# rarely rejects it.  Newton stops once a correction is below MARCH_TOL of
 # the chord and gives up after MARCH_SWEEPS sweeps; a step halved below
 # MARCH_FLOOR of its nominal time raises ``StepSizeUnderflow``.  An orbit
-# stops after MARCH_STEPS attempts or MARCH_TIME_CAP in its own time unit.
-MARCH_ROOT, MARCH_ROOT_MAX, MARCH_TURN = 0.35, 0.45, 1.0
+# of ``landing_lanes`` stops after MARCH_STEPS attempts or MARCH_TIME_CAP
+# in its own time unit.
+MARCH_ROOT, MARCH_ROOT_MAX, MARCH_TURN, MARCH_SAG = 0.35, 0.45, 1.0, 0.8
 MARCH_TOL, MARCH_SWEEPS, MARCH_FLOOR = 1e-6, 8, 1e-9
 MARCH_TIME_CAP, MARCH_STEPS = 1e4, 200_000
 
@@ -591,9 +488,11 @@ def _chord_newton(z, zn, h, k1, eps):
     return None
 
 
-def _march(fld, z0, direction, boundary, radii):
+def _march(fld, z0, direction, radii, ctl, path=None, t=0.0):
     """March the orbit of z0 in the rectifying coordinate t = int dz/f
-    until a stop fires: ``(termination, landed_index)``.
+    until a stop fires: ``(termination, landed_index, n_accepted,
+    n_rejected, tau_min)``, with the kept steps, the halved attempts and
+    the smallest kept step time.
 
     In t the orbit is the horizontal line t(z0) + direction tau, tau >= 0.
     A step of time tau solves Delta t(z -> z_n) = direction tau by Newton,
@@ -604,39 +503,53 @@ def _march(fld, z0, direction, boundary, radii):
     a chord of at most MARCH_ROOT_MAX < 1/2 times the distance from z to
     the nearest root ensures.  The nominal step aims the predicted chord
     at MARCH_ROOT times that distance and at most MARCH_TURN / |f'/f|, so
-    the rule stays at rounding level at any k.  With a ``boundary`` radius
-    R the chord is also at most about sqrt(R (R - |z|)), and a step is
-    rejected where the arc, which bends at most |f'/f| |Delta z|^2 / 8
-    away from its chord, could pass R between two points inside it.  A
-    step whose solve does not settle within MARCH_SWEEPS sweeps, or whose
-    chord is too long, is halved, and one halved below MARCH_FLOOR of its
-    nominal time raises ``StepSizeUnderflow``; every attempt counts
-    against MARCH_STEPS.  The time cap is MARCH_TIME_CAP s^{-k}, infinite
-    where that overflows: z = s w, s = |eps|^{1/(k+1)}, maps the field to
-    s^k (w^{k+1} - eps/|eps|), so z at time s^{-k} tau is s w(tau), and
-    the cap, like the steps, is the same in w at every |eps|.  The stops
-    are tested at z0 and after each step, in the order of ``Termination``,
-    with the landing rule of the module docstring.
+    the rule stays at rounding level at any k.  The arc bends at most
+    |f'/f| |Delta z|^2 / 8 away from its chord, with |f'/f| the larger of
+    its values at the two ends.  With ``ctl.sag`` the nominal chord is
+    also at most sqrt(8 MARCH_SAG sag / |f'/f|), and a step is rejected
+    where that bend exceeds sag.  With a ``ctl.boundary_radius`` R the
+    chord is also at most about sqrt(R (R - |z|)), and a step is rejected
+    where the arc could pass R between two points inside it.  A step whose
+    solve does not settle within MARCH_SWEEPS sweeps, or whose chord is
+    too long, is halved, and one halved below MARCH_FLOOR of its nominal
+    time raises ``StepSizeUnderflow``; every attempt counts against
+    ``ctl.max_steps``.  A point where f overflows a float, which no step
+    can leave (from |z| about 2 at k = 1000), raises it too.  The orbit
+    starts at time ``t`` and stops at ``ctl.time_cap``; the point and the
+    time of each kept step are appended to ``path = (points, times)`` when
+    given.  The stops are tested at z0 and after each step, in the order of
+    ``Termination``, with the landing rule of the module docstring on the
+    row ``radii``.
     """
     k, k1 = fld.k, fld.k + 1
     eps = fld.epsilon
     sing = singularities(fld).tolist()
     arc, offset = TWO_PI / k1, fld.theta() / k1
-    time_cap, escape = MARCH_TIME_CAP / fld.scale**k, escape_radius(fld)
-    z, t, n = complex(z0), 0.0, 0
+    boundary, sag, time_cap = ctl.boundary_radius, ctl.sag, ctl.time_cap
+    escape = escape_radius(fld)
+    if path is not None:
+        add_z, add_t = path[0].append, path[1].append
+    z, n, n_acc, tau_min = complex(z0), 0, 0, math.inf
     while True:
         az = abs(z)
         ell = round((cmath.phase(z) - offset) / arc) % k1
         dist = abs(z - sing[ell])
+        stop = None
         if dist <= radii[ell]:
-            return Termination.LANDED, ell
-        if boundary is not None and az >= boundary:
-            return Termination.HIT_BOUNDARY, None
-        if az >= escape:
-            return Termination.ESCAPED, None
-        if t >= time_cap:
-            return Termination.TIME_CAP, None
-        zk = z**k
+            stop = Termination.LANDED
+        elif boundary is not None and az >= boundary:
+            stop = Termination.HIT_BOUNDARY
+        elif az >= escape:
+            stop = Termination.ESCAPED
+        elif t >= time_cap:
+            stop = Termination.TIME_CAP
+        if stop is not None:
+            landed = ell if stop is Termination.LANDED else None
+            return stop, landed, n_acc, n - n_acc, tau_min
+        try:
+            zk = z**k
+        except OverflowError:
+            zk = math.inf
         fz = zk * z - eps
         turn = k1 * abs(zk) / abs(fz)  # |f'/f|
         chord = MARCH_ROOT * dist
@@ -647,34 +560,41 @@ def _march(fld, z0, direction, boundary, radii):
             bound = math.sqrt(room * (boundary if 8.0 > turn * boundary else 8.0 / turn))
             if bound < chord:
                 chord = bound
+        if sag is not None and turn * chord * chord > 8.0 * MARCH_SAG * sag:
+            chord = math.sqrt(8.0 * MARCH_SAG * sag / turn)
         # the Taylor series of the orbit to h^4, h = direction tau: with
         # u = h f' and q = h f f''/f' = k h f/z, z_n - z = h f (1 + u/2 +
-        # u (u + q)/6 + u (u^2 + 4 u q + (k-1) q^2/k)/24), which is
-        # h f (1 + tau (c1 + tau (c2 + tau c3)))
+        # u (u + q)/6 + u (u^2 + 4 u q + (k-1) q^2/k)/24).  Taken at tau_0
+        # = chord/|f|, u and q are at most about 1, while f' and f/z grow as
+        # |z|^k and their cubes overflow a float at large k; at tau = r
+        # tau_0 the series is h f (1 + r (c1 + r (c2 + r c3)))
         v = direction * fz
-        u1 = direction * k1 * zk
-        q1 = k * v / z if z else 0j
+        unit = chord / abs(fz)
+        if not unit > 0.0:
+            raise StepSizeUnderflow(f"the field overflows a float at |z| = {az:g}, t={t:g}")
+        u1 = unit * direction * k1 * zk
+        q1 = unit * k * v / z if z else 0j
         c1, c2 = u1 / 2.0, u1 * (u1 + q1) / 6.0
         c3 = u1 * (u1 * (u1 + 4.0 * q1) + (k - 1) * q1 * q1 / k) / 24.0
-        tau = chord / abs(fz)
-        tau /= abs(1.0 + tau * (c1 + tau * (c2 + tau * c3)))  # aim the predicted chord
+        tau = unit / abs(1.0 + c1 + c2 + c3)  # aim the predicted chord
         if time_cap - t < tau:
             tau = time_cap - t
         nominal = tau
         while True:
-            if n == MARCH_STEPS:
-                return Termination.STEP_BUDGET, None
+            if n == ctl.max_steps:
+                return Termination.STEP_BUDGET, None, n_acc, n - n_acc, tau_min
             n += 1
-            zn = z + tau * v * (1.0 + tau * (c1 + tau * (c2 + tau * c3)))
+            r = tau / unit
+            zn = z + tau * v * (1.0 + r * (c1 + r * (c2 + r * c3)))
             zn = _chord_newton(z, zn, tau * direction, k1, eps)
             if zn is not None and abs(zn - z) <= MARCH_ROOT_MAX * dist:
                 azn = abs(zn)
-                if boundary is None or azn >= boundary:
+                outside = boundary is None or azn >= boundary
+                if outside and sag is None:
                     break
-                # the arc bends at most |f'/f| |z_n - z|^2 / 8 away from its chord
                 wk = zn**k
-                turn_n = k1 * abs(wk) / abs(wk * zn - eps)
-                if max(az, azn) + max(turn, turn_n) * abs(zn - z) ** 2 / 8.0 < boundary:
+                bend = max(turn, k1 * abs(wk) / abs(wk * zn - eps)) * abs(zn - z) ** 2 / 8.0
+                if (sag is None or bend <= sag) and (outside or max(az, azn) + bend < boundary):
                     break
             tau *= 0.5
             if tau < MARCH_FLOOR * nominal:
@@ -684,6 +604,12 @@ def _march(fld, z0, direction, boundary, radii):
                 )
         z = zn
         t += tau
+        n_acc += 1
+        if tau < tau_min:
+            tau_min = tau
+        if path is not None:
+            add_z(z)
+            add_t(t)
 
 
 def landing_lanes(
@@ -695,22 +621,31 @@ def landing_lanes(
     """Where the orbits of the points ``z0`` land, one ``_march`` run each.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
-    has its own budget of MARCH_STEPS attempts and its time cap (see
-    ``_march``), and stops as soon as it enters the certified disk (its
-    row of ``lane_radii``) of a root that attracts in its direction.  A
-    start at or outside ``boundary_radius`` stops at ``hit_boundary``
-    before any step.  Returns ``(index, stop)``: the landing index of each
-    orbit or -1, and the list of the ``Termination`` of each.
+    has its own budget of MARCH_STEPS attempts and a time cap of
+    MARCH_TIME_CAP s^{-k}, infinite where that overflows: z = s w, s =
+    |eps|^{1/(k+1)}, maps the field to s^k (w^{k+1} - eps/|eps|), so z at
+    time s^{-k} tau is s w(tau), and the cap, like the steps, is the same
+    in w at every |eps|.  An orbit stops as soon as it enters the
+    certified disk (its row of ``lane_radii``) of a root that attracts in
+    its direction.  A start at or outside ``boundary_radius`` stops at
+    ``hit_boundary`` before any step.  Returns ``(index, stop)``: the
+    landing index of each orbit or -1, and the list of the ``Termination``
+    of each.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
     direction = np.broadcast_to(direction, z0.shape)
     if not np.isin(direction, (1, -1)).all():
         raise ValueError("direction must be +1 or -1")
     _check_start(fld, z0)
+    ctl = IntegratorControls(
+        boundary_radius=boundary_radius,
+        time_cap=MARCH_TIME_CAP / fld.scale**fld.k,
+        max_steps=MARCH_STEPS,
+    )
     radii = {d: lane_radii(fld, d, boundary_radius).tolist() for d in (1, -1)}
     index, stops = np.full(len(z0), -1), []
     for i, (z, d) in enumerate(zip(z0.tolist(), direction.tolist())):
-        stop, landed = _march(fld, z, d, boundary_radius, radii[d])
+        stop, landed, *_ = _march(fld, z, d, radii[d], ctl)
         if landed is not None:
             index[i] = landed
         stops.append(stop)
@@ -722,14 +657,14 @@ def separatrix_directions(k: int) -> np.ndarray:
     return np.arange(2 * k) * math.pi / k
 
 
-# Point spacing of the chart segments of ``separatrices``, as chord-error
-# bounds: far points at most a factor FAR_RATIO apart in |z| (the curve
-# there is close to a ray), landing points at most LAND_TURN rad of
-# rotation and a factor LAND_SHRINK in |u_l| apart (a log spiral in u_l).
-# A Newton solve makes one more sweep once every relative step is below
-# NEWTON_TOL (convergence is quadratic, so after that sweep only rounding
-# is left), and raises after NEWTON_MAX sweeps.  It starts from a series
-# inverse of its chart, truncated at START_ORDER (``_far_start``,
+# Point spacing of the chart segments, as chord-error bounds: far points
+# at most a factor FAR_RATIO apart in |z| (the curve there is close to a
+# ray), landing points at most LAND_TURN rad of rotation and a factor
+# LAND_SHRINK in |u_l| apart (a log spiral in u_l).  A Newton solve makes
+# one more sweep once every relative step is below NEWTON_TOL
+# (convergence is quadratic, so after that sweep only rounding is left),
+# and raises after NEWTON_MAX sweeps.  It starts from a series inverse of
+# its chart, truncated at START_ORDER (``_far_start``,
 # ``_landing_start``).
 FAR_RATIO, LAND_TURN, LAND_SHRINK = 1.05, 0.25, 1.3
 NEWTON_TOL, NEWTON_MAX, START_ORDER = 1e-9, 40, 40
@@ -782,28 +717,27 @@ def _landing_start(k: int) -> TruncatedSeries:
     return delta * exp.compose(log_g).shift_up(1).reversion().scale_argument(1.0 / delta)
 
 
-def _far_ends(fld: ModelField, js):
-    """The rows of the separatrices ``js`` at their two end circles, the
-    launch circle at 0.995 times the escape radius and |z| = 1.5 s:
-    ``(ang, sign, tau)``, one row per separatrix.
+def _far_ends(fld: ModelField, js, radii):
+    """The rows of the separatrices ``js`` on the circles |z| = ``radii``,
+    the launch circle at 0.995 times the escape radius and |z| = 1.5 s or
+    the second alone: ``(ang, sign, tau)``, one row per separatrix.
 
     In xi (``xi_array``), which vanishes at infinity and advances by 1 per
     unit of time, separatrix j is the half-line sign * xi = tau > 0, sign
     its integration direction (-1 for even j), leaving infinity along arg z
     = pi j/k, the direction ``ang``.  Each row takes the real tau of sign *
-    xi at its two end circles, on the direction of the row.  Where xi or
-    the field overflows on the launch circle it raises
-    ``SeriesOutOfDomain``.
+    xi at its circles, on the direction of the row.  Where xi or the field
+    overflows on a circle it raises ``SeriesOutOfDomain``.
     """
     k = fld.k
     js = np.asarray(js)
     ang = np.exp(1j * separatrix_directions(k)[js])[:, None]
     sign = np.where(js % 2 == 0, -1.0, 1.0)[:, None]
-    ends = ang * [0.995 * escape_radius(fld), 1.5 * fld.scale]
+    ends = ang * radii
     with np.errstate(over="ignore", invalid="ignore"):
         tau = sign * xi_array(k, fld.epsilon, ends).real
-        if not (np.isfinite(ends[:, 0] ** (k + 1)).all() and (tau > 0).all()):
-            raise SeriesOutOfDomain(f"xi overflows on the launch circle at k = {k}")
+        if not (np.isfinite(ends ** (k + 1)).all() and (tau > 0).all()):
+            raise SeriesOutOfDomain(f"xi overflows on |z| = {max(radii):g} at k = {k}")
     return ang, sign, tau
 
 
@@ -837,14 +771,14 @@ def _far_segment(fld: ModelField, js, time_cap: float):
     FAR_RATIO^k (|xi| ~ |z|^-k/k), solved by ``_far_points``.  A row whose
     time from the launch would pass ``time_cap`` ends at that time.
     """
-    ang, sign, tau = _far_ends(fld, js)
+    ang, sign, tau = _far_ends(fld, js, [0.995 * escape_radius(fld), 1.5 * fld.scale])
     tau[:, 1] = np.minimum(tau[:, 1], tau[:, 0] + time_cap)
     n = math.ceil(float(np.log(tau[:, 1] / tau[:, 0]).max()) / (fld.k * math.log(FAR_RATIO)))
     tau = tau[:, :1] * (tau[:, 1:] / tau[:, :1]) ** (np.arange(n + 1) / n)
     return _far_points(fld, ang, sign, tau), tau - tau[:, :1]
 
 
-def _landing_segments(fld: ModelField, entries, time_cap: float):
+def _landing_segments(fld: ModelField, entries, time_cap: float, sag=None):
     """The chart points of orbits that entered the landing disk of their
     root: ``entries`` holds ``(z_e, t_e, l, direction)`` per orbit; returns
     per orbit ``(points, times, termination)`` after z_e.
@@ -861,14 +795,21 @@ def _landing_segments(fld: ModelField, entries, time_cap: float):
     focus near a homoclinic ray the entry's |g(v_e)|/delta comes close to
     the radius of convergence of H_k (0.21 at k = 4, 0.18 at k = 10,
     against radii of 0.28 and 0.21), and the solve takes up to five.
+
+    With a ``sag`` the arcs bend at most that far from their chords, by
+    the bound of ``_march``: a chord whose bend max(|f'/f|) |Delta z|^2 / 8
+    exceeds sag by a factor e is cut into ceil(sqrt e) equal times, and
+    the new points are solved in one more sweep over all orbits, until no
+    chord exceeds it.  The orbit can swing out from z_e towards the edge
+    of the chart disk, where the grid's chords are longest.
     """
     if not entries:
         return []
-    k1 = fld.k + 1
+    k, k1 = fld.k, fld.k + 1
     sing = singularities(fld)
     floor = math.log(0.5 * capture_radius(fld) / fld.scale)
     v_e = np.array([z / sing[l] - 1.0 for z, _, l, _ in entries])
-    log_e = _chart_log(fld.k, v_e)
+    log_e = _chart_log(k, v_e)
     runs = []
     for (_, t_e, l, direction), start in zip(entries, log_e.tolist()):
         rate = direction * fld.d_rhs(sing[l])
@@ -884,22 +825,54 @@ def _landing_segments(fld: ModelField, entries, time_cap: float):
                 dtau = min(dtau, LAND_TURN / abs(rate.imag))
             n = math.ceil(span / dtau)
         runs.append((rate, span * np.arange(1, n + 1) / n, stop))
-    rates = np.concatenate([np.full(len(tau), rate) for rate, tau, _ in runs])
+    rates = np.array([rate for rate, _, _ in runs])
+    roots = sing[[l for _, _, l, _ in entries]]
+
+    def solve(owner, tau):
+        target = log_e[owner] + rates[owner] * tau
+
+        def step(v):
+            r = _chart_log(k, v) - target
+            r.imag = (r.imag + math.pi) % TWO_PI - math.pi
+            return r * np.expm1(k1 * np.log1p(v)) / k1
+
+        v = _newton(_landing_start(k)(np.exp(target)), step, "landing segment")
+        return roots[owner] * (1.0 + v)
+
     tau = np.concatenate([tau for _, tau, _ in runs])
     owner = np.repeat(np.arange(len(runs)), [len(tau) for _, tau, _ in runs])
-    target = log_e[owner] + rates * tau
-
-    def step(v):
-        r = _chart_log(fld.k, v) - target
-        r.imag = (r.imag + math.pi) % TWO_PI - math.pi
-        return r * np.expm1(k1 * np.log1p(v)) / k1
-
-    v = _newton(_landing_start(fld.k)(np.exp(target)), step, "landing segment")
-    z = sing[[l for _, _, l, _ in entries]][owner] * (1.0 + v)
-    cuts = np.cumsum([len(tau) for _, tau, _ in runs])[:-1]
+    z = solve(owner, tau)
+    if sag is not None:
+        # each orbit's chords from its entry on, in time order, cut until
+        # none bends more than sag
+        owner = np.concatenate((np.arange(len(runs)), owner))
+        tau = np.concatenate((np.zeros(len(runs)), tau))
+        z = np.concatenate(([z_e for z_e, _, _, _ in entries], z))
+        while True:
+            order = np.lexsort((tau, owner))
+            owner, tau, z = owner[order], tau[order], z[order]
+            zk = z**k
+            turn = k1 * np.abs(zk) / np.abs(zk * z - fld.epsilon)  # |f'/f|
+            bend = np.maximum(turn[1:], turn[:-1]) * np.abs(np.diff(z)) ** 2 / 8.0
+            cut = np.flatnonzero((bend > sag) & (owner[1:] == owner[:-1]))
+            if not len(cut):
+                break
+            pieces = np.ceil(np.sqrt(bend[cut] / sag)).astype(int)
+            chord, step = np.repeat(cut, pieces - 1), np.repeat(1.0 / pieces, pieces - 1)
+            # the j-th of the pieces - 1 new points of a chord, j = 1, 2, ...
+            first = np.repeat(np.cumsum(pieces - 1) - (pieces - 1), pieces - 1)
+            j = np.arange(1, len(chord) + 1) - first
+            new_tau = tau[chord] + (tau[chord + 1] - tau[chord]) * (j * step)
+            new_owner = owner[chord]
+            owner, tau = np.concatenate((owner, new_owner)), np.concatenate((tau, new_tau))
+            z = np.concatenate((z, solve(new_owner, new_tau)))
+        owner, tau, z = owner[tau > 0], tau[tau > 0], z[tau > 0]
+    cuts = np.cumsum(np.bincount(owner, minlength=len(runs)))[:-1]
     return [
-        (zs, t_e + tau, stop)
-        for zs, (_, t_e, _, _), (_, tau, stop) in zip(np.split(z, cuts), entries, runs)
+        (zs, t_e + ts, stop)
+        for zs, ts, (_, t_e, _, _), (_, _, stop) in zip(
+            np.split(z, cuts), np.split(tau, cuts), entries, runs
+        )
     ]
 
 
@@ -914,12 +887,10 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
 
     - the far segment (``_far_segment``), on the exact curve Im xi = 0,
       down to |z| = 1.5 s, s = |eps|^{1/(k+1)};
-    - the transit, ``_dopri`` steps from its last point, which stop on the
+    - the transit, ``_march`` steps from its last point, which stop on the
       landing disks of ``lane_radii`` (or on any other stop of the
-      controls, ``boundary_radius`` included).  Its first trial step is the
-      far grid's last time step: the default first step is so short there
-      that the error estimate sits at rounding level and the step sizes
-      that follow would hang on rounding;
+      controls, ``boundary_radius`` included).  At k = 1 that point lies
+      in the chart disk already, and the transit has no step;
     - the landing segment (``_landing_segments``), on the exact orbit in
       the Koenigs chart of the landing root, down to |u_l| = capture
       radius/2 (so |z - z_l| is below the capture radius), or to
@@ -927,7 +898,8 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
       would.
 
     ``n_accepted``, ``n_rejected`` and ``h_min_seen`` count the transit's
-    steps; the chart points come on top of them.
+    steps; the chart points come on top of them.  ``controls.sag`` bounds
+    the bend of the transit's and the landing segment's arcs.
     """
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
@@ -945,18 +917,18 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
         out.append(traj)
         if ts[-1] >= ctl.time_cap:  # the far segment ran to the cap
             continue
-        path = ([], [])
-        stop, index, traj.n_accepted, traj.n_rejected, traj.h_min_seen = _dopri(
-            fld, zs[-1], direction, ctl, radii[direction], path, t=ts[-1], h=ts[-1] - ts[-2]
+        path = ([zs[-1]], [ts[-1]])
+        stop, index, traj.n_accepted, traj.n_rejected, traj.h_min_seen = _march(
+            fld, zs[-1], direction, radii[direction], ctl, path, ts[-1]
         )
-        traj.points = np.append(traj.points, path[0])
-        traj.times = np.append(traj.times, path[1])
+        traj.points = np.append(traj.points, path[0][1:])
+        traj.times = np.append(traj.times, path[1][1:])
         traj.termination = stop
         if stop is Termination.LANDED:
             landed.append(traj)
             entries.append((path[0][-1], path[1][-1], index, direction))
     for traj, entry, (zs, ts, stop) in zip(
-        landed, entries, _landing_segments(fld, entries, ctl.time_cap)
+        landed, entries, _landing_segments(fld, entries, ctl.time_cap, ctl.sag)
     ):
         traj.points = np.append(traj.points, zs)
         traj.times = np.append(traj.times, ts)
@@ -1096,16 +1068,18 @@ def ds_invariant_integrated(fld: ModelField) -> DSInvariant:
     whose landings are those of eps at any |eps| a float holds.  All 2k
     orbits start where ``separatrices`` starts its transits, at the inner
     ends of their far segments (|z| = 1.5 s, ``_far_ends``), solved on
-    their own (``_far_points``), in one ``landing_lanes`` call.  ``AtBifurcation`` names each separatrix that
-    did not land with its stop, or the landings if their pairs do not form
-    a path.  Once they do, each edge is named exactly twice: the pairs form
+    their own (``_far_points``), in one ``landing_lanes`` call; xi is
+    evaluated on that circle alone, so it does not overflow where the
+    launch circle would.  ``AtBifurcation`` names each separatrix that did
+    not land with its stop, or the landings if their pairs do not form a
+    path.  Once they do, each edge is named exactly twice: the pairs form
     a closed walk, which crosses each edge of a path an even number of
     times, and 2k crossings over k edges leave two for each.
     """
     unit = _unit_field(fld)
     js = range(2 * fld.k)
-    ang, sign, tau = _far_ends(unit, js)
-    far = _far_points(unit, ang, sign, tau[:, 1:])[:, 0]
+    ang, sign, tau = _far_ends(unit, js, [1.5 * unit.scale])
+    far = _far_points(unit, ang, sign, tau)[:, 0]
     index, stop = landing_lanes(unit, far, [1 if j % 2 else -1 for j in js])
     lost = [f"{j} ({s.value})" for j, s in zip(js, stop) if s is not Termination.LANDED]
     if lost:

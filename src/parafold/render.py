@@ -37,7 +37,8 @@ def _portrait(k, eps, radius, seed, samples, size=800):
     fld = ModelField(k, eps)
     canvas = SvgCanvas(size=size, window=(-radius, radius, -radius, radius))
     rng = np.random.default_rng(seed)
-    ctl = IntegratorControls(rtol=1e-8, time_cap=2e3, max_steps=40_000)
+    # a pixel is 2 radius / size: every drawn arc stays within a quarter of one
+    ctl = IntegratorControls(sag=0.5 * radius / size, time_cap=2e3, max_steps=40_000)
     sing = singularities(fld)
     for _ in range(samples):
         z0 = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))

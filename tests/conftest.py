@@ -8,35 +8,6 @@ import numpy as np
 from parafold import cli, model
 from parafold.disk import tangency_angles
 from parafold.model import (
-    _A21,
-    _A31,
-    _A32,
-    _A41,
-    _A42,
-    _A43,
-    _A51,
-    _A52,
-    _A53,
-    _A54,
-    _A61,
-    _A62,
-    _A63,
-    _A64,
-    _A65,
-    _B1,
-    _B3,
-    _B4,
-    _B5,
-    _B6,
-    _E1,
-    _E3,
-    _E4,
-    _E5,
-    _E6,
-    _E7,
-    ATOL,
-    H_INIT,
-    H_MAX,
     TWO_PI,
     AtBifurcation,
     DSInvariant,
@@ -138,12 +109,37 @@ def recurrence_reciprocal(c):
     return np.convolve(inv, corr)[: n + 1]
 
 
-def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
-    """The scalar kernel ``model._dopri`` as it stood before its field was
-    written out in each stage, |z| carried between steps and the landing
-    disks searched only near the circle of the roots: the oracle of that
-    kernel, which must match it bit for bit.  The step floor is read from
-    ``model.H_MIN`` at call time, so a test may lower both kernels' floor."""
+# Dormand-Prince 5(4) tableau (Hairer, Norsett, Wanner, Solving ODEs I, II.5)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+# 5th-order weights; they are also the last row of A, so the 7th stage is the
+# field at the new point and opens the next step (first same as last)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# embedded 4th-order weights
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40,
+)
+# absolute error tolerance, largest first step, largest and smallest step
+ATOL, H_INIT, H_MAX, H_MIN = 1e-13, 1e-3, 1.0, 1e-14
+
+
+def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None, rtol=1e-10):
+    """Adaptive Dormand-Prince 5(4) steps from z0 until a stop fires: the
+    error-controlled oracle of ``model._march`` and of the orbits that
+    ``integrate`` and ``separatrices`` draw.
+
+    The orbit lands at the root of the first disk of the row ``radii`` that
+    holds an accepted point (the nearest if two do), and stops on the
+    ``boundary_radius``, ``time_cap`` and ``max_steps`` of ``ctl`` and on
+    the escape radius, in the order of ``Termination``; its step error is
+    held below ATOL + ``rtol`` |z|.  It starts at time ``t``, with the step
+    ``h`` when given, appends each accepted point and time to ``path =
+    (points, times)`` when given, and raises ``StepSizeUnderflow`` below
+    the step H_MIN.  Returns ``(termination, landed_index, n_accepted,
+    n_rejected, h_min_seen)``."""
     k1 = fld.k + 1
     eps = fld.epsilon
     z_big = 1e120 ** (1.0 / k1)
@@ -156,7 +152,6 @@ def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
         return z**k1 - eps
 
     disks = list(zip(range(k1), singularities(fld).tolist(), map(float, radii)))
-    rtol, h_min = ctl.rtol, model.H_MIN
     time_cap, boundary, escape = ctl.time_cap, ctl.boundary_radius, escape_radius(fld)
     z = complex(z0)
     p1 = f(z)
@@ -167,7 +162,7 @@ def reference_dopri(fld, z0, direction, ctl, radii, path=None, t=0.0, h=None):
     stop = Termination.STEP_BUDGET
     landed = None
     for _ in range(ctl.max_steps):
-        if h < h_min:
+        if h < H_MIN:
             raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
         h = min(h, H_MAX, time_cap - t)
         hd = h * direction
@@ -232,13 +227,13 @@ def reference_coords(canvas, points):
 
 
 def scalar_landing(fld, z0, direction, controls=None):
-    """Landing index (or None) of the orbit of z0 on ``model._dopri``
-    alone, with the landing radii of ``landing_lanes``, and its
-    ``Termination``: one orbit, past the batching and the input checks of
-    ``landing_lanes``, for the one-orbit-at-a-time oracles below."""
+    """Landing index (or None) of the orbit of z0 on ``reference_dopri``,
+    with the landing radii of ``landing_lanes``, and its ``Termination``:
+    one orbit, on an error-controlled kernel instead of the marcher, for
+    the one-orbit-at-a-time oracles below."""
     ctl = controls or IntegratorControls()
     radii = lane_radii(fld, direction, ctl.boundary_radius)
-    term, landed, _, _, _ = model._dopri(fld, z0, direction, ctl, radii)
+    term, landed, _, _, _ = reference_dopri(fld, z0, direction, ctl, radii)
     return landed, term
 
 

@@ -20,12 +20,9 @@ from conftest import (
     scalar_landing,
     scalar_separatrix_invariant,
 )
-from parafold import model
+from parafold import model, render
 from parafold.disk import tangency_angles
 from parafold.model import (
-    ATOL,
-    H_INIT,
-    H_MAX,
     AtBifurcation,
     DegenerateParameter,
     DSInvariant,
@@ -65,77 +62,6 @@ TWO_PI = 2 * math.pi
 def vertex_scale(k):
     """Circumradius constant of the period-gon at |eps| = 1."""
     return (math.pi / (k + 1)) / math.sin(math.pi / (k + 1))
-
-
-# Dormand-Prince 5(4) tableau, as rows, for the reference loop below
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _integrate_reference(fld, z0, direction=1, controls=None):
-    """The plain tableau loop (seven field evaluations a step, the field
-    negated for reversed time); the fast kernel must reproduce it bit for
-    bit.  Returns (points, times, termination, landed, n_rejected, h_min)."""
-    ctl = controls or IntegratorControls()
-    sing = singularities(fld)
-    z_big = 1e120 ** (1.0 / (fld.k + 1))
-
-    def f(z):
-        if abs(z) > z_big:
-            return direction * complex(1e120)
-        return direction * fld.rhs(z)
-
-    zs, ts = [complex(z0)], [0.0]
-    z, t = complex(z0), 0.0
-    h = min(H_INIT, 1e-2 / (1.0 + abs(f(z0))))
-    termination, landed = Termination.STEP_BUDGET, None
-    n_rej, h_min = 0, math.inf
-    ks = [0j] * 7
-    for _ in range(ctl.max_steps):
-        if h < model.H_MIN:
-            raise StepSizeUnderflow(f"step size {h:g} below floor at t={t:g}")
-        h = min(h, H_MAX, ctl.time_cap - t)
-        ks[0] = f(z)
-        for i in range(1, 7):
-            acc = 0j
-            for j, a in enumerate(_DP_A[i]):
-                acc += a * ks[j]
-            ks[i] = f(z + h * acc)
-        z5 = z + h * sum(b * kk for b, kk in zip(_DP_B5, ks))
-        z4 = z + h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-        err = abs(z5 - z4) / (ATOL + ctl.rtol * max(abs(z), abs(z5)))
-        if err <= 1.0:
-            t += h
-            z = z5
-            h_min = min(h_min, h)
-            zs.append(z)
-            ts.append(t)
-            dist = np.abs(sing - z)
-            if dist.min() <= capture_radius(fld):
-                termination, landed = Termination.LANDED, int(dist.argmin())
-                break
-            if ctl.boundary_radius is not None and abs(z) >= ctl.boundary_radius:
-                termination = Termination.HIT_BOUNDARY
-                break
-            if abs(z) >= escape_radius(fld):
-                termination = Termination.ESCAPED
-                break
-            if t >= ctl.time_cap:
-                termination = Termination.TIME_CAP
-                break
-        else:
-            n_rej += 1
-        h *= min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-    return np.array(zs), np.array(ts), termination, landed, n_rej, h_min
 
 
 def _xi_reference(fld, z, tol=1e-18, max_terms=20000):
@@ -361,13 +287,20 @@ class TestIntegrate:
         traj = integrate(ModelField(2, 0.01), 1.5)
         assert traj.termination is Termination.ESCAPED
 
-    def test_bit_identical_to_reference(self):
+    def test_stops_match_reference(self):
+        # the stop and the landing index of reference_dopri at rtol 1e-10,
+        # with the capture radius for every root, on seeded cases: k 1..6,
+        # both directions, without and with a sag bound, free, inside a
+        # boundary circle, under a time cap, on a step budget and from the
+        # launch circle of the separatrices.  The budget counts each
+        # kernel's own attempts, so a reference that runs out of it is run
+        # again without it, and an orbit that runs out of it spends it all
         rng = np.random.default_rng(2024)
         seen = set()
         n = 0
         for k in range(1, 7):
             for direction in (1, -1):
-                for rtol in (1e-8, 1e-10):
+                for sag in (None, 1e-3):
                     for stop in ("free", "boundary", "time_cap", "max_steps", "separatrix"):
                         fld = _generic_field(rng, k)
                         extra = {}
@@ -382,40 +315,30 @@ class TestIntegrate:
                             z0 = 0.995 * escape_radius(fld) * cmath.exp(1j * ang)
                         else:
                             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
-                        ctl = IntegratorControls(rtol=rtol, **extra)
+                        ctl = IntegratorControls(sag=sag, **extra)
                         got = integrate(fld, z0, direction, ctl)
-                        pts, ts, term, landed, n_rej, h_min = _integrate_reference(
-                            fld, z0, direction, ctl
-                        )
-                        assert np.array_equal(got.points, pts)
-                        assert np.array_equal(got.times, ts)
-                        assert got.termination is term
-                        assert got.landed_index == landed
-                        assert got.n_accepted == len(got.points) - 1
-                        assert got.n_rejected == n_rej
-                        assert got.h_min_seen == h_min
-                        seen.add(term)
+                        radii = [capture_radius(fld)] * (k + 1)
+                        want, landed, *_ = reference_dopri(fld, z0, direction, ctl, radii)
+                        if want is Termination.STEP_BUDGET:
+                            free = IntegratorControls(**{**extra, "max_steps": 200_000})
+                            want, landed, *_ = reference_dopri(fld, z0, direction, free, radii)
+                        if got.termination is Termination.STEP_BUDGET:
+                            assert got.n_accepted + got.n_rejected == ctl.max_steps
+                        else:
+                            assert (got.termination, got.landed_index) == (want, landed), (fld, z0)
+                        seen.add(got.termination)
                         n += 1
         assert n == 120
         assert seen == set(Termination)
 
-    def test_underflow_at_same_step(self, monkeypatch):
-        # the step needed near t = 6.2 is below this floor; the message
-        # carries the step size and the time of the failing step
-        fld = ModelField(3, cmath.exp(-2.1j))
-        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
-        with pytest.raises(StepSizeUnderflow) as ref:
-            _integrate_reference(fld, -1.68 + 0.46j, 1)
-        with pytest.raises(StepSizeUnderflow) as got:
-            integrate(fld, -1.68 + 0.46j, 1)
-        assert str(got.value) == str(ref.value)
-        assert "t=0 " not in str(got.value)
-
     def test_counters(self):
+        # the marcher's kept steps, one point each before the chart points,
+        # its halved attempts and its smallest kept step time
         traj = integrate(ModelField(2, cmath.exp(0.3j)), 0.5 + 0.5j, -1)
-        assert traj.n_accepted == len(traj.points) - 1 > 0
+        n = traj.n_accepted
+        assert 0 < n < len(traj.points) - 1
         assert traj.n_rejected >= 0
-        assert 0.0 < traj.h_min_seen <= np.diff(traj.times).min() * (1 + 1e-9)
+        assert traj.h_min_seen == pytest.approx(np.diff(traj.times[: n + 1]).min(), rel=1e-9)
         # the JSON form carries no counters
         assert set(traj.to_dict()) == {"points", "termination"}
 
@@ -427,23 +350,18 @@ class TestIntegrate:
 
 
 class TestScalarKernel:
-    """``_dopri`` against ``conftest.reference_dopri``, the kernel before
-    its field was written out per stage, |z| carried between steps and the
-    landing disks searched only near the circle |z| = s of the roots."""
-
-    @staticmethod
-    def _both(fld, z0, direction, ctl, radii, **takeover):
-        runs = []
-        for kernel in (model._dopri, reference_dopri):
-            path = ([complex(z0)], [takeover.get("t", 0.0)])
-            runs.append((kernel(fld, z0, direction, ctl, radii, path, **takeover), path))
-        return runs
+    """``_march`` on one orbit, against ``conftest.reference_dopri``, an
+    error-controlled Dormand-Prince kernel."""
 
     def test_matches_reference_kernel(self):
         # k 1..7, both directions, every stop; radii of integrate (the
         # capture radius) and of landing_lanes (certified disks, cut back
         # to a boundary circle); starts anywhere, on the launch circle of
-        # the separatrices and outward on an outgoing ray (escape)
+        # the separatrices and outward on an outgoing ray (escape): the
+        # stop and the landing index of the reference at rtol 1e-10.  The
+        # budget counts each kernel's own attempts: the reference runs
+        # without it, and an orbit of the marcher that runs out of it
+        # spends it all
         rng = np.random.default_rng(1414)
         seen = set()
         n = 0
@@ -458,8 +376,8 @@ class TestScalarKernel:
                         elif stop == "time_cap":
                             extra["time_cap"] = float(rng.uniform(0.05, 0.5))
                         elif stop == "max_steps":
-                            extra["max_steps"] = int(rng.integers(10, 200))
-                        ctl = IntegratorControls(rtol=float(rng.choice([1e-8, 1e-10])), **extra)
+                            extra["max_steps"] = int(rng.integers(2, 20))
+                        ctl = IntegratorControls(**extra)
                         if stop == "separatrix":
                             ang = float(rng.integers(2 * k)) * math.pi / k
                             z0 = 0.995 * escape_radius(fld) * cmath.exp(1j * ang)
@@ -471,12 +389,16 @@ class TestScalarKernel:
                         else:
                             z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
                         if lanes:
-                            radii = lane_radii(fld, direction, ctl.boundary_radius)
+                            radii = lane_radii(fld, direction, ctl.boundary_radius).tolist()
                         else:
                             radii = [capture_radius(fld)] * (k + 1)
-                        (got, got_path), (ref, ref_path) = self._both(fld, z0, direction, ctl, radii)
-                        assert got == ref
-                        assert got_path == ref_path
+                        got = model._march(fld, z0, direction, radii, ctl)
+                        free = IntegratorControls(**{**extra, "max_steps": 200_000})
+                        want = reference_dopri(fld, z0, direction, free, radii)
+                        if got[0] is Termination.STEP_BUDGET:
+                            assert got[2] + got[3] == ctl.max_steps
+                        else:
+                            assert got[:2] == want[:2], (fld, z0, direction, radii)
                         seen.add(got[0])
                         n += 1
         assert n == 168
@@ -484,46 +406,174 @@ class TestScalarKernel:
 
     def test_takeover_arguments(self):
         # an orbit started mid-flight, as separatrices starts a transit
-        # where its far segment ends: a start time and a step
+        # where its far segment ends: the steps of the orbit started at
+        # time 0, shifted by the start time, up to the time cap (the last
+        # step, cut at the cap, to rounding)
         rng = np.random.default_rng(1415)
         for k in range(1, 8):
             fld = _generic_field(rng, k)
-            ctl = IntegratorControls(time_cap=float(rng.uniform(2.0, 20.0)))
             for direction in (1, -1):
                 z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
                 t = float(rng.uniform(0.0, 1.0))
-                h = float(10.0 ** rng.uniform(-5.0, 0.5))
-                radii = landing_radii(fld)
-                (got, got_path), (ref, ref_path) = self._both(
-                    fld, z0, direction, ctl, radii, t=t, h=h
-                )
-                assert got == ref
-                assert got_path == ref_path
+                radii = landing_radii(fld).tolist()
+                runs = []
+                for start in (0.0, t):
+                    path = ([], [])
+                    ctl = IntegratorControls(time_cap=start + 1.0)
+                    runs.append((model._march(fld, z0, direction, radii, ctl, path, start), path))
+                (got, got_path), (ref, ref_path) = runs[1], runs[0]
+                assert got[:2] == ref[:2]
+                np.testing.assert_allclose(got_path[0], ref_path[0], rtol=1e-12)
+                np.testing.assert_allclose(got_path[1], np.add(ref_path[1], t), rtol=1e-12)
 
-    def test_underflow_message(self, monkeypatch):
-        # the orbit of TestIntegrate.test_underflow_at_same_step, and one
-        # started mid-flight with a first step below the floor
+    def test_underflow_message(self):
+        # with no Newton sweep allowed every step is rejected and halved:
+        # the message names the step, its nominal time and the time of the
+        # orbit, which starts mid-flight here
         fld = ModelField(3, cmath.exp(-2.1j))
         radii = [capture_radius(fld)] * 4
-        ctl = IntegratorControls()
-        monkeypatch.setattr(model, "H_MIN", 9.5e-4)
-        for takeover in ({}, {"t": 2.5, "h": 1e-4}):
-            messages = []
-            for kernel in (model._dopri, reference_dopri):
-                with pytest.raises(StepSizeUnderflow) as exc:
-                    kernel(fld, -1.68 + 0.46j, 1, ctl, radii, **takeover)
-                messages.append(str(exc.value))
-            assert messages[0] == messages[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "MARCH_SWEEPS", 0)
+            with pytest.raises(StepSizeUnderflow) as exc:
+                model._march(fld, -1.68 + 0.46j, 1, radii, IntegratorControls(), None, 2.5)
+        pattern = r"marching step (\S+) below 1e-09 of its nominal (\S+) at t=2.5"
+        assert re.fullmatch(pattern, str(exc.value)), str(exc.value)
 
-    def test_roots_on_the_circle_of_the_band(self):
-        # the landing band |(|z| - s)| <= r_max + 1e-12 (|z| + s) needs
-        # |z_l| = s to far better than 1e-12 s
+    def test_predictor_at_large_k(self):
+        # at k = 700 f and f' reach 1e123 on |z| = 1.5 s and the cube of f'
+        # overflows a float: in the unit chord/|f| the predictor's terms stay
+        # of order one, and separatrices from their inner far ends land
+        fld = ModelField(700, 0.3 + 0.2j)
+        js = np.arange(0, 1400, 233)
+        ang, sign, tau = model._far_ends(fld, js, [1.5 * fld.scale])
+        far = model._far_points(fld, ang, sign, tau)[:, 0]
+        ctl = IntegratorControls(max_steps=2000)
+        for j, z0 in zip(js.tolist(), far.tolist()):
+            direction = 1 if j % 2 else -1
+            radii = lane_radii(fld, direction).tolist()
+            stop, _, n_acc, n_rej, _ = model._march(fld, z0, direction, radii, ctl)
+            assert stop is Termination.LANDED and n_rej <= n_acc, (j, n_acc, n_rej)
+
+    def test_field_overflow_is_typed(self):
+        # at k = 1000 z^{k+1} overflows a float from |z| = 2.0: an orbit that
+        # starts there, or marches out to it, stops on the typed error that
+        # the CLI maps to exit 3, in every entry point
+        fld = ModelField(1000, 1.0)
+        for z0 in (1.9, 2.05, 1.5 + 1.5j):
+            with pytest.raises(StepSizeUnderflow, match="overflows a float"):
+                integrate(fld, z0, 1)
+        with pytest.raises(StepSizeUnderflow, match="overflows a float"):
+            landing_lanes(fld, [0.5, 2.05], 1)
+
+    def test_roots_at_their_angles(self):
+        # the landing rule takes the root nearest in angle, l = round((arg z
+        # - theta/(k+1)) (k+1)/(2 pi)) mod (k+1): every root sits at its own
+        # index, and on the circle |z| = s, at any |eps|
         for k in range(1, 8):
+            arc = TWO_PI / (k + 1)
             for abs_eps in (1e-30, 1e-8, 1.0, 1e8, 1e30):
                 for arg in np.linspace(0.0, TWO_PI, 13):
                     fld = ModelField(k, abs_eps * cmath.exp(1j * arg))
-                    gap = np.abs(np.abs(singularities(fld)) - fld.scale).max()
+                    sing = singularities(fld)
+                    angle = (np.angle(sing) - fld.theta() / (k + 1)) / arc
+                    assert [round(a) % (k + 1) for a in angle.tolist()] == list(range(k + 1))
+                    gap = np.abs(np.abs(sing) - fld.scale).max()
                     assert gap <= 1e-15 * fld.scale
+
+
+def _chord_times(fld, z):
+    """The time along each chord [z_n, z_n+1] in closed form, sum_l
+    Log((z_n+1 - z_l)/(z_n - z_l))/lambda_l by partial fractions: the time
+    along the orbit wherever no root lies between the chord and the arc."""
+    sing = singularities(fld)
+    return (np.log((z[1:, None] - sing) / (z[:-1, None] - sing)) / fld.d_rhs(sing)).sum(axis=1)
+
+
+def _distance_to_polyline(points, poly):
+    """The distance from each of ``points`` to the polyline ``poly``."""
+    a, ab = poly[:-1], np.diff(poly)
+    length = np.maximum(np.abs(ab) ** 2, 1e-300)
+    out = np.empty(len(points))
+    for i in range(0, len(points), 256):
+        q = points[i : i + 256, None]
+        t = np.clip(((q - a) * np.conj(ab)).real / length, 0.0, 1.0)
+        out[i : i + 256] = np.abs(q - (a + t * ab)).min(axis=1)
+    return out
+
+
+class TestDrawnOrbits:
+    """The orbits ``integrate`` and ``separatrices`` draw: marched to the
+    landing disk, then on the exact orbit in the chart of the root."""
+
+    def test_points_on_their_orbit(self):
+        # every kept point lies on the orbit of the start: the closed-form
+        # times of the chords add up to Im t = Im t(z_0) and Re t = Re t(z_0)
+        # + dir tau_n, within 1e-10 max(1, tau_n); reference_dopri at rtol
+        # 1e-12, run for tau_n, reaches three of the marched points, so no
+        # root passed between a chord and its arc (the chord time would be
+        # off by a period there).  k 1..6, with and without a sag bound, on
+        # sample orbits and on the separatrices from the last far point
+        rng = np.random.default_rng(2626)
+        checked = 0
+        for k in range(1, 7):
+            fld = _generic_field(rng, k)
+            n_far = model._far_segment(fld, np.arange(2 * k), math.inf)[0].shape[1]
+            for sag in (None, 2e-3 * fld.scale):
+                ctl = IntegratorControls(sag=sag)
+                orbits = []
+                for _ in range(3):
+                    direction = int(rng.choice([1, -1]))
+                    z0 = complex(*rng.uniform(-2.0, 2.0, 2)) * fld.scale
+                    traj = integrate(fld, z0, direction, ctl)
+                    orbits.append((traj.points, traj.times, direction, traj.n_accepted))
+                for j, traj in enumerate(separatrices(fld, ctl)):
+                    direction = -1 if j % 2 == 0 else 1
+                    kept = slice(n_far - 1, None)
+                    orbits.append((traj.points[kept], traj.times[kept], direction, traj.n_accepted))
+                for points, times, direction, n_acc in orbits:
+                    tau = times[1:] - times[0]
+                    t = np.cumsum(_chord_times(fld, points))
+                    bound = 1e-10 * np.maximum(1.0, tau)
+                    assert np.all(np.abs(t - direction * tau) <= bound), (fld, sag)
+                    for m in sorted({n_acc // 3, 2 * n_acc // 3, n_acc} - {0}):
+                        path = ([], [])
+                        cap = IntegratorControls(time_cap=tau[m - 1])
+                        radii = [0.0] * (k + 1)
+                        reference_dopri(fld, points[0], direction, cap, radii, path, rtol=1e-12)
+                        error = abs(path[0][-1] - points[m])
+                        assert error <= 1e-10 * max(1.0, abs(points[m])), (fld, m)
+                        checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_polylines_within_half_a_pixel(self, k):
+        # the portrait's polylines, read back from the SVG in pixels, against
+        # reference_dopri at rtol 1e-12 from each start (the launch point of
+        # each separatrix): every reference point inside the window lies
+        # within half a pixel of its polyline
+        radius, size, samples = 1.5, 800, 3
+        theta = bifurcation_angles(k)[0] + 0.37 * math.pi / k
+        fld = ModelField(k, 0.7 * cmath.exp(1j * theta))
+        svg, seps = render._portrait(k, fld.epsilon, radius, k, samples, size)
+        drawn = [
+            np.array([complex(*map(float, xy.split(","))) for xy in m.split()])
+            for m in re.findall(r'points="([^"]*)"', svg)
+        ]
+        rng = np.random.default_rng(k)
+        starts = []
+        for _ in range(samples):
+            z0 = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+            starts += [(z0, 1), (z0, -1)]
+        starts += [(traj.points[0], -1 if j % 2 == 0 else 1) for j, traj in enumerate(seps)]
+        assert len(drawn) == len(starts) == 2 * samples + 2 * k
+        ctl, radii = IntegratorControls(time_cap=2e3), [capture_radius(fld)] * (k + 1)
+        for poly, (z0, direction) in zip(drawn, starts):
+            path = ([complex(z0)], [0.0])
+            reference_dopri(fld, z0, direction, ctl, radii, path, rtol=1e-12)
+            ref = np.array(path[0])
+            ref = ref[(np.abs(ref.real) <= radius) & (np.abs(ref.imag) <= radius)]
+            pixels = (ref.real + radius + 1j * (radius - ref.imag)) * (size / (2 * radius))
+            assert _distance_to_polyline(pixels, poly).max() <= 0.5, (k, z0, direction)
 
 
 class TestLandingIndex:
@@ -636,8 +686,8 @@ class TestChartDisk:
 
     def test_starts_in_the_chart_disk_land(self):
         # starts between landing_radii and rho_k d land at that root on the
-        # capture radius of integrate, in both directions, k 1..7, where
-        # every root has |Re lambda_l| >= 0.05 |lambda_l|
+        # capture radius, on reference_dopri, in both directions, k 1..7,
+        # where every root has |Re lambda_l| >= 0.05 |lambda_l|
         rng = np.random.default_rng(32)
         n = 0
         for k in range(1, 8):
@@ -648,22 +698,24 @@ class TestChartDisk:
                     break
             sing = singularities(fld)
             outer = chart_radius(k, model.CHART_C) * _spacing(fld)
+            ctl = IntegratorControls()
             for ell, (z_l, inner) in enumerate(zip(sing, landing_radii(fld))):
                 if inner >= outer:  # at k = 1 and 2 near a centre-free direction
                     continue
                 direction = -1 if lam[ell].real > 0 else 1
                 for _ in range(2):
                     w = rng.uniform(inner, outer) * cmath.exp(2j * math.pi * rng.random())
-                    traj = integrate(fld, z_l + w, direction)
-                    assert traj.termination is Termination.LANDED
-                    assert traj.landed_index == ell
+                    radii = [capture_radius(fld)] * (k + 1)
+                    stop, landed, *_ = reference_dopri(fld, z_l + w, direction, ctl, radii)
+                    assert (stop, landed) == (Termination.LANDED, ell)
                     n += 1
         assert n >= 60
 
     def test_chart_modulus_falls_near_the_rays(self):
         # 1e-2 and 1e-3 from a ray a root is a weak focus: the orbit from the
-        # edge of its chart disk spirals for longer than the step budget, but
-        # |u_l| falls at every step and |w| stays below c d
+        # edge of its chart disk, on reference_dopri, spirals for longer than
+        # the step budget, but |u_l| falls at every step and |w| stays below
+        # c d
         rng = np.random.default_rng(33)
         for k in range(1, 8):
             for offset in (1e-2, 1e-3):
@@ -675,8 +727,11 @@ class TestChartDisk:
                 z_l = singularities(fld)[ell]
                 w0 = chart_radius(k, model.CHART_C) * d * cmath.exp(2j * math.pi * rng.random())
                 direction = -1 if lam[ell].real > 0 else 1
-                traj = integrate(fld, z_l + w0, direction, IntegratorControls(max_steps=1500))
-                w = traj.points - z_l
+                path = ([z_l + w0], [0.0])
+                ctl = IntegratorControls(max_steps=1500)
+                radii = [capture_radius(fld)] * (k + 1)
+                reference_dopri(fld, z_l + w0, direction, ctl, radii, path)
+                w = np.array(path[0]) - z_l
                 u = _chart_modulus(fld, ell, w)
                 assert len(u) > 100
                 assert np.all(np.diff(u) < 0)
@@ -754,13 +809,11 @@ class TestLandingLanes:
         assert counts[Termination.LANDED] + counts[Termination.HIT_BOUNDARY] == 2304
 
     def test_non_finite_start_as_scalar(self):
-        # a NaN start shrinks its step to the floor in the kernel; the entry
-        # points refuse a NaN or infinite start before it runs
+        # the entry points refuse a NaN or infinite start before the kernel
+        # runs, naming it
         fld = ModelField(2, 1.0)
         nan = complex(math.nan, 1.0)
         z0 = np.linspace(0.2, 0.5, 30)
-        with pytest.raises(StepSizeUnderflow):
-            model._dopri(fld, nan, 1, IntegratorControls(), [capture_radius(fld)] * 3)
         for bad in (nan, complex(math.inf, 0.0), complex(0.3, -math.inf)):
             message = re.escape(f"z0 = {bad} is not finite")
             with pytest.raises(ValueError, match=message):
@@ -807,6 +860,26 @@ class TestSeparatrices:
         seps = separatrices(ModelField(1, 1.0))
         assert {t.landed_index for t in seps} == {0, 1}
 
+    def test_k1_transit_starts_in_the_chart_disk(self):
+        # at k = 1, within about 0.5 of arg eps = 0, the far segment ends
+        # inside the chart disk of the landing root (0.32 d = 0.63 s): the
+        # transit takes no step, and the chart runs from the last far point,
+        # with and without a sag bound
+        for eps in (cmath.exp(0.2j), 0.3 * cmath.exp(0.5j), 5.0 * cmath.exp(-0.3j)):
+            fld = ModelField(1, eps)
+            far = model._far_segment(fld, [0, 1], math.inf)[0]
+            sing = singularities(fld)
+            for ctl in (IntegratorControls(), IntegratorControls(sag=1e-3)):
+                seps = separatrices(fld, ctl)
+                assert {t.landed_index for t in seps} == {0, 1}
+                for j, t in enumerate(seps):
+                    radii = lane_radii(fld, -1 if j % 2 == 0 else 1)
+                    assert t.termination is Termination.LANDED and t.n_accepted == 0
+                    assert abs(far[j, -1] - sing[t.landed_index]) <= radii[t.landed_index]
+                    np.testing.assert_array_equal(t.points[: far.shape[1]], far[j])
+                    assert len(t.points) > far.shape[1] and np.all(np.diff(t.times) > 0)
+                    assert abs(t.points[-1] - sing[t.landed_index]) < capture_radius(fld)
+
     def test_outgoing_reach_escape_in_finite_time(self):
         # the pole at infinity makes the travel time finite for k >= 2
         for k in (2, 4):
@@ -843,10 +916,11 @@ class TestSeparatrices:
             n = far.shape[1] - 1
             for j in (0, 1):
                 for m in (n // 2, n):
-                    ctl = IntegratorControls(rtol=1e-12, time_cap=times[j, m])
+                    ctl = IntegratorControls(time_cap=times[j, m])
                     path = ([], [])
+                    direction = 1 - 2 * (j % 2 == 0)
                     stop, *_ = reference_dopri(
-                        fld, far[j, 0], 1 - 2 * (j % 2 == 0), ctl, [0.0] * (k + 1), path
+                        fld, far[j, 0], direction, ctl, [0.0] * (k + 1), path, rtol=1e-12
                     )
                     assert stop is Termination.TIME_CAP
                     assert abs(path[0][-1] - far[j, m]) <= 1e-10 * abs(far[j, m]), (k, eps, j, m)
@@ -857,8 +931,8 @@ class TestSeparatrices:
         for k, eps in self.CHART_CASES:
             fld = ModelField(k, eps)
             js = np.arange(2 * k)
-            ang, sign, tau = model._far_ends(fld, js)
-            inner = model._far_points(fld, ang, sign, tau[:, 1:])[:, 0]
+            ang, sign, tau = model._far_ends(fld, js, [1.5 * fld.scale])
+            inner = model._far_points(fld, ang, sign, tau)[:, 0]
             grid = model._far_segment(fld, js, math.inf)[0][:, -1]
             assert np.abs(inner / grid - 1).max() < 1e-14, (k, eps)
 
@@ -875,10 +949,11 @@ class TestSeparatrices:
                 assert abs(traj.points[-1] - singularities(fld)[traj.landed_index]) < capture_radius(fld)
                 for m in sorted({entry + 1, (entry + n) // 2, n}):
                     span = traj.times[m] - traj.times[entry]
-                    ctl = IntegratorControls(rtol=1e-12, time_cap=span)
+                    ctl = IntegratorControls(time_cap=span)
                     path = ([], [])
+                    direction = 1 - 2 * (j % 2 == 0)
                     stop, *_ = reference_dopri(
-                        fld, traj.points[entry], 1 - 2 * (j % 2 == 0), ctl, [0.0] * (k + 1), path
+                        fld, traj.points[entry], direction, ctl, [0.0] * (k + 1), path, rtol=1e-12
                     )
                     assert stop is Termination.TIME_CAP
                     assert abs(path[0][-1] - traj.points[m]) <= 1e-10 * fld.scale, (k, eps, j, m)
@@ -895,9 +970,9 @@ class TestSeparatrices:
         assert traj.termination is Termination.TIME_CAP and traj.landed_index is None
         assert traj.times[-1] == pytest.approx(cap, rel=1e-15)
         np.testing.assert_array_equal(traj.points[: entry + 1], full[1].points[: entry + 1])
-        ctl = IntegratorControls(rtol=1e-12, time_cap=cap - traj.times[entry])
+        ctl = IntegratorControls(time_cap=cap - traj.times[entry])
         path = ([], [])
-        reference_dopri(fld, traj.points[entry], 1, ctl, [0.0] * 4, path)
+        reference_dopri(fld, traj.points[entry], 1, ctl, [0.0] * 4, path, rtol=1e-12)
         assert abs(path[0][-1] - traj.points[-1]) <= 1e-10 * fld.scale
         for traj in separatrices(ModelField(1, 1e-6j), IntegratorControls(time_cap=50.0)):
             assert traj.termination is Termination.TIME_CAP and traj.n_accepted == 0
@@ -905,8 +980,9 @@ class TestSeparatrices:
 
     @pytest.mark.parametrize("k", [9, 12])
     def test_large_k_lands(self, k):
-        # launched at 0.995 (10 s + 10) the first step fell below H_MIN for
-        # k >= 9; the arg z = 0 separatrix lands at the gon's attachment
+        # launched at 0.995 (10 s + 10) the first Dormand-Prince step fell
+        # below its floor 1e-14 for k >= 9; the arg z = 0 separatrix lands
+        # at the gon's attachment
         for eps in (0.3 + 0.2j, 2.0 * cmath.exp(1j * (bifurcation_angles(k)[0] + math.pi / (2 * k)))):
             fld = ModelField(k, eps)
             seps = separatrices(fld)
@@ -1081,7 +1157,7 @@ class TestDSInvariant:
             raise AssertionError("ds_invariant integrated an orbit")
 
         monkeypatch.setattr(model, "landing_lanes", refuse)
-        monkeypatch.setattr(model, "_dopri", refuse)
+        monkeypatch.setattr(model, "_march", refuse)
         assert ds_invariant(ModelField(2, 1.0)).attachment == 0
         for fld in _near_ray_fields(ks=(1, 4), abs_eps=(1.0,)):
             ds_invariant(fld)
@@ -1180,14 +1256,16 @@ class TestDSInvariant:
         with pytest.raises(StepSizeUnderflow):
             landing_lanes(fld, 1.5 * fld.scale, 1)
 
-    def test_validate_below_the_dopri_floor(self):
+    def test_validate_at_very_large_k(self):
         # at k = 100 the first step of a separatrix from 1.5 s takes about
-        # 7e-20 of time, far below _dopri's floor H_MIN; the marcher's floor
-        # is relative to its own nominal step
-        fld = ModelField(100, 0.3 + 0.2j)
-        inv = ds_invariant(fld, validate=True)
-        gon = ds_invariant(fld)
-        assert (inv.order, inv.attachment) == (gon.order, gon.attachment)
+        # 7e-20 of time, and the marcher's floor is relative to its own
+        # nominal step; at k = 240 xi would overflow on the launch circle,
+        # and the lanes start from the inner circle alone
+        for k in (100, 240):
+            fld = ModelField(k, 0.3 + 0.2j)
+            inv = ds_invariant(fld, validate=True)
+            gon = ds_invariant(fld)
+            assert (inv.order, inv.attachment) == (gon.order, gon.attachment), k
 
     @pytest.mark.parametrize(
         "k, eps",
