@@ -24,20 +24,23 @@ root spacing, so no other disk can hold z.
 
 Callers that need only where orbits land (``ds_invariant_integrated``, and
 ``disk.separating_regions`` where its band certificate fails) call
-``landing_lanes``, which keeps no points.  A drawn orbit keeps the points
-of its steps, with ``IntegratorControls.sag`` the most an arc may bend
-away from its chord, and ends on the exact orbit in the Koenigs chart of
-its landing root (``_landing_segments``), down to half the capture radius
-1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``): ``integrate`` marches
-from its start, and ``separatrices`` (and so ``render.portrait_svg``)
-from the end of a far segment on the exact curve in xi near infinity.
-Each chart segment is one vectorised Newton solve, started from a series
-inverse of its chart that is built once per k on first use
-(``_far_start``, ``_landing_start``).  ``ds_invariant_integrated`` reads
-the trunk off where the 2k separatrices of the field of eps/|eps| land,
-in one ``landing_lanes`` call.  ``integrate`` and ``landing_lanes``
-refuse, with ``ValueError``, a start point that is not finite or lies
-within the capture radius.
+``landing_lanes``, which keeps no points.  A drawn orbit (``_drawn``)
+keeps the points of its steps, with ``IntegratorControls.sag`` the most an
+arc may bend away from its chord, and ends on the exact orbit in the
+Koenigs chart of its landing root (``_landing_segments``), down to half
+the capture radius 1e-6 min(1, |eps|^{1/(k+1)}) (``capture_radius``):
+``integrate`` draws from each of its starts, and ``separatrices`` (and so
+``render.portrait_svg``) from the ends of far segments on the exact
+curves in xi near infinity.  The orbits of one call land in one chart
+solve: one vectorised Newton solve, started from a series inverse of its
+chart that is built once per k on first use (``_far_start``,
+``_landing_start``).  Every entry point reads ``time_cap`` in the field's
+own time unit |eps|^{-k/(k+1)} (``_field_controls``).
+``ds_invariant_integrated`` reads the trunk off where the 2k separatrices
+of the field of eps/|eps| land, in one ``landing_lanes`` call.
+``integrate`` and ``landing_lanes`` refuse, with ``ValueError``, a
+direction other than +1 or -1 and a start point that is not finite or
+lies within the capture radius.
 """
 
 from __future__ import annotations
@@ -224,16 +227,29 @@ class Termination(str, Enum):
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """The stops and the drawing bound of ``integrate`` and ``separatrices``.
+    """The stops and the drawing bound of ``integrate``, ``separatrices``
+    and ``landing_lanes``.
 
     ``sag`` is the most an arc may bend away from the chord between two
     kept points, or None for the geometric steps of ``_march`` alone.
+    ``time_cap`` is in the field's own time unit (``_field_controls``), and
+    ``max_steps`` counts the attempts of ``_march``, one budget per orbit.
     """
 
     sag: float | None = None
     boundary_radius: float | None = None  # e.g. the disk radius r, if restricted
     time_cap: float = 1e4
     max_steps: int = 200_000
+
+
+def _field_controls(fld: ModelField, controls: IntegratorControls | None) -> IntegratorControls:
+    """``controls`` (the defaults if None) with the time cap taken from the
+    field's own unit to times of z: multiplied by s^{-k}, s = |eps|^{1/(k+1)},
+    infinite where that overflows.  z = s w maps the field to s^k (w^{k+1}
+    - eps/|eps|), so z at time s^{-k} tau is s w(tau), and the cap, like
+    the steps of ``_march``, is the same in w at every |eps|."""
+    ctl = controls or IntegratorControls()
+    return replace(ctl, time_cap=ctl.time_cap / fld.scale**fld.k)
 
 
 def capture_radius(fld: ModelField) -> float:
@@ -275,58 +291,38 @@ class Trajectory:
         }
 
 
-def _check_start(fld: ModelField, z0):
-    """Refuse a start point (or array of them) that is not finite or that
-    lies within the capture radius of a singular point."""
+def _starts(fld: ModelField, z0, direction):
+    """The start points ``z0`` as a 1-D array and ``direction`` broadcast to
+    it.  ``ValueError`` refuses a direction other than +1 or -1, and a start
+    point that is not finite or lies within the capture radius of a
+    singular point."""
     z = np.asarray(z0, dtype=complex).reshape(-1)
+    direction = np.broadcast_to(direction, z.shape)
+    if not np.isin(direction, (1, -1)).all():
+        raise ValueError("direction must be +1 or -1")
     bad = ~np.isfinite(z)
     if np.count_nonzero(bad):
         raise ValueError(f"z0 = {complex(z[bad][0])} is not finite")
     near = np.abs(singularities(fld) - z[:, None]).min(axis=1) < capture_radius(fld)
     if np.count_nonzero(near):
         raise ValueError(f"z0 = {complex(z[near][0])} lies within the capture radius of a root")
+    return z, direction
 
 
-def integrate(
-    fld: ModelField,
-    z0: complex,
-    direction: int = 1,
-    controls: IntegratorControls | None = None,
-) -> Trajectory:
-    """The orbit of z0 under z' = z^{k+1} - eps until a stop fires.
+def integrate(fld: ModelField, z0, direction=1, controls: IntegratorControls | None = None):
+    """The orbits of the points ``z0`` under z' = z^{k+1} - eps until a stop
+    fires: one ``Trajectory`` for a scalar z0, a list of them, one per
+    point, for an array (``_drawn``).
 
-    ``direction = -1`` follows it in reversed time.  Times are the
-    (positive, increasing) time along the orbit.  ``_march`` keeps its
-    points until the orbit enters the landing disk (``lane_radii``) of a
-    root that attracts in its direction; ``_landing_segments`` then gives
-    the rest of the orbit in the Koenigs chart of that root, down to |u_l|
-    = capture radius/2, so the trajectory lands within the capture radius
-    of the root.  ``controls.sag`` bounds the bend of every arc between two
-    points, marched or charted.
+    ``direction`` is +1 or -1 per point, or one value for all; -1 follows
+    the orbit in reversed time.  Times are the (positive, increasing) time
+    along the orbit from 0.  ``controls.time_cap`` is in the field's own
+    time unit (``_field_controls``).
     """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    _check_start(fld, z0)
-    ctl = controls or IntegratorControls()
-    zs, ts = [complex(z0)], [0.0]
-    radii = lane_radii(fld, direction, ctl.boundary_radius).tolist()
-    stop, landed, n_acc, n_rej, tau_min = _march(fld, z0, direction, radii, ctl, (zs, ts))
-    points, times = np.array(zs), np.array(ts)
-    if stop is Termination.LANDED:
-        entry = (zs[-1], ts[-1], landed, direction)
-        ((chart, chart_t, stop),) = _landing_segments(fld, [entry], ctl.time_cap, ctl.sag)
-        points, times = np.append(points, chart), np.append(times, chart_t)
-        if stop is not Termination.LANDED:
-            landed = None
-    return Trajectory(
-        points=points,
-        times=times,
-        termination=stop,
-        landed_index=landed,
-        n_accepted=n_acc,
-        n_rejected=n_rej,
-        h_min_seen=tau_min,
-    )
+    z, direction = _starts(fld, z0, direction)
+    starts = zip(z.tolist(), [0.0] * len(z), direction.tolist())
+    drawn = _drawn(fld, starts, _field_controls(fld, controls))
+    return drawn[0] if np.ndim(z0) == 0 else drawn
 
 
 def landing_radii(fld: ModelField) -> np.ndarray:
@@ -461,12 +457,9 @@ _GAUSS = (
 # MARCH_SAG times the bound, so that the bend at the far end of the step
 # rarely rejects it.  Newton stops once a correction is below MARCH_TOL of
 # the chord and gives up after MARCH_SWEEPS sweeps; a step halved below
-# MARCH_FLOOR of its nominal time raises ``StepSizeUnderflow``.  An orbit
-# of ``landing_lanes`` stops after MARCH_STEPS attempts or MARCH_TIME_CAP
-# in its own time unit.
+# MARCH_FLOOR of its nominal time raises ``StepSizeUnderflow``.
 MARCH_ROOT, MARCH_ROOT_MAX, MARCH_TURN, MARCH_SAG = 0.35, 0.45, 1.0, 0.8
 MARCH_TOL, MARCH_SWEEPS, MARCH_FLOOR = 1e-6, 8, 1e-9
-MARCH_TIME_CAP, MARCH_STEPS = 1e4, 200_000
 
 
 def _chord_newton(z, zn, h, k1, eps):
@@ -515,11 +508,12 @@ def _march(fld, z0, direction, radii, ctl, path=None, t=0.0):
     time raises ``StepSizeUnderflow``; every attempt counts against
     ``ctl.max_steps``.  A point where f overflows a float, which no step
     can leave (from |z| about 2 at k = 1000), raises it too.  The orbit
-    starts at time ``t`` and stops at ``ctl.time_cap``; the point and the
-    time of each kept step are appended to ``path = (points, times)`` when
-    given.  The stops are tested at z0 and after each step, in the order of
-    ``Termination``, with the landing rule of the module docstring on the
-    row ``radii``.
+    starts at time ``t`` and stops at ``ctl.time_cap``, in the unit of z,
+    or once the time left is below MARCH_FLOOR of its next step; the point
+    and the time of each kept step are appended to ``path = (points,
+    times)`` when given.  The stops are tested at z0 and after each step,
+    in the order of ``Termination``, with the landing rule of the module
+    docstring on the row ``radii``.
     """
     k, k1 = fld.k, fld.k + 1
     eps = fld.epsilon
@@ -578,6 +572,9 @@ def _march(fld, z0, direction, radii, ctl, path=None, t=0.0):
         c3 = u1 * (u1 * (u1 + 4.0 * q1) + (k - 1) * q1 * q1 / k) / 24.0
         tau = unit / abs(1.0 + c1 + c2 + c3)  # aim the predicted chord
         if time_cap - t < tau:
+            # a start an ulp short of the cap: no step settles in the rest
+            if time_cap - t < MARCH_FLOOR * tau:
+                return Termination.TIME_CAP, None, n_acc, n - n_acc, tau_min
             tau = time_cap - t
         nominal = tau
         while True:
@@ -621,27 +618,17 @@ def landing_lanes(
     """Where the orbits of the points ``z0`` land, one ``_march`` run each.
 
     ``direction`` is +1 or -1 per point, or one value for all.  Each orbit
-    has its own budget of MARCH_STEPS attempts and a time cap of
-    MARCH_TIME_CAP s^{-k}, infinite where that overflows: z = s w, s =
-    |eps|^{1/(k+1)}, maps the field to s^k (w^{k+1} - eps/|eps|), so z at
-    time s^{-k} tau is s w(tau), and the cap, like the steps, is the same
-    in w at every |eps|.  An orbit stops as soon as it enters the
+    has the default ``IntegratorControls``: its own budget of 200 000
+    attempts and a time cap of 1e4 in the field's own time unit
+    (``_field_controls``).  An orbit stops as soon as it enters the
     certified disk (its row of ``lane_radii``) of a root that attracts in
     its direction.  A start at or outside ``boundary_radius`` stops at
     ``hit_boundary`` before any step.  Returns ``(index, stop)``: the
     landing index of each orbit or -1, and the list of the ``Termination``
     of each.
     """
-    z0 = np.atleast_1d(np.asarray(z0, dtype=complex))
-    direction = np.broadcast_to(direction, z0.shape)
-    if not np.isin(direction, (1, -1)).all():
-        raise ValueError("direction must be +1 or -1")
-    _check_start(fld, z0)
-    ctl = IntegratorControls(
-        boundary_radius=boundary_radius,
-        time_cap=MARCH_TIME_CAP / fld.scale**fld.k,
-        max_steps=MARCH_STEPS,
-    )
+    z0, direction = _starts(fld, z0, direction)
+    ctl = _field_controls(fld, IntegratorControls(boundary_radius=boundary_radius))
     radii = {d: lane_radii(fld, d, boundary_radius).tolist() for d in (1, -1)}
     index, stops = np.full(len(z0), -1), []
     for i, (z, d) in enumerate(zip(z0.tolist(), direction.tolist())):
@@ -650,6 +637,38 @@ def landing_lanes(
             index[i] = landed
         stops.append(stop)
     return index, stops
+
+
+def _drawn(fld: ModelField, starts, ctl: IntegratorControls) -> list[Trajectory]:
+    """The drawn orbits of ``starts``, ``(z, t, direction)`` each: one
+    ``Trajectory`` per start, from z at time t, with the time cap of
+    ``ctl`` in the unit of z.
+
+    ``_march`` keeps the points of each orbit until it enters the landing
+    disk (``lane_radii``) of a root that attracts in its direction.  One
+    ``_landing_segments`` call then gives the rest of every orbit that
+    did, in the Koenigs chart of its root, down to |u_l| = capture
+    radius/2, so the orbit lands within the capture radius of the root.
+    ``ctl.sag`` bounds the bend of every arc between two points, marched
+    or charted.
+    """
+    radii = {d: lane_radii(fld, d, ctl.boundary_radius).tolist() for d in (1, -1)}
+    out, entries = [], []
+    for z, t, direction in starts:
+        zs, ts = [z], [t]
+        stop, landed, *counts = _march(fld, z, direction, radii[direction], ctl, (zs, ts), t)
+        out.append(Trajectory(np.array(zs), np.array(ts), stop, landed, None, *counts))
+        if stop is Termination.LANDED:
+            entries.append((zs[-1], ts[-1], landed, direction))
+    charted = [traj for traj in out if traj.termination is Termination.LANDED]
+    landing = _landing_segments(fld, entries, ctl.time_cap, ctl.sag)
+    for traj, (zs, ts, stop) in zip(charted, landing):
+        traj.points = np.append(traj.points, zs)
+        traj.times = np.append(traj.times, ts)
+        traj.termination = stop
+        if stop is not Termination.LANDED:
+            traj.landed_index = None
+    return out
 
 
 def separatrix_directions(k: int) -> np.ndarray:
@@ -883,58 +902,33 @@ def separatrices(fld: ModelField, controls: IntegratorControls | None = None) ->
     Separatrix j leaves infinity along arg z = pi j/k; outgoing ones (even
     j) run in reversed time, so that every trajectory runs from its launch
     point towards its landing point, with increasing ``times`` from 0.
-    Each is built from three segments:
-
-    - the far segment (``_far_segment``), on the exact curve Im xi = 0,
-      down to |z| = 1.5 s, s = |eps|^{1/(k+1)};
-    - the transit, ``_march`` steps from its last point, which stop on the
-      landing disks of ``lane_radii`` (or on any other stop of the
-      controls, ``boundary_radius`` included).  At k = 1 that point lies
-      in the chart disk already, and the transit has no step;
-    - the landing segment (``_landing_segments``), on the exact orbit in
-      the Koenigs chart of the landing root, down to |u_l| = capture
-      radius/2 (so |z - z_l| is below the capture radius), or to
-      ``time_cap``, where it stops with ``TIME_CAP`` as an integrated orbit
-      would.
+    Each is its far segment (``_far_segment``), on the exact curve Im xi =
+    0 down to |z| = 1.5 s, s = |eps|^{1/(k+1)}, and then the drawn orbit
+    (``_drawn``) from its last point at its time, in one call for all 2k:
+    the transit, ``_march`` steps that stop on the landing disks of
+    ``lane_radii`` (or on any other stop of the controls), and the landing
+    segment in the Koenigs chart of the landing root, down to |u_l| =
+    capture radius/2 (so |z - z_l| is below the capture radius).  At k = 1
+    that point lies in the chart disk already, and the transit has no
+    step.  ``controls.time_cap``, in the field's own time unit
+    (``_field_controls``), ends whichever segment it falls in with
+    ``TIME_CAP``, as it would end an integrated orbit.
 
     ``n_accepted``, ``n_rejected`` and ``h_min_seen`` count the transit's
-    steps; the chart points come on top of them.  ``controls.sag`` bounds
-    the bend of the transit's and the landing segment's arcs.
+    steps; the far and chart points come on top of them.
     """
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
-    ctl = controls or IntegratorControls()
+    ctl = _field_controls(fld, controls)
     js = np.arange(2 * fld.k)
     far, far_t = _far_segment(fld, js, ctl.time_cap)
-    radii = {d: lane_radii(fld, d, ctl.boundary_radius).tolist() for d in (1, -1)}
-    out, landed, entries = [], [], []
-    for j, zs, ts in zip(js.tolist(), far.tolist(), far_t.tolist()):
-        direction = -1 if j % 2 == 0 else 1
-        traj = Trajectory(
-            np.array(zs), np.array(ts), Termination.TIME_CAP,
-            orientation="outgoing" if direction < 0 else "incoming",
-        )
-        out.append(traj)
-        if ts[-1] >= ctl.time_cap:  # the far segment ran to the cap
-            continue
-        path = ([zs[-1]], [ts[-1]])
-        stop, index, traj.n_accepted, traj.n_rejected, traj.h_min_seen = _march(
-            fld, zs[-1], direction, radii[direction], ctl, path, ts[-1]
-        )
-        traj.points = np.append(traj.points, path[0][1:])
-        traj.times = np.append(traj.times, path[1][1:])
-        traj.termination = stop
-        if stop is Termination.LANDED:
-            landed.append(traj)
-            entries.append((path[0][-1], path[1][-1], index, direction))
-    for traj, entry, (zs, ts, stop) in zip(
-        landed, entries, _landing_segments(fld, entries, ctl.time_cap, ctl.sag)
-    ):
-        traj.points = np.append(traj.points, zs)
-        traj.times = np.append(traj.times, ts)
-        traj.termination = stop
-        traj.landed_index = entry[2] if stop is Termination.LANDED else None
-    return out
+    direction = np.where(js % 2 == 0, -1, 1).tolist()
+    drawn = _drawn(fld, zip(far[:, -1].tolist(), far_t[:, -1].tolist(), direction), ctl)
+    for traj, zs, ts, d in zip(drawn, far, far_t, direction):
+        traj.points = np.concatenate((zs[:-1], traj.points))
+        traj.times = np.concatenate((ts[:-1], traj.times))
+        traj.orientation = "outgoing" if d < 0 else "incoming"
+    return drawn
 
 
 # ---------------------------------------------------------------------------

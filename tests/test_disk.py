@@ -544,7 +544,10 @@ class TestSeparatingRegions:
         # 0.05 from ray 0 the band certificate fails and the orbits run
         fld = ModelField(3, 0.5 * cmath.exp(0.05j))
         r = 1.5 * fld.scale
-        monkeypatch.setattr(model, "MARCH_STEPS", 3)
+        field_controls = model._field_controls
+        monkeypatch.setattr(  # a budget of 3 attempts per orbit
+            model, "_field_controls", lambda fld, ctl: replace(field_controls(fld, ctl), max_steps=3)
+        )
         with pytest.raises(AtBifurcation, match=r"sample at alpha = .* stopped at step_budget"):
             separating_regions(fld, r, samples_per_arc=6)
         ctl = IntegratorControls(boundary_radius=r * (1.0 - 1e-12), max_steps=3)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -318,9 +319,11 @@ class TestIntegrate:
                         ctl = IntegratorControls(sag=sag, **extra)
                         got = integrate(fld, z0, direction, ctl)
                         radii = [capture_radius(fld)] * (k + 1)
-                        want, landed, *_ = reference_dopri(fld, z0, direction, ctl, radii)
+                        # the reference reads the cap in the unit of z
+                        ref = model._field_controls(fld, ctl)
+                        want, landed, *_ = reference_dopri(fld, z0, direction, ref, radii)
                         if want is Termination.STEP_BUDGET:
-                            free = IntegratorControls(**{**extra, "max_steps": 200_000})
+                            free = replace(ref, max_steps=200_000)
                             want, landed, *_ = reference_dopri(fld, z0, direction, free, radii)
                         if got.termination is Termination.STEP_BUDGET:
                             assert got.n_accepted + got.n_rejected == ctl.max_steps
@@ -425,6 +428,29 @@ class TestScalarKernel:
                 assert got[:2] == ref[:2]
                 np.testing.assert_allclose(got_path[0], ref_path[0], rtol=1e-12)
                 np.testing.assert_allclose(got_path[1], np.add(ref_path[1], t), rtol=1e-12)
+
+    def test_start_an_ulp_short_of_the_cap(self):
+        # a far segment cut at the cap can end its time an ulp short of it;
+        # the rest moves z by less than a solve resolves, and the orbit stops
+        # at the cap instead of halving that step below its floor
+        for k in (1, 2, 3, 5):
+            for abs_eps in (1e-6, 1.0):
+                fld = ModelField(k, abs_eps * cmath.exp(0.7j))
+                z0 = 1.5 * fld.scale * cmath.exp(0.3j)
+                radii = lane_radii(fld, 1).tolist()
+                for cap in (0.5, 500.0, 5e5):
+                    ctl = IntegratorControls(time_cap=cap)
+                    got = model._march(fld, z0, 1, radii, ctl, None, math.nextafter(cap, 0.0))
+                    assert got[0] is Termination.TIME_CAP and got[2] <= 1, (k, abs_eps, cap)
+        # separatrices with caps that fall in their far segments or transits
+        rng = np.random.default_rng(488)
+        for k in (1, 2):
+            fld = ModelField(k, 1e-6 * cmath.exp(1j * (0.37 * math.pi / k)))
+            for cap in rng.uniform(100.0, 3000.0, 12):
+                ctl = IntegratorControls(sag=1e-3, time_cap=cap * fld.scale**k, max_steps=40_000)
+                for traj in separatrices(fld, ctl):
+                    assert traj.termination in (Termination.TIME_CAP, Termination.LANDED)
+                    assert traj.times[-1] <= cap * (1.0 + 1e-15)
 
     def test_underflow_message(self):
         # with no Newton sweep allowed every step is rejected and halved:
@@ -574,6 +600,77 @@ class TestDrawnOrbits:
             ref = ref[(np.abs(ref.real) <= radius) & (np.abs(ref.imag) <= radius)]
             pixels = (ref.real + radius + 1j * (radius - ref.imag)) * (size / (2 * radius))
             assert _distance_to_polyline(pixels, poly).max() <= 0.5, (k, z0, direction)
+
+    def test_array_starts_match_scalar_calls(self):
+        # integrate on an array of starts, with the directions per start or
+        # one for all, against one call per start: the same stop, landing
+        # index and point count, and the points to rounding, although all
+        # the orbits of the array land in one chart solve
+        rng = np.random.default_rng(2727)
+        for k in range(1, 7):
+            fld = _generic_field(rng, k)
+            z0 = (rng.uniform(-2.0, 2.0, 6) + 1j * rng.uniform(-2.0, 2.0, 6)) * fld.scale
+            for sag in (None, 2e-3 * fld.scale):
+                ctl = IntegratorControls(sag=sag)
+                mixed = np.tile([1, -1], 3)
+                for direction in (1, -1, mixed):
+                    batch = integrate(fld, z0, direction, ctl)
+                    each = np.broadcast_to(direction, z0.shape)
+                    assert isinstance(batch, list) and len(batch) == len(z0)
+                    for got, z, d in zip(batch, z0.tolist(), each.tolist()):
+                        want = integrate(fld, z, d, ctl)
+                        assert (got.termination, got.landed_index) == (
+                            want.termination, want.landed_index
+                        )
+                        assert len(got.points) == len(want.points), (k, z, d)
+                        error = np.abs(got.points - want.points).max()
+                        assert error <= 1e-14 * max(1.0, fld.scale), (k, z, d, error)
+                        np.testing.assert_array_equal(got.times[: got.n_accepted + 1],
+                                                      want.times[: want.n_accepted + 1])
+        # a one-point array still gives a list
+        assert isinstance(integrate(ModelField(2, 1.0), [0.3])[0], model.Trajectory)
+
+    def test_portrait_lands_in_two_chart_solves(self, monkeypatch):
+        # one integrate call draws every sample orbit, and the portrait
+        # makes one _landing_segments call for them and one for the
+        # separatrices
+        calls = {"integrate": 0, "chart": []}
+        integrate_, landing = render.integrate, model._landing_segments
+
+        def counted_integrate(*args):
+            calls["integrate"] += 1
+            return integrate_(*args)
+
+        def counted_landing(fld, entries, *args):
+            calls["chart"].append(len(entries))
+            return landing(fld, entries, *args)
+
+        monkeypatch.setattr(render, "integrate", counted_integrate)
+        monkeypatch.setattr(model, "_landing_segments", counted_landing)
+        for k in (1, 2, 6):
+            calls.update(integrate=0, chart=[])
+            render._portrait(k, 0.5 + 0.2j, 1.5, 0, 10)
+            assert calls["integrate"] == 1 and len(calls["chart"]) == 2, (k, calls)
+            assert calls["chart"][0] > 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_eps_orbits_land(self, k):
+        # the time cap is in the field's own unit s^{-k}: natural times grow
+        # as |eps|^{-k/(k+1)}, and a cap in the unit of z stopped these
+        # separatrices at time_cap.  Default controls and the portrait's;
+        # sample orbits of integrate land or escape
+        theta = bifurcation_angles(k)[0] + 0.37 * math.pi / k
+        for abs_eps in (1e-6, 1e-4):
+            fld = ModelField(k, abs_eps * cmath.exp(1j * theta))
+            sing = singularities(fld)
+            portrait = render._portrait(k, fld.epsilon, 1.5 * fld.scale, 0, 0)[1]
+            for seps in (separatrices(fld), portrait):
+                for traj in seps:
+                    assert traj.termination is Termination.LANDED, (k, abs_eps)
+                    assert abs(traj.points[-1] - sing[traj.landed_index]) < capture_radius(fld)
+            z0 = np.exp(2j * math.pi * np.arange(8) / 8) * 1.2 * fld.scale
+            for traj in integrate(fld, np.repeat(z0, 2), np.tile([1, -1], 8)):
+                assert traj.termination in (Termination.LANDED, Termination.ESCAPED), (k, abs_eps)
 
 
 class TestLandingIndex:
@@ -960,13 +1057,14 @@ class TestSeparatrices:
 
     def test_time_cap_ends_a_chart_segment(self):
         # a cap inside the landing segment ends it there, as it would end an
-        # integrated orbit; a cap inside the far segment ends that one
+        # integrated orbit; a cap inside the far segment ends that one.
+        # The controls give the cap in the field's time unit s^{-k}
         fld = ModelField(3, 0.7 * cmath.exp(0.9j))
         full = separatrices(fld)
         n_far = model._far_segment(fld, [0], math.inf)[0].shape[1]
         entry = n_far + full[1].n_accepted - 1
         cap = 0.5 * (full[1].times[entry] + full[1].times[-1])
-        traj = separatrices(fld, IntegratorControls(time_cap=cap))[1]
+        traj = separatrices(fld, IntegratorControls(time_cap=cap * fld.scale**fld.k))[1]
         assert traj.termination is Termination.TIME_CAP and traj.landed_index is None
         assert traj.times[-1] == pytest.approx(cap, rel=1e-15)
         np.testing.assert_array_equal(traj.points[: entry + 1], full[1].points[: entry + 1])
@@ -974,7 +1072,8 @@ class TestSeparatrices:
         path = ([], [])
         reference_dopri(fld, traj.points[entry], 1, ctl, [0.0] * 4, path, rtol=1e-12)
         assert abs(path[0][-1] - traj.points[-1]) <= 1e-10 * fld.scale
-        for traj in separatrices(ModelField(1, 1e-6j), IntegratorControls(time_cap=50.0)):
+        fld = ModelField(1, 1e-6j)
+        for traj in separatrices(fld, IntegratorControls(time_cap=50.0 * fld.scale**fld.k)):
             assert traj.termination is Termination.TIME_CAP and traj.n_accepted == 0
             assert traj.times[-1] == pytest.approx(50.0, rel=1e-15)
 
@@ -1289,7 +1388,10 @@ class TestDSInvariant:
         # step ends at least 0.55 times as far from the nearest root as it
         # starts, 0.27 s here, outside every landing disk (radius 0.25 s
         # at most)
-        monkeypatch.setattr(model, "MARCH_STEPS", 1)
+        field_controls = model._field_controls
+        monkeypatch.setattr(
+            model, "_field_controls", lambda fld, ctl: replace(field_controls(fld, ctl), max_steps=1)
+        )
         with pytest.raises(AtBifurcation) as exc:
             ds_invariant_integrated(ModelField(3, 1.0))
         assert str(exc.value) == "separatrices did not land: " + ", ".join(
