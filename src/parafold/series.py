@@ -95,13 +95,14 @@ def _mul_raw(a, b):
 def _newton_orders(start, n, gain=1):
     """Truncation orders of a Newton iteration whose iterate is exact to
     order ``start``: each sweep takes an iterate exact to order m to one
-    exact to 2m + gain, up to n, and two sweeps run at n to settle the
-    rounding."""
+    exact to 2m + gain, up to n.  One sweep runs at n: the iterate it starts
+    from is exact to order n/2, so it resolves order n, and a start already
+    at n gets that one sweep."""
     orders = []
     while start < n:
         start = min(2 * start + gain, n)
         orders.append(start)
-    return orders + [n] * (2 - orders.count(n))
+    return orders or [n]
 
 
 def _pow_raw(c, e):
@@ -130,30 +131,51 @@ def _reciprocal_raw(c):
     return inv
 
 
+def _valuation(c):
+    """Degree of the first nonzero coefficient of c; len(c) if there is none."""
+    nonzero = np.flatnonzero(c)
+    return int(nonzero[0]) if len(nonzero) else len(c)
+
+
 def _power_table(inner, n):
     """Rows inner^0 .. inner^m truncated at order n, m = isqrt(n+1): the
-    baby steps of ``_compose_table``."""
+    baby steps of ``_compose_table``.  With v the valuation of inner, read
+    off its coefficients, row i vanishes below degree i v, and each product
+    runs over the degrees from i v up only; a nonzero constant term gives
+    v = 0 and products at full length."""
     m = math.isqrt(n + 1)
     table = np.zeros((m + 1, n + 1), dtype=complex)
     table[0, 0] = 1.0
     table[1] = inner[: n + 1]
+    v = _valuation(table[1])
     for i in range(2, m + 1):
-        table[i] = _mul_raw(table[i - 1], table[1])
+        lo = i * v
+        if lo > n:
+            break
+        table[i, lo:] = _mul_raw(table[i - 1, lo - v : n + 1 - v], table[1, v:])
     return table
 
 
 def _compose_table(outer, table):
-    """outer(inner) truncated at the table's order, by Brent and Kung's baby
-    steps and giant steps: the blocks of m coefficients of outer are taken
-    against inner^0 .. inner^{m-1} in one matrix product, and summed by
-    Horner in the giant step inner^m, about n/m products."""
+    """outer(inner) truncated at the table's order n, by Brent and Kung's
+    baby steps and giant steps: the blocks of m coefficients of outer are
+    taken against inner^0 .. inner^{m-1} in one matrix product, and summed
+    by Horner in the giant step inner^m, about n/m products.  Block b is
+    multiplied by inner^{mb}, so with w the valuation of inner^m the Horner
+    sum keeps n+1 - bw coefficients at block b."""
     m, width = table.shape[0] - 1, table.shape[1]
     blocks = np.zeros((-(-width // m), m), dtype=complex)
     blocks.flat[:width] = outer[:width]
     parts = blocks @ table[:m]
-    acc = parts[-1]
-    for part in parts[-2::-1]:
-        acc = _mul_raw(acc, table[m]) + part
+    giant = table[m]
+    w = _valuation(giant)
+    acc = parts[-1, : max(width - (len(parts) - 1) * w, 0)]
+    for b in range(len(parts) - 2, -1, -1):
+        keep = max(width - b * w, 0)
+        step = parts[b, :keep].copy()
+        if keep > w:
+            step[w:] += _mul_raw(acc, giant[w:keep])
+        acc = step
     return acc
 
 
@@ -161,6 +183,40 @@ def _compose_raw(outer, inner):
     """outer(inner) truncated at the shorter order, inner used as given (its
     constant term included): one power table, then ``_compose_table``."""
     return _compose_table(outer, _power_table(inner, min(len(outer), len(inner)) - 1))
+
+
+def _compose_classes(outer, g, modulus):
+    """outer(y) at y = eta g(eta^q), q = ``modulus``, truncated at outer's
+    order n.  Such a y commutes with rotation by 2 pi/q.  With outer split
+    into classes, outer(y) = sum_j y^j a_j(y^q), and x = eta^q,
+
+        outer(y) = sum_j eta^j g(x)^j a_j(x g(x)^q):
+
+    every class is composed at order n//q in x, all from one power table of
+    x g(x)^q, and a class of outer that is all zero costs nothing.  g must
+    be known to order (n-1)//q; it is zero-padded past that."""
+    n = len(outer) - 1
+    top = n // modulus
+    g = g[: top + 1]
+    g = np.concatenate([g, np.zeros(top + 1 - len(g), dtype=complex)])
+    powers = [None, g]  # g^0 is never multiplied by
+    for _ in range(2, modulus + 1):
+        powers.append(_mul_raw(powers[-1], g))
+    inner = np.zeros(top + 1, dtype=complex)
+    inner[1:] = powers[modulus][:top]
+    table = _power_table(inner, top)
+    out = np.zeros(n + 1, dtype=complex)
+    for j in range(modulus):
+        a = outer[j::modulus]
+        if not a.any():
+            continue
+        part = np.zeros(top + 1, dtype=complex)
+        part[: len(a)] = a
+        part = _compose_table(part, table)
+        if j:
+            part = _mul_raw(part, powers[j])
+        out[j::modulus] = part[: len(a)]
+    return out
 
 
 class TruncatedSeries:
@@ -360,8 +416,8 @@ class TruncatedSeries:
         Newton iteration on the composition equation, g <- g - (self(g) - x) g',
         with g' in place of 1/self'(g): each sweep is one composition (one
         power table of g) and one product.  An iterate exact to order m
-        comes out exact to order 2m, so the sweeps run at the truncation
-        orders 2, 4, 8, ..., n and then once more at n.
+        comes out exact to order 2m, so the sweeps run once at each of the
+        truncation orders 2, 4, 8, ..., n.
         """
         if abs(self._c[0]) > UNIT_TOL:
             raise NonZeroConstantTerm("series must vanish at the origin")
@@ -383,8 +439,8 @@ class TruncatedSeries:
 
         Requires constant term 1 (callers normalise first).  Newton for the
         inverse root y = self^{-1/k}, y <- y + y (1 - self y^k)/k, needs no
-        reciprocal; it runs at doubling truncation orders and then twice at
-        full order.  The root x = self y^{k-1} is polished once at full
+        reciprocal; it runs once at each of the doubling truncation orders
+        1, 3, 7, ..., n.  The root x = self y^{k-1} is polished once at full
         order, x <- x + (self - x^k) y^{k-1}/k.
         """
         if k < 1:

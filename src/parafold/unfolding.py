@@ -24,6 +24,7 @@ from .series import (
     UNIT_TOL,
     BivariateSeries,
     TruncatedSeries,
+    _compose_classes,
     _newton_orders,
     json_field,
     json_int,
@@ -201,8 +202,8 @@ def _solve_root_locus(omega: BivariateSeries, z_order: int) -> TruncatedSeries:
 
     Newton iteration on the functional equation; the eps-derivative of omega
     is a unit at the origin by genericity.  An iterate exact to order m
-    comes out exact to order 2m+1, so the sweeps run at the doubling
-    truncation orders 1, 3, 7, ..., z_order and then once more at z_order.
+    comes out exact to order 2m+1, so the sweeps run once at each of the
+    doubling truncation orders 1, 3, 7, ..., z_order.
     The reciprocal of the slope is carried as a second Newton iterate,
     inv <- inv (2 - slope inv), one step a sweep: an inv exact to order m
     (against the slope of an f exact to order m) suffices for the step of
@@ -246,27 +247,30 @@ def factor_family(spec: FamilySpec, z_order: int | None = None, choice: int = 0)
     root = (h / c0).kth_root(k + 1)
     # g(z) = gamma * z * (h/h(0))^{1/(k+1)}
     g = (root.extended(z_order) * gamma).shift_up(1)
-    ginv = g.reversion()
-    jac = g.derivative().extended(z_order).compose(ginv)
     omega = BivariateSeries(spec.omega.coefficients, z_order, spec.omega.eps_order)
-    omega_t = omega.compose_z(ginv.extended(z_order)).mul_z(jac)
-    # the eps columns past the stored ones are zero: pad them only for the division
+    # g' rides as a last eps column, so one power table of g^{-1} composes both
+    gprime = g.derivative().extended(z_order).coefficients
+    both = BivariateSeries(np.column_stack([omega.coefficients, gprime])).compose_z(g.reversion())
+    jac = TruncatedSeries(both.coefficients[:, -1])
+    omega_t = BivariateSeries(both.coefficients[:, :-1]).mul_z(jac)
+    # the eps columns past the stored ones are zero: the division pads them
     eps_work = spec.omega.eps_order + 1 + math.ceil((z_order + 1) / (k + 1))
-    v = _divide_by_model(BivariateSeries(omega_t.coefficients, eps_order=eps_work), k)
+    v = _divide_by_model(omega_t, k, eps_work)
     return replace(spec, factored=FactoredForm(g=g, v=v))
 
 
-def _divide_by_model(omega_t: BivariateSeries, k: int) -> BivariateSeries:
-    """Exact division of a straightened family by (z^{k+1} - eps).
+def _divide_by_model(omega_t: BivariateSeries, k: int, eps_order: int) -> BivariateSeries:
+    """Exact division of a straightened family by (z^{k+1} - eps), to an
+    ``eps_order`` at least that of omega~.
 
     Matching coefficients gives v_{m,n} = -sum_j omega~_{m-j(k+1), n+1+j};
     entries beyond the stored eps-order count as zero, which is exact for
-    families polynomial in eps.  Every entry sums its terms in the order
-    j = 0, 1, 2, ... from zero.
+    families polynomial in eps, and are not summed.  Every entry sums its
+    terms in the order j = 0, 1, 2, ... from zero.
     """
     nz, ne = omega_t.z_order, omega_t.eps_order
     c = omega_t.coefficients
-    acc = np.zeros((nz + 1, ne + 1), dtype=complex)
+    acc = np.zeros((nz + 1, eps_order + 1), dtype=complex)
     for j in range(min(nz // (k + 1) + 1, ne)):
         acc[j * (k + 1) :, : ne - j] += c[: nz + 1 - j * (k + 1), 1 + j :]
     return BivariateSeries(-acc)
@@ -361,7 +365,9 @@ def canonicalize(ef: EigenvalueFunction) -> CanonicalForm:
     Both live in x = delta^{k+1}: l^{k+1} = L(delta^{k+1}) with
     L(x) = x a_0(x) A(x), and h(eta) = eta G(eta^{k+1}) with
     G = (L^{-1}(x)/x)^{1/(k+1)}, so the reversion and the roots run at order
-    (N-1)//(k+1) for truncation order N.  The inverse of the returned map
+    (N-1)//(k+1) for truncation order N.  h commutes with rotation by
+    2 pi/(k+1), so lambda o h is composed class by class at order N//(k+1)
+    in x (``series._compose_classes``).  The inverse of the returned map
     eta -> a h(eta) is delta -> l(delta/a), which costs nothing more.
     """
     k = ef.k
@@ -381,7 +387,7 @@ def canonicalize(ef: EigenvalueFunction) -> CanonicalForm:
     g = ell_power.reversion().shift_down(1).kth_root(k + 1)
     h = g.upsample(k + 1, order).shift_up(1)
     ell = root.upsample(k + 1, order).shift_up(1)
-    lam_can = lam1.compose(h).coefficients.copy()
+    lam_can = _compose_classes(lam1.coefficients, g.coefficients, k + 1)
     lam_can[_k_class(k)][1:] = 0.0  # the eliminated classes are O(roundoff)
     return CanonicalForm(
         h=h * a,
@@ -417,7 +423,9 @@ def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float =
     Canonical forms are compared up to precomposition by the k-th roots of
     unity; the realizing substitution xi (an element of the symmetric group,
     commuting with rotation by 2 pi/(k+1)) is assembled from the two
-    canonicalising maps.
+    canonicalising maps.  Both commute with that rotation, h2 has terms in
+    one class mod k+1 only, and h1^{-1}(delta) = delta G(delta^{k+1}), so
+    xi is one class composition at order N//(k+1) (``series._compose_classes``).
     """
     if l1.k != l2.k:
         raise ValueError("eigenvalue functions have different codimension")
@@ -430,8 +438,10 @@ def equivalent_full(l1: EigenvalueFunction, l2: EigenvalueFunction, tol: float =
     if nu is None:
         return None
     # l1 o h1 = c1, l2 o h2 = c2 and c2 = c1 o (nu .): xi = h2 o (nu^{-1} .) o h1^{-1}
-    xi = c2.h.scale_argument(1 / nu).compose(c1.h_inverse)
-    return nu, xi
+    n = min(c1.h.order, c2.h.order)
+    outer = c2.h.scale_argument(1 / nu).coefficients[: n + 1]
+    xi = _compose_classes(outer, c1.h_inverse.coefficients[1 :: l1.k + 1], l1.k + 1)
+    return nu, TruncatedSeries(xi)
 
 
 def is_model_equivalent(ef: EigenvalueFunction) -> bool:

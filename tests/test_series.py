@@ -12,6 +12,8 @@ from parafold.series import (
     NotAUnit,
     NotInvertible,
     TruncatedSeries,
+    _compose_classes,
+    _newton_orders,
     class_join,
     series_distance,
 )
@@ -241,6 +243,40 @@ class TestAgainstHornerAndRecurrence:
             assert np.all(err <= self.COMPOSE_BOUND * modulus)
 
     @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("valuation", [2, 3])
+    def test_compose_valuation(self, decay, valuation):
+        # the power table and the Horner sum skip the degrees below i v
+        rng = np.random.default_rng(80 + 10 * valuation + int(10 * decay))
+        for order in self.ORDERS:
+            outer = _decaying(rng, order, decay)
+            inner = np.zeros(order + 1, dtype=complex)
+            inner[valuation:] = _tangent(rng, order, decay, 0.0)[1 : order + 2 - valuation]
+            got = TruncatedSeries(outer).compose(TruncatedSeries(inner)).coefficients
+            modulus = horner_compose(np.abs(outer), np.abs(inner)).real
+            err = np.abs(got - horner_compose(outer, inner))
+            assert np.all(err <= self.COMPOSE_BOUND * modulus), order
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("only", [None, 1, 0])
+    def test_compose_classes(self, decay, k, only):
+        # inner = eta g(eta^{k+1}); ``only`` keeps one class of outer and
+        # zeroes the others, as the canonical maps of equivalent_full do
+        q = k + 1
+        rng = np.random.default_rng(90 + 10 * k + int(10 * decay))
+        for order in (40, 41, 43, 80, 160):
+            outer = _decaying(rng, order, decay)
+            if only is not None:
+                outer[np.arange(order + 1) % q != only] = 0.0
+            g = _tangent(rng, (order - 1) // q, decay, 1.0)
+            inner = np.zeros(order + 1, dtype=complex)
+            inner[1::q] = g
+            got = _compose_classes(outer, g, q)
+            modulus = horner_compose(np.abs(outer), np.abs(inner)).real
+            err = np.abs(got - horner_compose(outer, inner))
+            assert np.all(err <= self.COMPOSE_BOUND * modulus), order
+
+    @pytest.mark.parametrize("decay", [0.3, 0.7, 0.9])
     def test_reciprocal(self, decay):
         rng = np.random.default_rng(50 + int(10 * decay))
         for order in self.ORDERS:
@@ -273,6 +309,25 @@ class TestAgainstHornerAndRecurrence:
             power = (root ** (k - 1)).coefficients
             fixed = TruncatedSeries(c) * TruncatedSeries(recurrence_reciprocal(power))
             assert series_distance(fixed, root) <= self.KTH_ROOT_BOUND
+
+
+class TestNewtonOrders:
+    def test_doubling_orders(self):
+        assert _newton_orders(0, 160) == [1, 3, 7, 15, 31, 63, 127, 160]
+        assert _newton_orders(1, 160, gain=0) == [2, 4, 8, 16, 32, 64, 128, 160]
+
+    @pytest.mark.parametrize("gain", [0, 1])
+    def test_one_sweep_at_full_order(self, gain):
+        for start in range(1, 6):
+            for n in [*range(start, 40), 80, 160]:
+                orders = _newton_orders(start, n, gain)
+                assert orders[-1] == n and orders.count(n) == 1, (start, n)
+                assert all(b <= 2 * a + gain for a, b in zip([start, *orders], orders))
+
+    def test_start_at_full_order(self):
+        assert _newton_orders(0, 0) == [0]
+        assert _newton_orders(40, 40) == [40]
+        assert _newton_orders(1, 1, gain=0) == [1]
 
 
 class TestClassSplit:

@@ -188,9 +188,16 @@ class TestDivideByModel:
             c.real[rng.random(shape) < 0.2] = -0.0
             c.imag[rng.random(shape) < 0.2] = -0.0
             omega_t = BivariateSeries(c)
-            got = _divide_by_model(omega_t, k).coefficients
+            got = _divide_by_model(omega_t, k, ne).coefficients
             want = _divide_by_model_reference(omega_t, k).coefficients
             assert got.tobytes() == want.tobytes(), (k, nz, ne)
+            if ne <= 1:
+                # a wider eps-order sums the stored columns only; the
+                # reference sums the zero columns that pad it
+                got = _divide_by_model(omega_t, k, ne + 6).coefficients
+                padded = BivariateSeries(c, eps_order=ne + 6)
+                want = _divide_by_model_reference(padded, k).coefficients
+                assert got.tobytes() == want.tobytes(), (k, nz, ne)
 
     def test_stored_columns_only_bit_for_bit(self):
         # factor_family composes only the stored eps columns of omega; the
@@ -206,7 +213,7 @@ class TestDivideByModel:
                     eps_work = spec.omega.eps_order + 1 + math.ceil((z_order + 1) / (k + 1))
                     omega_pad = BivariateSeries(spec.omega.coefficients, z_order, eps_work)
                     omega_t = omega_pad.compose_z(ginv.extended(z_order)).mul_z(jac)
-                    want = _divide_by_model(omega_t, k).coefficients
+                    want = _divide_by_model(omega_t, k, eps_work).coefficients
                     assert spec.factored.v.coefficients.tobytes() == want.tobytes(), (k, order)
 
 
@@ -456,6 +463,17 @@ class TestEquivalence:
             # xi commutes with rotation by 2 pi/(k+1)
             deg = np.arange(xi.order + 1)
             assert np.abs(xi.coefficients[deg % (k + 1) != 1]).max() < 1e-10
+
+    def test_xi_has_the_lower_truncation(self):
+        # xi is known only to the order both eigenvalue functions carry
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 3):
+            ef = random_eigenvalue(rng, k, 36, decay=0.3)
+            short = EigenvalueFunction(k, ef.lam.truncated(20))
+            for l1, l2 in ((ef, short), (short, ef)):
+                nu, xi = equivalent_full(l1, l2)
+                assert xi.order == 20
+                assert series_distance(l1.lam, l2.lam.compose(xi)) <= 1e-12
 
     def test_full_inequivalence(self):
         # canonical with a_1 != 0 cannot match the model
