@@ -9,7 +9,6 @@ eps-plane.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -19,9 +18,9 @@ import numpy as np
 from .model import (
     TWO_PI,
     AtBifurcation,
-    DegenerateParameter,
     ModelField,
     Termination,
+    _gon_vertices,
     bifurcation_angles,
     is_homoclinic,
     landing_lanes,
@@ -157,34 +156,21 @@ def tangency_angles(k: int, eps, r: float) -> TangencySet:
     return TangencySet(k=k, r=r, epsilon=eps, angles=angles, newton_iterations=iterations)
 
 
-@functools.cache
-def _unit_gon(k: int) -> np.ndarray:
-    """Vertices of the |eps| = 1 period-gon (read-only)."""
-    vertices = periods(ModelField(k, 1.0)).vertices
-    vertices.flags.writeable = False
-    return vertices
-
-
 def tangency_times(tset: TangencySet) -> TangencySet:
     """Rectified positions t_m = v(sector) + xi(r e^{i alpha_m}) of the tangencies.
 
-    A tangency on a slit is evaluated 1e-12 rad counterclockwise of it.
+    A tangency on a slit is evaluated 1e-12 rad counterclockwise of it.  A
+    gon that overflows a float raises ``SeriesOutOfDomain`` (``_gon_vertices``).
     """
-    k, k1 = tset.k, tset.k + 1
+    k = tset.k
     col = np.asarray(tset.epsilon)[..., None]
-    abs_eps = np.abs(col)
-    if tset.r <= abs_eps.max() ** (1.0 / k1):
+    if tset.r <= np.abs(col).max() ** (1.0 / (k + 1)):
         raise ValueError("disk radius must exceed |eps|^{1/(k+1)}")
     z = tset.r * np.exp(1j * tset.angles)
     sectors, slit = sector_array(k, col, z)
     if np.count_nonzero(slit):
         z = np.where(slit, tset.r * np.exp(1j * (tset.angles + 1e-12)), z)
-    if np.count_nonzero(abs_eps == 0):
-        raise DegenerateParameter("eps = 0")
-    # the gon at eps is the |eps| = 1 gon scaled by |eps|^{-k/(k+1)} and
-    # turned by -k arg(eps)/(k+1), arg(eps) in [0, 2*pi)
-    turn = abs_eps ** (-k / k1) * np.exp(-1j * k / k1 * (np.angle(col) % TWO_PI))
-    ts = _unit_gon(k)[sectors] * turn + xi_array(k, col, z)
+    ts = _gon_vertices(k, col, sectors) + xi_array(k, col, z)
     return replace(tset, t_values=ts, vertex_index=sectors, on_slit=slit)
 
 

@@ -3,9 +3,11 @@
 The module computes the exact combinatorial-geometric data (singularities,
 periods, period-gon, homoclinic angles, zig-zag invariant) and follows
 trajectories and separatrices, so every combinatorial answer can be
-cross-checked dynamically.  The Douady-Sentenac invariant, trunk and
-attachment, is read off the period-gon alone; its integrated counterpart
-``ds_invariant_integrated`` is the oracle.
+cross-checked dynamically.  The period-gon of eps is that of eps = 1,
+built once per k (``_unit_gon``), turned and scaled (``_gon_vertices``).
+The Douady-Sentenac invariant, trunk and attachment, is read off the
+period-gon alone; its integrated counterpart ``ds_invariant_integrated``
+is the oracle.
 
 One kernel steps orbits, ``_march``.  It marches an orbit in the
 rectifying coordinate t = int dz/f, where every orbit is a horizontal
@@ -77,7 +79,8 @@ class PathThroughSingularity(ValueError):
 
 
 class SeriesOutOfDomain(ValueError):
-    """Series branch of the rectifying coordinate evaluated inside its cut."""
+    """Series branch of the rectifying coordinate evaluated inside its cut,
+    or a quantity of it (xi, the period-gon) that overflows a float."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class ModelField:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not cmath.isfinite(self.epsilon):
+            raise ValueError(f"eps must be finite, got {self.epsilon}")
 
     def rhs(self, z):
         return z ** (self.k + 1) - self.epsilon
@@ -132,15 +137,25 @@ class PeriodGon:
 
     ``vertices[l]`` is the vertex between the sides of singularities l and
     l+1 (half-integer index l+1/2 in the usual convention); consecutive
-    differences along sides are the negated periods.
+    differences along sides are the negated periods.  The singularities,
+    eigenvalues and periods are computed when read.
     """
 
     k: int
     epsilon: complex
-    singularities: np.ndarray
-    eigenvalues: np.ndarray
-    periods: np.ndarray
     vertices: np.ndarray
+
+    @property
+    def singularities(self) -> np.ndarray:
+        return singularities(ModelField(self.k, self.epsilon))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return ModelField(self.k, self.epsilon).d_rhs(self.singularities)
+
+    @property
+    def periods(self) -> np.ndarray:
+        return 2j * math.pi / self.eigenvalues
 
     @property
     def scale(self):
@@ -152,21 +167,45 @@ class PeriodGon:
         return self.vertices[(ell - 1) % k1], self.vertices[ell % k1]
 
 
-def periods(fld: ModelField) -> PeriodGon:
-    """Eigenvalues, periods and the centred period-gon of the model field."""
-    sing = singularities(fld)
-    eig = fld.d_rhs(sing)
-    mu = 2j * math.pi / eig
-    partial = -np.cumsum(mu)
+@functools.cache
+def _unit_gon(k: int) -> np.ndarray:
+    """Vertices of the period-gon of eps = 1 (read-only): minus the partial
+    sums of the periods 2 pi i/lambda_l, centred."""
+    fld = ModelField(k, 1.0)
+    partial = -np.cumsum(2j * math.pi / fld.d_rhs(singularities(fld)))
     vertices = partial - partial.mean()
-    return PeriodGon(
-        k=fld.k,
-        epsilon=fld.epsilon,
-        singularities=sing,
-        eigenvalues=eig,
-        periods=mu,
-        vertices=vertices,
-    )
+    vertices.flags.writeable = False
+    return vertices
+
+
+def _gon_vertices(k: int, eps, index=slice(None)):
+    """The vertices ``index`` of the period-gon of ``eps``, which broadcasts
+    against them.
+
+    The roots of eps are those of eps = 1 turned by arg(eps)/(k+1) and
+    scaled by s = |eps|^{1/(k+1)}, so each period 2 pi i/((k+1) z_l^k), and
+    with them the gon (``_unit_gon``), is turned by -k arg(eps)/(k+1),
+    arg(eps) in [0, 2*pi), and scaled by s^{-k}.  eps = 0 raises
+    ``DegenerateParameter``, and a gon that overflows a float
+    ``SeriesOutOfDomain``.
+    """
+    abs_eps = np.abs(eps)
+    if np.count_nonzero(abs_eps == 0):
+        raise DegenerateParameter("eps = 0")
+    k1 = k + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = abs_eps ** (-k / k1) * np.exp(-1j * k / k1 * (np.angle(eps) % TWO_PI))
+        vertices = _unit_gon(k)[index] * turn
+    if np.count_nonzero(~np.isfinite(vertices)):
+        raise SeriesOutOfDomain(
+            f"the period-gon overflows a float at k = {k}, |eps| = {np.min(abs_eps):g}"
+        )
+    return vertices
+
+
+def periods(fld: ModelField) -> PeriodGon:
+    """The centred period-gon of the model field (``_gon_vertices``)."""
+    return PeriodGon(k=fld.k, epsilon=fld.epsilon, vertices=_gon_vertices(fld.k, fld.epsilon))
 
 
 def _unit_field(fld: ModelField) -> ModelField:
@@ -178,35 +217,46 @@ def _unit_field(fld: ModelField) -> ModelField:
     return ModelField(fld.k, fld.epsilon / abs(fld.epsilon))
 
 
-def _unit_periods(fld: ModelField) -> PeriodGon:
-    """The period-gon of eps/|eps| (``_unit_field``): the same normalised
-    heights as the gon of eps, at any |eps| a float holds."""
-    return periods(_unit_field(fld))
+def _unit_vertices(fld: ModelField) -> list:
+    """The vertices of the period-gon of eps/|eps| (``_unit_field``), as
+    Python complex numbers: the same normalised heights as the gon of eps,
+    at any |eps| a float holds."""
+    return _gon_vertices(fld.k, _unit_field(fld).epsilon).tolist()
 
 
-def homoclinic_defect(fld: ModelField, gon: PeriodGon | None = None) -> float:
+def _heights(v) -> list:
+    """The heights of the vertices ``v``, divided by the largest modulus."""
+    scale = max(map(abs, v))
+    return [z.imag / scale for z in v]
+
+
+def _defect(k: int, v) -> float:
+    """``homoclinic_defect`` of the gon with vertices ``v``."""
+    h = sorted(_heights(v))
+    best = min(b - a for a, b in zip(h, h[1:]))
+    if k == 1:
+        best = min(best, min(abs(z.real) for z in v) / max(map(abs, v)))
+    return best
+
+
+def homoclinic_defect(fld: ModelField) -> float:
     """Distance (on normalised heights) from the vertical-symmetry locus.
 
-    Symmetry of the period-gon (``_unit_periods`` unless given) about the
-    imaginary axis is the homoclinic criterion: the defect is the smallest
-    gap between two sorted vertex heights.  For k = 1 the symmetric
-    position with both vertices on the axis has no equal-height pair, so
-    the on-axis defect is included there.
+    Symmetry of the period-gon (that of eps/|eps|, ``_unit_vertices``)
+    about the imaginary axis is the homoclinic criterion: the defect is the
+    smallest gap between two sorted vertex heights.  For k = 1 the
+    symmetric position with both vertices on the axis has no equal-height
+    pair, so the on-axis defect is included there.
     """
-    gon = _unit_periods(fld) if gon is None else gon
-    h = sorted((gon.vertices.imag / gon.scale).tolist())
-    best = min(b - a for a, b in zip(h, h[1:]))
-    if fld.k == 1:
-        best = min(best, float(np.abs(gon.vertices.real).min()) / gon.scale)
-    return best
+    return _defect(fld.k, _unit_vertices(fld))
 
 
 def is_homoclinic(fld: ModelField, tol: float = 1e-9):
     """Whether arg(eps) sits on a homoclinic ray, with witness vertex pairs."""
-    gon = _unit_periods(fld)
-    if not homoclinic_defect(fld, gon) <= tol:
+    v = _unit_vertices(fld)
+    if not _defect(fld.k, v) <= tol:
         return False, []
-    n, h = fld.k + 1, (gon.vertices.imag / gon.scale).tolist()
+    n, h = fld.k + 1, _heights(v)
     return True, [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i] - h[j]) <= tol]
 
 
@@ -985,8 +1035,22 @@ def outward_normal(a: complex, b: complex) -> complex:
     return -1j * (b - a) / abs(b - a)
 
 
-def _gon_attachment(fld: ModelField, gon: PeriodGon) -> int:
-    """Landing index of the separatrix with asymptotic direction arg z = 0.
+def _sector_of_one(fld: ModelField) -> int:
+    """``sector_index(fld, 1)`` on Python floats: the rule of
+    ``sector_array``, the nudge off a slit included."""
+    k1 = fld.k + 1
+    width = TWO_PI / k1
+    ang = (0.0 - fld.theta() / k1) % TWO_PI
+    ell = int(ang / width) % k1
+    rel = ang - ell * TWO_PI / k1
+    if min(rel, width - rel) < 1e-12:
+        ell = int((ang + 2e-12) % TWO_PI / width) % k1
+    return ell
+
+
+def _gon_attachment(fld: ModelField, v) -> int:
+    """Landing index of the separatrix with asymptotic direction arg z = 0,
+    read off the gon with vertices ``v``.
 
     In t = int dz/(z^{k+1} - eps) infinity in the sector s of z = 1 is the
     vertex p = v_s, and the separatrix in reversed time is the ray from p
@@ -999,17 +1063,17 @@ def _gon_attachment(fld: ModelField, gon: PeriodGon) -> int:
     without a tolerance.
     """
     k1 = fld.k + 1
-    s = sector_index(fld, 1 + 0j)[0]
-    p = gon.vertices[s]
+    s = _sector_of_one(fld)
+    p = v[s]
     at_p = (s, (s + 1) % k1)
     for ell in range(k1):
-        a, b = gon.side(ell)
+        a, b = v[ell - 1], v[ell]
         if ell not in at_p and min(a.imag, b.imag) < p.imag < max(a.imag, b.imag):
             if a.real + (b.real - a.real) * (p.imag - a.imag) / (b.imag - a.imag) < p.real:
                 return ell
 
     def depth(ell):
-        a, b = gon.side(ell)
+        a, b = v[ell - 1], v[ell]
         u = (a - b if ell == s else b - a) / abs(b - a)
         return min(-u.real, -outward_normal(a, b).real)
 
@@ -1024,15 +1088,16 @@ def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> 
     chains when their heights are distinct, so an upward sweep meets each
     side at its lower end.  The attachment is ``_gon_attachment``.  Both
     need only the distinct heights that ``is_homoclinic`` checks, so the
-    gon is that of eps/|eps| (``_unit_periods``).  With ``validate=True``
+    gon is that of eps/|eps| (``_unit_vertices``).  With ``validate=True``
     both must agree with ``ds_invariant_integrated``.
     """
-    gon = _unit_periods(fld)
-    if homoclinic_defect(fld, gon) <= tol:
+    v = _unit_vertices(fld)
+    if _defect(fld.k, v) <= tol:
         raise AtBifurcation("arg eps lies on a homoclinic ray")
-    spans = [sorted((a.imag, b.imag)) for a, b in map(gon.side, range(fld.k + 1))]
-    order = tuple(sorted(range(fld.k + 1), key=spans.__getitem__))
-    inv = DSInvariant(fld.k, fld.epsilon, order, _gon_attachment(fld, gon)).normalised()
+    k1 = fld.k + 1
+    spans = [sorted((v[ell - 1].imag, v[ell].imag)) for ell in range(k1)]
+    order = tuple(sorted(range(k1), key=spans.__getitem__))
+    inv = DSInvariant(fld.k, fld.epsilon, order, _gon_attachment(fld, v)).normalised()
     if validate:
         other = ds_invariant_integrated(fld)
         if (other.order, other.attachment) != (inv.order, inv.attachment):

@@ -48,6 +48,15 @@ def quad_rectify(fld, z):
     return val
 
 
+def reference_periods(fld):
+    """The vertices of the period-gon of ``fld``: minus the partial sums of
+    the periods 2 pi i/lambda_l at the roots of eps, centred.  The
+    independent oracle of ``model.periods``, which turns and scales the gon
+    of eps = 1."""
+    partial = -np.cumsum(2j * math.pi / fld.d_rhs(singularities(fld)))
+    return partial - partial.mean()
+
+
 def vandermonde_Q(sigma, k, eps):
     """Q_eps by a Vandermonde solve at the roots of delta^{k+1} = eps: the
     independent oracle of ``normal_forms.lagrange_Q`` (eps = 0 raises

@@ -115,6 +115,18 @@ class TestExitCodes:
         assert err.startswith("error: r^") and "is not a finite positive float" in err
         assert not (tmp_path / "x.svg").exists()
 
+    def test_gon_out_of_range(self, tmp_path, monkeypatch):
+        # at k = 30 the period-gon of |eps| = 1e-320 overflows a float: one
+        # error line naming k and |eps|, no numpy warning and no figure
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_main(["star", "--k", "30", "--eps", "1e-320i", "--r", "1", "--out", "x.svg"])
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("error: the period-gon overflows") and "k = 30, |eps| = " in err
+        assert not (tmp_path / "x.svg").exists()
+
     def test_semantic_mismatch(self, family_files, tmp_path):
         other = tmp_path / "k3.json"
         c = np.zeros((10, 2), dtype=complex)

@@ -17,6 +17,7 @@ from conftest import (
     lane_radii,
     quad_rectify,
     reference_dopri,
+    reference_periods,
     scalar_ds_invariant_integrated,
     scalar_landing,
     scalar_separatrix_invariant,
@@ -138,6 +139,16 @@ def _near_ray_fields(ks=range(1, 8), abs_eps=(0.5, 1.0, 3.0)):
                         yield ModelField(k, r * cmath.exp(1j * (theta + side * offset)))
 
 
+class TestModelField:
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, math.inf)]
+    )
+    def test_non_finite_eps_is_refused(self, eps):
+        # a NaN eps is not generic, nor an infinite one a field
+        with pytest.raises(ValueError, match="eps must be finite"):
+            ModelField(2, eps)
+
+
 class TestSingularities:
     def test_cube_roots_of_unity(self):
         got = singularities(ModelField(2, 1.0))
@@ -220,6 +231,86 @@ class TestPeriods:
         for ell in range(5):
             a, b = gon.side(ell)
             assert abs((b - a) + gon.periods[ell]) < 1e-12
+
+
+class TestGonTurnedAndScaled:
+    """``periods`` turns and scales the gon of eps = 1; ``reference_periods``
+    sums the periods at eps itself."""
+
+    @staticmethod
+    def _fields(n, seed):
+        # offsets of 1e-10 to 1e-5 from a homoclinic ray, on either side;
+        # arg eps at 0, +-1e-13 and +-1e-12; and arg eps near +-(k+1) 1e-12,
+        # where z = 1 sits on either side of the 1e-12 slit band
+        rng = np.random.default_rng(seed)
+        fields = []
+        for i in range(n):
+            k = int(rng.integers(1, 13))
+            kind = i % 3
+            if kind == 0:
+                ray = bifurcation_angles(k)[rng.integers(2 * k)]
+                theta = ray + rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -5)
+            elif kind == 1:
+                theta = float(rng.choice([0.0, 1e-13, -1e-13, 1e-12, -1e-12]))
+            else:
+                theta = rng.choice([-1, 1]) * (k + 1) * 1e-12 * rng.choice([0.5, 0.999, 1.001, 2.0])
+            fields.append(ModelField(k, 10 ** rng.uniform(-6, 6) * cmath.exp(1j * theta)))
+        return fields
+
+    def test_vertices_match_the_partial_sums(self):
+        rng = np.random.default_rng(29)
+        worst = 0.0
+        for k in range(1, 13):
+            for abs_eps in 10.0 ** np.linspace(-300, 300, 25):
+                for theta in (0.0, 1e-13, -1e-13, rng.uniform(0, TWO_PI), -1.0, TWO_PI - 1e-12):
+                    fld = ModelField(k, abs_eps * cmath.exp(1j * theta))
+                    ref = reference_periods(fld)
+                    err = np.abs(periods(fld).vertices - ref).max() / np.abs(ref).max()
+                    worst = max(worst, err)
+        assert worst < 1e-13
+
+    def test_verdicts_match_the_partial_sums(self, monkeypatch):
+        fields = self._fields(20000, 31)
+
+        def verdicts():
+            out = []
+            for fld in fields:
+                try:
+                    inv = ds_invariant(fld)
+                    out.append((inv.order, inv.attachment, is_homoclinic(fld)))
+                except AtBifurcation:
+                    out.append(("at bifurcation", is_homoclinic(fld)))
+            return out
+
+        turned = verdicts()
+        monkeypatch.setattr(
+            model, "_unit_vertices", lambda fld: reference_periods(model._unit_field(fld)).tolist()
+        )
+        summed = verdicts()
+        assert turned == summed
+        # both verdicts occur, at either side of the slit band
+        assert 0 < sum(v[0] == "at bifurcation" for v in turned) < len(fields)
+
+    def test_sector_of_one(self):
+        fields = self._fields(6000, 37)
+        assert [model._sector_of_one(fld) for fld in fields] == [
+            sector_index(fld, 1 + 0j)[0] for fld in fields
+        ]
+        assert any(sector_index(fld, 1 + 0j)[1] for fld in fields)
+
+    def test_gon_that_overflows_is_refused(self):
+        # |eps|^{-30/31} overflows a float at |eps| = 1e-320: a typed error
+        # naming k and |eps|, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesOutOfDomain, match=r"k = 30, \|eps\| = "):
+                periods(ModelField(30, 1e-320j))
+            with pytest.raises(DegenerateParameter):
+                periods(ModelField(3, 0))
+
+    def test_unit_gon_is_read_only(self):
+        with pytest.raises(ValueError):
+            model._unit_gon(3)[0] = 0
 
 
 class TestBifurcationAngles:
