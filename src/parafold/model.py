@@ -47,6 +47,7 @@ lies within the capture radius.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -224,39 +225,53 @@ def _unit_vertices(fld: ModelField) -> list:
     return _gon_vertices(fld.k, _unit_field(fld).epsilon).tolist()
 
 
-def _heights(v) -> list:
-    """The heights of the vertices ``v``, divided by the largest modulus."""
+@functools.cache
+def _unit_basis(k: int) -> tuple:
+    """The vertices of the eps = 1 gon (``_unit_gon``) as Python complex
+    numbers, divided by their largest modulus."""
+    v = _unit_gon(k).tolist()
     scale = max(map(abs, v))
-    return [z.imag / scale for z in v]
+    return tuple(z / scale for z in v)
 
 
-def _defect(k: int, v) -> float:
-    """``homoclinic_defect`` of the gon with vertices ``v``."""
-    h = sorted(_heights(v))
-    best = min(b - a for a, b in zip(h, h[1:]))
-    if k == 1:
-        best = min(best, min(abs(z.real) for z in v) / max(map(abs, v)))
-    return best
+def _defect(fld: ModelField):
+    """``homoclinic_defect`` of ``fld`` and the normalised vertex heights
+    it reads: those of ``_unit_basis`` turned by -k arg(eps)/(k+1), in
+    Python scalars."""
+    if fld.epsilon == 0:
+        raise DegenerateParameter("eps = 0")
+    turn = cmath.exp(-1j * fld.k / (fld.k + 1) * fld.theta())
+    v = [z * turn for z in _unit_basis(fld.k)]
+    h = [z.imag for z in v]
+    ordered = sorted(h)
+    best = min(b - a for a, b in zip(ordered, ordered[1:]))
+    if fld.k == 1:
+        best = min(best, min(abs(z.real) for z in v))
+    return best, h
 
 
 def homoclinic_defect(fld: ModelField) -> float:
     """Distance (on normalised heights) from the vertical-symmetry locus.
 
-    Symmetry of the period-gon (that of eps/|eps|, ``_unit_vertices``)
-    about the imaginary axis is the homoclinic criterion: the defect is the
-    smallest gap between two sorted vertex heights.  For k = 1 the
-    symmetric position with both vertices on the axis has no equal-height
-    pair, so the on-axis defect is included there.
+    Symmetry of the period-gon about the imaginary axis is the homoclinic
+    criterion: the defect is the smallest gap between two sorted vertex
+    heights.  For k = 1 the symmetric position with both vertices on the
+    axis has no equal-height pair, so the on-axis defect is included
+    there.  The heights are those of the eps = 1 gon, cached per k and
+    turned by -k arg(eps)/(k+1) (``_defect``), so the defect does not
+    depend on |eps|.
     """
-    return _defect(fld.k, _unit_vertices(fld))
+    return _defect(fld)[0]
 
 
 def is_homoclinic(fld: ModelField, tol: float = 1e-9):
-    """Whether arg(eps) sits on a homoclinic ray, with witness vertex pairs."""
-    v = _unit_vertices(fld)
-    if not _defect(fld.k, v) <= tol:
+    """Whether arg(eps) sits on a homoclinic ray, with witness vertex pairs:
+    ``homoclinic_defect`` at most ``tol``, read off the cached eps = 1 gon
+    (``_defect``) as ``ds_invariant`` reads it."""
+    defect, h = _defect(fld)
+    if not defect <= tol:
         return False, []
-    n, h = fld.k + 1, _heights(v)
+    n = fld.k + 1
     return True, [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i] - h[j]) <= tol]
 
 
@@ -1080,24 +1095,73 @@ def _gon_attachment(fld: ModelField, v) -> int:
     return max(at_p, key=depth)
 
 
-def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> DSInvariant:
-    """The combinatorial invariant, read off the period-gon.
+def _gon_reading(fld: ModelField) -> tuple:
+    """The normalised (trunk, attachment) read off the gon of ``fld``.
 
     The trunk sorts the sides by the heights of their (lower, upper) ends:
     the vertices of the regular gon alternate between its left and right
     chains when their heights are distinct, so an upward sweep meets each
     side at its lower end.  The attachment is ``_gon_attachment``.  Both
-    need only the distinct heights that ``is_homoclinic`` checks, so the
-    gon is that of eps/|eps| (``_unit_vertices``).  With ``validate=True``
-    both must agree with ``ds_invariant_integrated``.
+    need only the distinct heights, so the gon is that of eps/|eps|
+    (``_unit_vertices``).
     """
     v = _unit_vertices(fld)
-    if _defect(fld.k, v) <= tol:
-        raise AtBifurcation("arg eps lies on a homoclinic ray")
     k1 = fld.k + 1
     spans = [sorted((v[ell - 1].imag, v[ell].imag)) for ell in range(k1)]
     order = tuple(sorted(range(k1), key=spans.__getitem__))
     inv = DSInvariant(fld.k, fld.epsilon, order, _gon_attachment(fld, v)).normalised()
+    return inv.order, inv.attachment
+
+
+@functools.cache
+def _rays(k: int) -> tuple:
+    """``bifurcation_angles(k)`` as Python floats."""
+    return tuple(bifurcation_angles(k).tolist())
+
+
+def _sector_key(fld: ModelField) -> tuple:
+    """(sector, one): arg eps lies in [theta_{sector-1}, theta_sector) of
+    ``_rays`` (with 0 and 2 pi at the ends), and ``one`` is the sector of
+    z = 1 (``_sector_of_one``).  That is k, except in the slit band arg eps
+    in [0, (k+1) 1e-12), where the nudge off the slit makes it 0."""
+    return bisect.bisect_right(_rays(fld.k), fld.theta()), _sector_of_one(fld)
+
+
+@functools.cache
+def _sector_invariant(k: int, sector: int, one: int) -> tuple:
+    """The normalised (trunk, attachment) of every generic field with the
+    ``_sector_key`` (sector, one), read off the gon (``_gon_reading``) once,
+    at a fixed angle of the key: the middle of the sector, or in the slit
+    band arg eps = (k+1) 0.5e-12.
+
+    The trunk changes only where two vertex heights meet, on a homoclinic
+    ray, and the attachment also where z = 1 changes sector, so both are
+    constant on each key (Douady, Estrada and Sentenac 2005).
+    """
+    rays = _rays(k)
+    if one == 0:
+        theta = 0.5e-12 * (k + 1)
+    else:
+        lo = rays[sector - 1] if sector else 0.0
+        hi = rays[sector] if sector < len(rays) else TWO_PI
+        theta = 0.5 * (lo + hi)
+    return _gon_reading(ModelField(k, cmath.exp(1j * theta)))
+
+
+def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> DSInvariant:
+    """The combinatorial invariant, read off the period-gon.
+
+    A field within ``tol`` of a homoclinic ray (``homoclinic_defect``, read
+    off the cached eps = 1 gon) raises ``AtBifurcation``.  Off the rays
+    the trunk and attachment are constant on each sector of arg eps between
+    two rays, so each sector's are read off the gon once per process, at a
+    fixed angle of the sector, and looked up (``_sector_invariant``).  With
+    ``validate=True`` both must agree with ``ds_invariant_integrated`` at
+    eps itself.
+    """
+    if _defect(fld)[0] <= tol:
+        raise AtBifurcation("arg eps lies on a homoclinic ray")
+    inv = DSInvariant(fld.k, fld.epsilon, *_sector_invariant(fld.k, *_sector_key(fld)))
     if validate:
         other = ds_invariant_integrated(fld)
         if (other.order, other.attachment) != (inv.order, inv.attachment):
@@ -1224,10 +1288,16 @@ def xi_array(k: int, eps, z):
     Each point keeps the first n terms with q^n a_0/a_n < 1e-18, plus one,
     for its own q = |eps/z^{k+1}| (at most 20000 terms), so its terms do
     not depend on the other points of the array; the sums run as one Horner
-    pass, which each point joins at its last term.
+    pass, which each point joins at its last term.  A lone point is
+    evaluated as two copies of itself: numpy runs one point through its
+    scalar loops, which round differently from the vector loops of any
+    longer array.
     """
     k1 = k + 1
     z = np.asarray(z, dtype=complex)
+    shape = np.broadcast_shapes(np.shape(eps), z.shape)
+    if math.prod(shape) == 1:
+        return xi_array(k, np.ravel(eps)[:1], np.repeat(z.ravel(), 2))[:1].reshape(shape)
     if np.count_nonzero(np.abs(z) ** k1 <= np.abs(eps)):
         raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")
     zk = z**k

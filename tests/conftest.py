@@ -57,6 +57,19 @@ def reference_periods(fld):
     return partial - partial.mean()
 
 
+def reference_defect(k, v):
+    """The homoclinic defect of the gon with vertices ``v``: the smallest
+    gap between the sorted vertex heights, over the largest vertex modulus,
+    and at k = 1 also the smaller distance of a vertex from the imaginary
+    axis.  The oracle of ``model.homoclinic_defect``, which turns the cached
+    gon of eps = 1 in Python scalars."""
+    v = np.asarray(v) / np.abs(v).max()
+    defect = np.diff(np.sort(v.imag)).min()
+    if k == 1:
+        defect = min(defect, np.abs(v.real).min())
+    return float(defect)
+
+
 def vandermonde_Q(sigma, k, eps):
     """Q_eps by a Vandermonde solve at the roots of delta^{k+1} = eps: the
     independent oracle of ``normal_forms.lagrange_Q`` (eps = 0 raises

@@ -17,6 +17,7 @@ from conftest import (
     lane_radii,
     quad_rectify,
     reference_dopri,
+    reference_defect,
     reference_periods,
     scalar_ds_invariant_integrated,
     scalar_landing,
@@ -311,6 +312,115 @@ class TestGonTurnedAndScaled:
     def test_unit_gon_is_read_only(self):
         with pytest.raises(ValueError):
             model._unit_gon(3)[0] = 0
+
+
+def _verdict(fld, tol=1e-9):
+    try:
+        inv = ds_invariant(fld, tol)
+    except AtBifurcation:
+        return "at bifurcation"
+    return inv.order, inv.attachment
+
+
+class TestSectorTable:
+    """``ds_invariant`` looks the invariant of each sector between two
+    homoclinic rays up in a table, read off the gon once per (k, sector,
+    sector of z = 1).  The oracle reads the gon of each field
+    (``model._unit_vertices``): its defect (``conftest.reference_defect``)
+    and its trunk and attachment (``model._gon_reading``)."""
+
+    @staticmethod
+    def _fields(seed):
+        # offsets of 1e-12 to 1e-3 on both sides of every ray and below
+        # 2 pi; arg eps at 0, +-1e-13, +-1e-12 and 2e-12, and on both sides
+        # of the slit band of z = 1; |eps| from 1e-300 to 1e300
+        rng = np.random.default_rng(seed)
+        fields = []
+        for k in [*range(1, 13), 24, 64, 240]:
+            fixed = [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12]
+            fixed += [s * (k + 1) * 1e-12 * f for s in (-1, 1) for f in (0.5, 0.999, 1.001, 2.0)]
+            rays = np.array([*bifurcation_angles(k), TWO_PI])[:, None]
+            for _ in range(max(1, 3600 // (len(fixed) + 2 * len(rays)))):
+                offsets = 10 ** rng.uniform(-12, -3, (len(rays), 2)) * [-1, 1]
+                for theta in fixed + (rays + offsets).ravel().tolist():
+                    fields.append(ModelField(k, 10 ** rng.uniform(-300, 300) * cmath.exp(1j * theta)))
+        return fields
+
+    def test_table_matches_the_gon_of_each_field(self):
+        fields = self._fields(53)
+        assert len(fields) >= 50000
+        # the defect of the cached unit gon is that of the gon of each
+        # field to rounding (at most 1.5e-15 here); a field within that of
+        # tol may take either verdict, so the verdicts below use it
+        defects = [homoclinic_defect(fld) for fld in fields]
+        for fld, d in zip(fields, defects):
+            assert abs(d - reference_defect(fld.k, model._unit_vertices(fld))) < 4e-15
+        readings = [model._gon_reading(fld) if d > 1e-12 else None for fld, d in zip(fields, defects)]
+        for tol in (1e-9, 1e-12):
+            want = [r if d > tol else "at bifurcation" for d, r in zip(defects, readings)]
+            assert [_verdict(fld, tol) for fld in fields] == want
+            assert 0 < want.count("at bifurcation") < len(fields)
+        # every key is met, the slit band of z = 1 included
+        keys = {(fld.k, *model._sector_key(fld)) for fld in fields}
+        for k in {fld.k for fld in fields}:
+            first = 1 if k % 2 else 0
+            sectors = {(k, s, k) for s in range(first, 2 * k + 1)}
+            assert {key for key in keys if key[0] == k} == sectors | {(k, first, 0)}
+
+    def test_fill_order_does_not_matter(self):
+        # on the ray arg eps = 0 at odd k, at tol = 0, the gon of eps reads
+        # a trunk of its own: a table filled at the first field of a key
+        # would keep it
+        def entries(fields):
+            model._sector_invariant.cache_clear()
+            for fld in fields:
+                _verdict(fld, 0.0)
+            keys = {(fld.k, *model._sector_key(fld)) for fld in fields}
+            return {key: model._sector_invariant(*key) for key in keys}
+
+        near, middle = [], []
+        for k in range(1, 13):
+            rays = bifurcation_angles(k).tolist()
+            for theta in [*rays, 0.0, 1e-13, (k + 1) * 1e-12, TWO_PI - 1e-13]:
+                near.append(ModelField(k, cmath.exp(1j * theta)))
+            for lo, hi in zip([0.0, *rays], [*rays, TWO_PI]):
+                middle.append(ModelField(k, cmath.exp(0.5j * (lo + hi))))
+        fields = near + middle
+        assert entries(fields) == entries(fields[::-1])
+
+    def test_slit_band_holds_its_sector_invariant(self):
+        # z = 1 crossing the slit next to arg eps = 0 is no bifurcation
+        for k in range(1, 13):
+            sector = 1 if k % 2 else 0
+            assert model._sector_invariant(k, sector, 0) == model._sector_invariant(k, sector, k)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6])
+    def test_raises_exactly_where_is_homoclinic(self, tol):
+        # ds_invariant, is_homoclinic and homoclinic_defect read one defect
+        rng = np.random.default_rng(59)
+        flagged = []
+        for k in range(1, 13):
+            for ray in bifurcation_angles(k).tolist():
+                for e in range(-12, -1):
+                    for side in (-1, 1):
+                        fld = ModelField(k, cmath.exp(1j * (ray + side * 10 ** (e + rng.random()))))
+                        flagged.append(is_homoclinic(fld, tol)[0])
+                        assert flagged[-1] == (homoclinic_defect(fld) <= tol)
+                        assert flagged[-1] == (_verdict(fld, tol) == "at bifurcation")
+        assert any(flagged) == (tol > 0)
+        assert not all(flagged)
+
+    def test_transition_rule_between_neighbouring_sectors(self):
+        # ray j parts sector j (sector 2k below ray 0 = 0 at odd k) from
+        # sector j + 1; the singularities are labelled 1e-3 from the ray
+        for k in range(1, 13):
+            for j, ray in enumerate(bifurcation_angles(k).tolist()):
+                below = j if j or k % 2 == 0 else 2 * k
+                before, after = (
+                    DSInvariant(k, cmath.exp(1j * (ray + d)), *model._sector_invariant(k, s, k))
+                    for s, d in ((below, -1e-3), (j + 1, 1e-3))
+                )
+                assert transition_rule_holds(before, after), (k, j)
 
 
 class TestBifurcationAngles:
@@ -1631,6 +1741,16 @@ class TestXiArray:
             got = xi_array(k, eps[0], z)
             for w, g in zip(z, got):
                 assert g == xi_array(k, eps[0], np.full(2, w))[0]
+        # a lone point, as a scalar or a one-point array, has those bits too:
+        # numpy's scalar loops gave 347 of these 1800 points other last bits
+        for k in range(1, 7):
+            for _ in range(300):
+                eps = 10 ** rng.uniform(-9, -1) * cmath.exp(2j * math.pi * rng.random())
+                q = rng.uniform(0.05, 0.95)
+                w = (abs(eps) / q) ** (1 / (k + 1)) * cmath.exp(2j * math.pi * rng.random())
+                pair = xi_array(k, eps, np.full(2, w))[0]
+                assert xi_series(ModelField(k, eps), w) == pair
+                assert xi_array(k, np.full(1, eps), w)[0] == pair
 
     def test_scalar_returns_complex(self):
         fld = ModelField(3, 1e-3 * cmath.exp(0.4j))
