@@ -218,13 +218,6 @@ def _unit_field(fld: ModelField) -> ModelField:
     return ModelField(fld.k, fld.epsilon / abs(fld.epsilon))
 
 
-def _unit_vertices(fld: ModelField) -> list:
-    """The vertices of the period-gon of eps/|eps| (``_unit_field``), as
-    Python complex numbers: the same normalised heights as the gon of eps,
-    at any |eps| a float holds."""
-    return _gon_vertices(fld.k, _unit_field(fld).epsilon).tolist()
-
-
 @functools.cache
 def _unit_basis(k: int) -> tuple:
     """The vertices of the eps = 1 gon (``_unit_gon``) as Python complex
@@ -235,19 +228,18 @@ def _unit_basis(k: int) -> tuple:
 
 
 def _defect(fld: ModelField):
-    """``homoclinic_defect`` of ``fld`` and the normalised vertex heights
-    it reads: those of ``_unit_basis`` turned by -k arg(eps)/(k+1), in
-    Python scalars."""
+    """``homoclinic_defect`` of ``fld`` and the normalised vertices it
+    reads: those of ``_unit_basis`` turned by -k arg(eps)/(k+1), in Python
+    scalars (the gon of eps/|eps| over its largest modulus)."""
     if fld.epsilon == 0:
         raise DegenerateParameter("eps = 0")
     turn = cmath.exp(-1j * fld.k / (fld.k + 1) * fld.theta())
     v = [z * turn for z in _unit_basis(fld.k)]
-    h = [z.imag for z in v]
-    ordered = sorted(h)
-    best = min(b - a for a, b in zip(ordered, ordered[1:]))
+    h = sorted(z.imag for z in v)
+    best = min(b - a for a, b in zip(h, h[1:]))
     if fld.k == 1:
         best = min(best, min(abs(z.real) for z in v))
-    return best, h
+    return best, v
 
 
 def homoclinic_defect(fld: ModelField) -> float:
@@ -268,10 +260,10 @@ def is_homoclinic(fld: ModelField, tol: float = 1e-9):
     """Whether arg(eps) sits on a homoclinic ray, with witness vertex pairs:
     ``homoclinic_defect`` at most ``tol``, read off the cached eps = 1 gon
     (``_defect``) as ``ds_invariant`` reads it."""
-    defect, h = _defect(fld)
+    defect, v = _defect(fld)
     if not defect <= tol:
         return False, []
-    n = fld.k + 1
+    n, h = fld.k + 1, [z.imag for z in v]
     return True, [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i] - h[j]) <= tol]
 
 
@@ -1095,17 +1087,17 @@ def _gon_attachment(fld: ModelField, v) -> int:
     return max(at_p, key=depth)
 
 
-def _gon_reading(fld: ModelField) -> tuple:
-    """The normalised (trunk, attachment) read off the gon of ``fld``.
+def _gon_reading(fld: ModelField, v) -> tuple:
+    """The normalised (trunk, attachment) read off the gon of ``fld`` with
+    vertices ``v``.
 
     The trunk sorts the sides by the heights of their (lower, upper) ends:
     the vertices of the regular gon alternate between its left and right
     chains when their heights are distinct, so an upward sweep meets each
     side at its lower end.  The attachment is ``_gon_attachment``.  Both
-    need only the distinct heights, so the gon is that of eps/|eps|
-    (``_unit_vertices``).
+    need only the distinct heights, so any positive multiple of the gon
+    will do.
     """
-    v = _unit_vertices(fld)
     k1 = fld.k + 1
     spans = [sorted((v[ell - 1].imag, v[ell].imag)) for ell in range(k1)]
     order = tuple(sorted(range(k1), key=spans.__getitem__))
@@ -1119,33 +1111,29 @@ def _rays(k: int) -> tuple:
     return tuple(bifurcation_angles(k).tolist())
 
 
-def _sector_key(fld: ModelField) -> tuple:
-    """(sector, one): arg eps lies in [theta_{sector-1}, theta_sector) of
-    ``_rays`` (with 0 and 2 pi at the ends), and ``one`` is the sector of
-    z = 1 (``_sector_of_one``).  That is k, except in the slit band arg eps
-    in [0, (k+1) 1e-12), where the nudge off the slit makes it 0."""
-    return bisect.bisect_right(_rays(fld.k), fld.theta()), _sector_of_one(fld)
+def _sector(fld: ModelField) -> int:
+    """The sector of arg eps: it lies in [theta_{sector-1}, theta_sector)
+    of ``_rays`` (with 0 and 2 pi at the ends)."""
+    return bisect.bisect_right(_rays(fld.k), fld.theta())
 
 
 @functools.cache
-def _sector_invariant(k: int, sector: int, one: int) -> tuple:
-    """The normalised (trunk, attachment) of every generic field with the
-    ``_sector_key`` (sector, one), read off the gon (``_gon_reading``) once,
-    at a fixed angle of the key: the middle of the sector, or in the slit
-    band arg eps = (k+1) 0.5e-12.
+def _sector_invariant(k: int, sector: int) -> tuple:
+    """The normalised (trunk, attachment) of every generic field in
+    ``sector`` (``_sector``), read off the gon (``_gon_reading``) once, in
+    the middle of the sector.
 
     The trunk changes only where two vertex heights meet, on a homoclinic
-    ray, and the attachment also where z = 1 changes sector, so both are
-    constant on each key (Douady, Estrada and Sentenac 2005).
+    ray, so it is constant on each sector (Douady, Estrada and Sentenac
+    2005).  So is the attachment: in the slit band arg eps in
+    [0, (k+1) 1e-12), where the nudge off the slit moves z = 1 from sector
+    k of the gon to sector 0, the separatrix still lands on the same side.
     """
     rays = _rays(k)
-    if one == 0:
-        theta = 0.5e-12 * (k + 1)
-    else:
-        lo = rays[sector - 1] if sector else 0.0
-        hi = rays[sector] if sector < len(rays) else TWO_PI
-        theta = 0.5 * (lo + hi)
-    return _gon_reading(ModelField(k, cmath.exp(1j * theta)))
+    lo = rays[sector - 1] if sector else 0.0
+    hi = rays[sector] if sector < len(rays) else TWO_PI
+    fld = ModelField(k, cmath.exp(0.5j * (lo + hi)))
+    return _gon_reading(fld, _defect(fld)[1])
 
 
 def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> DSInvariant:
@@ -1154,14 +1142,14 @@ def ds_invariant(fld: ModelField, tol: float = 1e-9, validate: bool = False) -> 
     A field within ``tol`` of a homoclinic ray (``homoclinic_defect``, read
     off the cached eps = 1 gon) raises ``AtBifurcation``.  Off the rays
     the trunk and attachment are constant on each sector of arg eps between
-    two rays, so each sector's are read off the gon once per process, at a
-    fixed angle of the sector, and looked up (``_sector_invariant``).  With
+    two rays, so each sector's are read off the gon once per process, in
+    the middle of the sector, and looked up (``_sector_invariant``).  With
     ``validate=True`` both must agree with ``ds_invariant_integrated`` at
     eps itself.
     """
     if _defect(fld)[0] <= tol:
         raise AtBifurcation("arg eps lies on a homoclinic ray")
-    inv = DSInvariant(fld.k, fld.epsilon, *_sector_invariant(fld.k, *_sector_key(fld)))
+    inv = DSInvariant(fld.k, fld.epsilon, *_sector_invariant(fld.k, _sector(fld)))
     if validate:
         other = ds_invariant_integrated(fld)
         if (other.order, other.attachment) != (inv.order, inv.attachment):
@@ -1295,8 +1283,8 @@ def xi_array(k: int, eps, z):
     """
     k1 = k + 1
     z = np.asarray(z, dtype=complex)
-    shape = np.broadcast_shapes(np.shape(eps), z.shape)
-    if math.prod(shape) == 1:
+    if z.size == 1 and np.size(eps) == 1:
+        shape = np.broadcast_shapes(np.shape(eps), z.shape)
         return xi_array(k, np.ravel(eps)[:1], np.repeat(z.ravel(), 2))[:1].reshape(shape)
     if np.count_nonzero(np.abs(z) ** k1 <= np.abs(eps)):
         raise SeriesOutOfDomain("|z|^{k+1} must exceed |eps|")

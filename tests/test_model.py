@@ -270,24 +270,28 @@ class TestGonTurnedAndScaled:
                     worst = max(worst, err)
         assert worst < 1e-13
 
-    def test_verdicts_match_the_partial_sums(self, monkeypatch):
+    def test_verdicts_match_the_partial_sums(self):
+        # the oracle sums the gon of eps/|eps| for each field: its defect
+        # (``reference_defect``), its witness pairs and, off the rays, the
+        # trunk and attachment read off it (``_gon_reading``)
         fields = self._fields(20000, 31)
-
-        def verdicts():
-            out = []
-            for fld in fields:
-                try:
-                    inv = ds_invariant(fld)
-                    out.append((inv.order, inv.attachment, is_homoclinic(fld)))
-                except AtBifurcation:
-                    out.append(("at bifurcation", is_homoclinic(fld)))
-            return out
-
-        turned = verdicts()
-        monkeypatch.setattr(
-            model, "_unit_vertices", lambda fld: reference_periods(model._unit_field(fld)).tolist()
-        )
-        summed = verdicts()
+        turned, summed = [], []
+        for fld in fields:
+            try:
+                inv = ds_invariant(fld)
+                turned.append((inv.order, inv.attachment, is_homoclinic(fld)))
+            except AtBifurcation:
+                turned.append(("at bifurcation", is_homoclinic(fld)))
+            v = reference_periods(model._unit_field(fld))
+            v /= np.abs(v).max()
+            defect = reference_defect(fld.k, v)
+            assert abs(homoclinic_defect(fld) - defect) < 4e-15 * (fld.k + 1)
+            if defect <= 1e-9:
+                n, h = fld.k + 1, v.imag
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if abs(h[i] - h[j]) <= 1e-9]
+                summed.append(("at bifurcation", (True, pairs)))
+            else:
+                summed.append((*model._gon_reading(fld, v.tolist()), (False, [])))
         assert turned == summed
         # both verdicts occur, at either side of the slit band
         assert 0 < sum(v[0] == "at bifurcation" for v in turned) < len(fields)
@@ -324,10 +328,11 @@ def _verdict(fld, tol=1e-9):
 
 class TestSectorTable:
     """``ds_invariant`` looks the invariant of each sector between two
-    homoclinic rays up in a table, read off the gon once per (k, sector,
-    sector of z = 1).  The oracle reads the gon of each field
-    (``model._unit_vertices``): its defect (``conftest.reference_defect``)
-    and its trunk and attachment (``model._gon_reading``)."""
+    homoclinic rays up in a table, read off the gon once per (k, sector).
+    The oracle sums the gon of eps/|eps| for each field
+    (``conftest.reference_periods``) and reads its defect
+    (``conftest.reference_defect``) and its trunk and attachment
+    (``model._gon_reading``)."""
 
     @staticmethod
     def _fields(seed):
@@ -349,23 +354,25 @@ class TestSectorTable:
     def test_table_matches_the_gon_of_each_field(self):
         fields = self._fields(53)
         assert len(fields) >= 50000
-        # the defect of the cached unit gon is that of the gon of each
-        # field to rounding (at most 1.5e-15 here); a field within that of
-        # tol may take either verdict, so the verdicts below use it
+        # the defect of the cached unit gon is that of the summed gon of
+        # each field to rounding, which grows with its k + 1 partial sums
+        # (at most 1.5e-13 here, at k = 240); a field within that of tol
+        # may take either verdict, so the verdicts below use the former
         defects = [homoclinic_defect(fld) for fld in fields]
+        readings = []
         for fld, d in zip(fields, defects):
-            assert abs(d - reference_defect(fld.k, model._unit_vertices(fld))) < 4e-15
-        readings = [model._gon_reading(fld) if d > 1e-12 else None for fld, d in zip(fields, defects)]
+            v = reference_periods(model._unit_field(fld))
+            assert abs(d - reference_defect(fld.k, v)) < 4e-15 * (fld.k + 1)
+            readings.append(model._gon_reading(fld, v.tolist()) if d > 1e-12 else None)
         for tol in (1e-9, 1e-12):
             want = [r if d > tol else "at bifurcation" for d, r in zip(defects, readings)]
             assert [_verdict(fld, tol) for fld in fields] == want
             assert 0 < want.count("at bifurcation") < len(fields)
-        # every key is met, the slit band of z = 1 included
-        keys = {(fld.k, *model._sector_key(fld)) for fld in fields}
+        # every sector is met
+        keys = {(fld.k, model._sector(fld)) for fld in fields}
         for k in {fld.k for fld in fields}:
             first = 1 if k % 2 else 0
-            sectors = {(k, s, k) for s in range(first, 2 * k + 1)}
-            assert {key for key in keys if key[0] == k} == sectors | {(k, first, 0)}
+            assert {key for key in keys if key[0] == k} == {(k, s) for s in range(first, 2 * k + 1)}
 
     def test_fill_order_does_not_matter(self):
         # on the ray arg eps = 0 at odd k, at tol = 0, the gon of eps reads
@@ -375,7 +382,7 @@ class TestSectorTable:
             model._sector_invariant.cache_clear()
             for fld in fields:
                 _verdict(fld, 0.0)
-            keys = {(fld.k, *model._sector_key(fld)) for fld in fields}
+            keys = {(fld.k, model._sector(fld)) for fld in fields}
             return {key: model._sector_invariant(*key) for key in keys}
 
         near, middle = [], []
@@ -387,12 +394,6 @@ class TestSectorTable:
                 middle.append(ModelField(k, cmath.exp(0.5j * (lo + hi))))
         fields = near + middle
         assert entries(fields) == entries(fields[::-1])
-
-    def test_slit_band_holds_its_sector_invariant(self):
-        # z = 1 crossing the slit next to arg eps = 0 is no bifurcation
-        for k in range(1, 13):
-            sector = 1 if k % 2 else 0
-            assert model._sector_invariant(k, sector, 0) == model._sector_invariant(k, sector, k)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6])
     def test_raises_exactly_where_is_homoclinic(self, tol):
@@ -417,7 +418,7 @@ class TestSectorTable:
             for j, ray in enumerate(bifurcation_angles(k).tolist()):
                 below = j if j or k % 2 == 0 else 2 * k
                 before, after = (
-                    DSInvariant(k, cmath.exp(1j * (ray + d)), *model._sector_invariant(k, s, k))
+                    DSInvariant(k, cmath.exp(1j * (ray + d)), *model._sector_invariant(k, s))
                     for s, d in ((below, -1e-3), (j + 1, 1e-3))
                 )
                 assert transition_rule_holds(before, after), (k, j)
